@@ -10,12 +10,11 @@ from .bifurcation import (BistabilityCurve, BistabilityWindow, BranchSolution,
                           CurvePoint, FamilyMember, FamilyResult,
                           HysteresisTrace, auto_power_grid,
                           bistability_window, family_sweep,
-                          hysteresis_from_curve, lower_branch_spread,
-                          mirror_displacements, power_sweep, solve_point)
+                          hysteresis_from_curve, mirror_displacements,
+                          power_sweep, solve_point)
 from .config import RunConfig, load_config, parse_config_text
-from .dynamics import (ORIGIN, MeanFieldState, RampSchedule, Trajectory,
-                       hysteresis_loop, integrate, quasi_static_hysteresis,
-                       relax_to_steady, time_derivative)
+from .dynamics import (ORIGIN, MeanFieldState, Trajectory, hysteresis_loop,
+                       integrate, relax_to_steady, time_derivative)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError,
                      EigenvalueError, NeomsError, NoBistabilityError,
                      NumericalError, ParameterError, ResidualError,
@@ -26,7 +25,7 @@ from .model import (CODATA, CoulombSpec, DerivedParams, DriveSpec,
                     eps_for_power, power_for_eps_sq, validate)
 from .presets import PRESETS, Preset, get_preset
 from .stability import (Classification, Method, StabilityReport, classify,
-                        jacobian, routh_hurwitz_stable)
+                        jacobian)
 from .steady_state import (CriticalPoints, CubicCoefficients, PhotonRoots,
                            SteadyStateFields, Susceptibilities,
                            ThresholdDetuning, critical_points,

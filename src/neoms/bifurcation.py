@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoBistabilityError, ResidualError
+from .errors import NoBistabilityError, ParameterError, ResidualError
 from .model import (DerivedParams, DriveSpec, LinewidthConvention,
                     SystemParams, derive, eps_for_power, power_for_eps_sq)
 from .stability import Classification, Method, StabilityReport, classify
@@ -100,15 +100,15 @@ class BistabilityWindow:
 
 @dataclass(frozen=True)
 class HysteresisTrace:
-    """Photon number along up and/or down power sweeps with jump markers.
+    """Photon number along the up and down power sweeps with jump markers.
 
     Jump powers are the first grid point after the response moved by more
     than half of its previous value, so they sit one grid spacing past the
     underlying fold at worst.
     """
 
-    up: tuple[tuple[float, float], ...] | None      # (power, photon number)
-    down: tuple[tuple[float, float], ...] | None
+    up: tuple[tuple[float, float], ...]      # (power, photon number)
+    down: tuple[tuple[float, float], ...]
     up_jump_powers: tuple[float, ...]
     down_jump_powers: tuple[float, ...]
 
@@ -152,6 +152,20 @@ def bistability_window(derived: DerivedParams, drives: DriveSpec,
         critical=crit, delta_tilde=coeffs.delta_tilde, threshold=thr)
 
 
+def _power_grid(pmin: float, pmax: float, n: int) -> tuple[float, ...]:
+    """n evenly spaced powers from pmin to pmax.
+
+    Raises ParameterError (a ValueError) unless n >= 2 and pmax > pmin.
+    """
+    if n < 2:
+        raise ParameterError("points", f"a power grid needs at least 2, "
+                                       f"got {n!r}")
+    if not pmax > pmin:
+        raise ParameterError("pmax", f"must exceed pmin, got pmin = "
+                                     f"{pmin!r}, pmax = {pmax!r}")
+    return tuple(float(p) for p in np.linspace(pmin, pmax, n))
+
+
 def auto_power_grid(window: BistabilityWindow, n: int = 201,
                     pmin: float | None = None, pmax: float | None = None,
                     ) -> tuple[float, ...]:
@@ -165,9 +179,7 @@ def auto_power_grid(window: BistabilityWindow, n: int = 201,
             pmin = 0.5 * window.power_down
         if pmax is None:
             pmax = 2.0 * window.power_up
-    if n < 2 or pmax <= pmin:
-        raise ValueError("need n >= 2 and pmax > pmin")
-    return tuple(float(p) for p in np.linspace(pmin, pmax, n))
+    return _power_grid(pmin, pmax, n)
 
 
 def _point(derived, drives, susc, gamma, power, method, convention,
@@ -238,29 +250,28 @@ def is_branch_jump(p_prev: float, x_prev: float, p: float, x: float) -> bool:
     return log_x > log_p + _JUMP_LOG_MARGIN
 
 
-def _follow(points: list[CurvePoint],
-            ) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
+def jump_powers(seq: tuple[tuple[float, float], ...]) -> tuple[float, ...]:
+    """Powers of a (power, photon number) sequence that follow a jump."""
+    return tuple(p for (p_prev, x_prev), (p, x) in zip(seq, seq[1:])
+                 if is_branch_jump(p_prev, x_prev, p, x))
+
+
+def _follow(points: list[CurvePoint]) -> tuple[tuple[float, float], ...]:
     """Trace the occupied branch through an ordered point list."""
     seq: list[tuple[float, float]] = []
-    jumps: list[float] = []
-    prev: tuple[float, float] | None = None
     for pt in points:
         if pt.error is not None or not pt.branches:
             continue
         stable = [b for b in pt.branches if b.stable]
         pool = stable if stable else list(pt.branches)
-        if prev is None:
+        if not seq:
             pick = min(pool, key=lambda b: b.photon_number)
         else:
-            px = prev[1]
+            px = seq[-1][1]
             pick = min(pool, key=lambda b: (abs(b.photon_number - px),
                                             b.photon_number))
-        x = pick.photon_number
-        if prev is not None and is_branch_jump(prev[0], prev[1], pt.power, x):
-            jumps.append(pt.power)
-        seq.append((pt.power, x))
-        prev = (pt.power, x)
-    return tuple(seq), tuple(jumps)
+        seq.append((pt.power, pick.photon_number))
+    return tuple(seq)
 
 
 def hysteresis_from_curve(curve: BistabilityCurve) -> HysteresisTrace:
@@ -271,10 +282,9 @@ def hysteresis_from_curve(curve: BistabilityCurve) -> HysteresisTrace:
     same in reverse.  Points that failed to solve are skipped.
     """
     ordered = sorted(curve.points, key=lambda p: p.power)
-    up, up_jumps = _follow(ordered)
-    down, down_jumps = _follow(ordered[::-1])
-    return HysteresisTrace(up=up, down=down, up_jump_powers=up_jumps,
-                           down_jump_powers=down_jumps)
+    up, down = _follow(ordered), _follow(ordered[::-1])
+    return HysteresisTrace(up=up, down=down, up_jump_powers=jump_powers(up),
+                           down_jump_powers=jump_powers(down))
 
 
 _PARAM_KEYS = ("g0", "gc", "delta_c")
@@ -348,7 +358,7 @@ def family_sweep(params: SystemParams, drives: DriveSpec, vary: str,
             pmin = 0.5 * min(w.power_down for w in bistable)
         if pmax is None:
             pmax = 2.0 * max(w.power_up for w in bistable)
-    powers = tuple(float(p) for p in np.linspace(pmin, pmax, n_points))
+    powers = _power_grid(pmin, pmax, n_points)
     members = []
     for v, derived_v, d_v, win in prepared:
         curve = power_sweep(derived_v, d_v, powers, method, convention)
@@ -370,21 +380,3 @@ def mirror_displacements(curve: BistabilityCurve,
         for i, b in enumerate(pt.branches):
             rows.append((pt.power, i, b.fields.q_1s, b.fields.q_2s, b.stable))
     return tuple(rows)
-
-
-def lower_branch_spread(family: FamilyResult) -> tuple[tuple[float, float], ...]:
-    """Spread of the lowest-branch photon number across family members.
-
-    Useful for drive-phase families, whose only visible effect is a shift of
-    the branches at fixed power.
-    """
-    out = []
-    for i, p in enumerate(family.powers):
-        lows = []
-        for m in family.members:
-            pt = m.curve.points[i]
-            if pt.branches:
-                lows.append(pt.branches[0].photon_number)
-        if len(lows) == len(family.members):
-            out.append((p, max(lows) - min(lows)))
-    return tuple(out)

@@ -103,7 +103,7 @@ def _grid_or_none(cfg: RunConfig, args):
     return derived, window, grid
 
 
-def _cmd_curve(args, kind: str = "curve") -> int:
+def _cmd_curve(args) -> int:
     cfg = _load_cfg(args)
     derived, window, grid = _grid_or_none(cfg, args)
     if grid is None:
@@ -118,12 +118,8 @@ def _cmd_curve(args, kind: str = "curve") -> int:
         _emit(output.curve_to_csv(curve, snap, notes), args)
     else:
         _emit(output.dumps_json(
-            output.curve_to_dict(curve, snap, notes, kind=kind)), args)
+            output.curve_to_dict(curve, snap, notes, kind=args.kind)), args)
     return 0
-
-
-def _cmd_mirror(args) -> int:
-    return _cmd_curve(args, kind="mirror")
 
 
 def _cmd_window(args) -> int:
@@ -244,8 +240,8 @@ def _cmd_fig(args) -> int:
         args.vary = None
         args.values = None
         return _cmd_family(args)
-    kind = "mirror" if args.panel in _MIRROR_PANELS else "curve"
-    return _cmd_curve(args, kind=kind)
+    args.kind = "mirror" if args.panel in _MIRROR_PANELS else "curve"
+    return _cmd_curve(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,17 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "driven cavity with two charged mirrors")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("curve", help="photon-number response over a power "
-                                     "grid, all branches classified")
-    _add_source(p); _add_grid(p); _add_method(p); _add_convention(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_curve)
-
-    p = sub.add_parser("mirror", help="same sweep, displacement-centric "
-                                      "output")
-    _add_source(p); _add_grid(p); _add_method(p); _add_convention(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_mirror)
+    for kind, text in (("curve", "photon-number response over a power "
+                                 "grid, all branches classified"),
+                       ("mirror", "same sweep, displacement-centric output")):
+        p = sub.add_parser(kind, help=text)
+        _add_source(p); _add_grid(p); _add_method(p); _add_convention(p)
+        _add_output(p)
+        p.set_defaults(func=_cmd_curve, kind=kind)
 
     p = sub.add_parser("window", help="closed-form fold powers")
     _add_source(p); _add_convention(p); _add_output(p)

@@ -49,11 +49,7 @@ KEY_DIMENSIONS: dict[str, str] = {
     "gc": "frequency",
     "eps1": "frequency",
     "eps2": "frequency",
-    "drive_freq1": "frequency",
-    "drive_freq2": "frequency",
-    "probe_detuning": "frequency",
     "drive_power": "power",
-    "probe_power": "power",
     "volt1": "voltage",
     "volt2": "voltage",
     "cap1": "capacitance",
@@ -155,14 +151,10 @@ class RunConfig:
         else:
             lines.append(f"gc = {p.coulomb.gc!r} rad/s")
         lines += [
-            f"probe_power = {p.probe_power!r} W",
-            f"probe_detuning = {p.probe_detuning!r} rad/s",
             f"eps1 = {d.eps1!r} rad/s",
             f"eps2 = {d.eps2!r} rad/s",
             f"phi1 = {d.phi1!r} rad",
             f"phi2 = {d.phi2!r} rad",
-            f"drive_freq1 = {d.drive_freq1!r} rad/s",
-            f"drive_freq2 = {d.drive_freq2!r} rad/s",
             f"convention = {self.convention.value}",
         ]
         if self.dwell_factor is not None:
@@ -202,6 +194,10 @@ def parse_config_text(text: str) -> RunConfig:
         if key in _STRING_KEYS or key == "values":
             continue
         scalars[key] = _parse_quantity(val, KEY_DIMENSIONS[key], key, i)
+    dwell = scalars.get("dwell_factor")
+    if dwell is not None and not (math.isfinite(dwell) and dwell > 0.0):
+        raise ConfigError(f"dwell_factor must be finite and > 0, got "
+                          f"{dwell!r}", raw["dwell_factor"][1])
 
     convention = LinewidthConvention.HALF_KAPPA
     if "convention" in raw:
@@ -287,14 +283,10 @@ def parse_config_text(text: str) -> RunConfig:
         gamma1=scalars["gamma1"], gamma2=scalars["gamma2"],
         kappa=scalars["kappa"], delta_c=delta_c,
         drive_power=scalars["drive_power"],
-        g0=scalars.get("g0"), coulomb=coulomb,
-        probe_power=scalars.get("probe_power", 0.0),
-        probe_detuning=scalars.get("probe_detuning", 0.0))
+        g0=scalars.get("g0"), coulomb=coulomb)
     drives = DriveSpec(eps1=eps1, eps2=eps2,
                        phi1=scalars.get("phi1", 0.0),
-                       phi2=scalars.get("phi2", 0.0),
-                       drive_freq1=scalars.get("drive_freq1", 0.0),
-                       drive_freq2=scalars.get("drive_freq2", 0.0))
+                       phi2=scalars.get("phi2", 0.0))
     return RunConfig(params=params, drives=drives, convention=convention,
                      dwell_factor=scalars.get("dwell_factor"),
                      vary=vary, values=values)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .bifurcation import HysteresisTrace, is_branch_jump
-from .errors import ConsistencyError, ConvergenceError, StiffnessError
+from .bifurcation import HysteresisTrace, jump_powers
+from .errors import (ConsistencyError, ConvergenceError, ParameterError,
+                     StiffnessError)
 from .model import (DerivedParams, DriveSpec, LinewidthConvention,
                     amplitude_decay, eps_for_power)
 from .steady_state import (SteadyStateFields, cubic_coefficients,
@@ -69,41 +70,31 @@ class Trajectory:
 
 
 def _make_rhs(derived: DerivedParams, drives: DriveSpec, eps_l,
-              probe: bool, drive_rotation: bool,
               convention: LinewidthConvention):
     kh = amplitude_decay(derived.kappa, convention)
     dc = derived.delta_c
     g0, gc = derived.g0, derived.gc
     w1, w2 = derived.omega1, derived.omega2
     h1, h2 = 0.5 * derived.gamma1, 0.5 * derived.gamma2
-    e1, e2 = drives.eps1, drives.eps2
-    p1, p2 = drives.phi1, drives.phi2
-    wf1, wf2 = drives.drive_freq1, drives.drive_freq2
-    ep, pd = derived.eps_p, derived.probe_detuning
+    # the tone phases are static, so each tone is a constant force
+    f1r = drives.eps1 * math.cos(drives.phi1)
+    f1i = drives.eps1 * math.sin(drives.phi1)
+    f2r = drives.eps2 * math.cos(drives.phi2)
+    f2i = drives.eps2 * math.sin(drives.phi2)
     eps_fn = eps_l if callable(eps_l) else None
     eps_const = 0.0 if eps_fn else float(eps_l)
 
     def rhs(t, y):
         cr, ci, u1, v1, u2, v2 = y
         el = eps_fn(t) if eps_fn is not None else eps_const
-        elr, eli = el, 0.0
-        if probe and ep != 0.0:
-            ph = pd * t
-            elr += ep * math.cos(ph)
-            eli -= ep * math.sin(ph)
-        a1, a2 = p1, p2
-        if drive_rotation:
-            a1 = p1 + wf1 * t
-            a2 = p2 + wf2 * t
         det = dc - 2.0 * g0 * u1
         return np.array([
-            det * ci - kh * cr + elr,
-            -det * cr - kh * ci + eli,
-            -h1 * u1 + w1 * v1 + gc * v2 + e1 * math.cos(a1),
-            g0 * (cr * cr + ci * ci) - w1 * u1 - h1 * v1 - gc * u2
-            - e1 * math.sin(a1),
-            -h2 * u2 + w2 * v2 + gc * v1 + e2 * math.cos(a2),
-            -w2 * u2 - h2 * v2 - gc * u1 - e2 * math.sin(a2),
+            det * ci - kh * cr + el,
+            -det * cr - kh * ci,
+            -h1 * u1 + w1 * v1 + gc * v2 + f1r,
+            g0 * (cr * cr + ci * ci) - w1 * u1 - h1 * v1 - gc * u2 - f1i,
+            -h2 * u2 + w2 * v2 + gc * v1 + f2r,
+            -w2 * u2 - h2 * v2 - gc * u1 - f2i,
         ])
 
     return rhs
@@ -111,13 +102,12 @@ def _make_rhs(derived: DerivedParams, drives: DriveSpec, eps_l,
 
 def time_derivative(state: MeanFieldState, derived: DerivedParams,
                     drives: DriveSpec, eps_l: float | None = None,
-                    probe: bool = False, drive_rotation: bool = False,
                     convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
                     ) -> MeanFieldState:
     """Instantaneous d(state)/dt, returned in the same container."""
     if eps_l is None:
         eps_l = derived.eps_l
-    rhs = _make_rhs(derived, drives, eps_l, probe, drive_rotation, convention)
+    rhs = _make_rhs(derived, drives, eps_l, convention)
     dy = rhs(state.t, state.to_quadratures())
     return MeanFieldState.from_quadratures(dy, t=state.t)
 
@@ -125,7 +115,6 @@ def time_derivative(state: MeanFieldState, derived: DerivedParams,
 def integrate(initial: MeanFieldState, derived: DerivedParams,
               drives: DriveSpec, eps_l, t_final: float,
               rtol: float = 1e-9, atol: float | None = None,
-              probe: bool = False, drive_rotation: bool = False,
               convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
               ) -> Trajectory:
     """Integrate from `initial.t` to `t_final`.
@@ -139,7 +128,7 @@ def integrate(initial: MeanFieldState, derived: DerivedParams,
     y0 = initial.to_quadratures()
     if atol is None:
         atol = rtol * max(1.0, float(np.max(np.abs(y0))))
-    rhs = _make_rhs(derived, drives, eps_l, probe, drive_rotation, convention)
+    rhs = _make_rhs(derived, drives, eps_l, convention)
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(rhs, (initial.t, t_final), y0, method="DOP853",
                         rtol=rtol, atol=atol)
@@ -195,7 +184,7 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
         checkpoint = 1.0 / slow
     if t_max is None:
         t_max = 1000.0 / slow
-    rhs = _make_rhs(derived, drives, eps_l, False, False, convention)
+    rhs = _make_rhs(derived, drives, eps_l, convention)
     norm_scale = max(eps_l, derived.kappa)
     strict = settle_tol * norm_scale
     loose = 1e4 * strict
@@ -256,57 +245,20 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
         effective_detuning=det)
 
 
-@dataclass(frozen=True)
-class RampSchedule:
-    """Piecewise-constant power ramp: hold each power for at least `dwell`."""
-
-    powers: tuple[float, ...]    # W, monotone in the ramp direction
-    dwell: float                 # s
-    direction: str               # "up" or "down"
-
-    def __post_init__(self):
-        if self.direction not in ("up", "down"):
-            raise ValueError(f"direction must be 'up' or 'down', "
-                             f"got {self.direction!r}")
-        if self.dwell <= 0.0:
-            raise ValueError("dwell must be > 0")
-        ps = self.powers
-        if len(ps) < 2:
-            raise ValueError("a ramp needs at least two powers")
-        good = all(a < b for a, b in zip(ps, ps[1:])) if self.direction == "up" \
-            else all(a > b for a, b in zip(ps, ps[1:]))
-        if not good:
-            raise ValueError("powers must be strictly monotone in the "
-                             "ramp direction")
-
-    @classmethod
-    def linear(cls, derived: DerivedParams, p_lo: float, p_hi: float, n: int,
-               direction: str = "up", dwell: float | None = None,
-               ) -> "RampSchedule":
-        if dwell is None:
-            dwell = 10.0 / min(derived.kappa, derived.gamma1, derived.gamma2)
-        grid = np.linspace(p_lo, p_hi, n)
-        if direction == "down":
-            grid = grid[::-1]
-        return cls(powers=tuple(float(p) for p in grid), dwell=dwell,
-                   direction=direction)
-
-
-def _ramp(schedule: RampSchedule, derived: DerivedParams, drives: DriveSpec,
-          initial: MeanFieldState, rtol: float, settle_tol: float,
-          convention: LinewidthConvention,
-          ) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...],
-                     MeanFieldState]:
+def _ramp(powers: tuple[float, ...], dwell: float, derived: DerivedParams,
+          drives: DriveSpec, initial: MeanFieldState, rtol: float,
+          settle_tol: float, convention: LinewidthConvention,
+          ) -> tuple[tuple[tuple[float, float], ...], MeanFieldState]:
+    """Relax at each power in order, starting each step where the last ended."""
     state = initial
     seq: list[tuple[float, float]] = []
-    jumps: list[float] = []
-    for p in schedule.powers:
+    for p in powers:
         eps = eps_for_power(derived, p)
         try:
             fields = relax_to_steady(state, derived, drives, eps, rtol=rtol,
                                      settle_tol=settle_tol,
-                                     checkpoint=schedule.dwell / 4.0,
-                                     t_max=400.0 * schedule.dwell,
+                                     checkpoint=dwell / 4.0,
+                                     t_max=400.0 * dwell,
                                      convention=convention)
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -316,32 +268,8 @@ def _ramp(schedule: RampSchedule, derived: DerivedParams, drives: DriveSpec,
                 diagnostics={**exc.diagnostics, "power_W": p}) from exc
         state = MeanFieldState(c=fields.c_s, b1=fields.b_1s, b2=fields.b_2s,
                                t=0.0)
-        x = fields.photon_number
-        if seq and is_branch_jump(seq[-1][0], seq[-1][1], p, x):
-            jumps.append(p)
-        seq.append((p, x))
-    return tuple(seq), tuple(jumps), state
-
-
-def quasi_static_hysteresis(schedule: RampSchedule, derived: DerivedParams,
-                            drives: DriveSpec,
-                            initial: MeanFieldState = ORIGIN,
-                            rtol: float = 1e-9,
-                            settle_tol: float = 1e-10,
-                            convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-                            ) -> HysteresisTrace:
-    """Ramp the power one direction, relaxing at every step.
-
-    Branch jumps are grid powers where the settled photon number moves
-    discontinuously (see is_branch_jump in the bifurcation module).
-    """
-    seq, jumps, _ = _ramp(schedule, derived, drives, initial, rtol,
-                          settle_tol, convention)
-    if schedule.direction == "up":
-        return HysteresisTrace(up=seq, down=None, up_jump_powers=jumps,
-                               down_jump_powers=())
-    return HysteresisTrace(up=None, down=seq, up_jump_powers=(),
-                           down_jump_powers=jumps)
+        seq.append((p, fields.photon_number))
+    return tuple(seq), state
 
 
 def hysteresis_loop(derived: DerivedParams, drives: DriveSpec,
@@ -350,16 +278,25 @@ def hysteresis_loop(derived: DerivedParams, drives: DriveSpec,
                     settle_tol: float = 1e-10,
                     convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
                     ) -> HysteresisTrace:
-    """Full quasi-static loop: ramp up, then back down from the settled top."""
+    """Full quasi-static loop: ramp up, then back down from the settled top.
+
+    Each power is held for at least `dwell` seconds, by default ten times
+    the slowest decay time.  Branch jumps are found as in the algebraic loop
+    (see jump_powers in the bifurcation module).  Raises ParameterError (a
+    ValueError) unless there are at least two powers, none repeated, and
+    dwell is finite and positive.
+    """
     ps = tuple(sorted(float(p) for p in powers))
+    if len(ps) < 2 or not all(a < b for a, b in zip(ps, ps[1:])):
+        raise ParameterError("powers", "a ramp needs at least two powers, "
+                                       "none repeated")
     if dwell is None:
         dwell = 10.0 / min(derived.kappa, derived.gamma1, derived.gamma2)
-    up_sched = RampSchedule(powers=ps, dwell=dwell, direction="up")
-    up_seq, up_jumps, top_state = _ramp(up_sched, derived, drives, ORIGIN,
-                                        rtol, settle_tol, convention)
-    down_sched = RampSchedule(powers=ps[::-1], dwell=dwell, direction="down")
-    down_seq, down_jumps, _ = _ramp(down_sched, derived, drives, top_state,
-                                    rtol, settle_tol, convention)
-    return HysteresisTrace(up=up_seq, down=down_seq,
-                           up_jump_powers=up_jumps,
-                           down_jump_powers=down_jumps)
+    if not (math.isfinite(dwell) and dwell > 0.0):
+        raise ParameterError("dwell", f"must be finite and > 0, got {dwell!r}")
+    up, top = _ramp(ps, dwell, derived, drives, ORIGIN, rtol, settle_tol,
+                    convention)
+    down, _ = _ramp(ps[::-1], dwell, derived, drives, top, rtol, settle_tol,
+                    convention)
+    return HysteresisTrace(up=up, down=down, up_jump_powers=jump_powers(up),
+                           down_jump_powers=jump_powers(down))

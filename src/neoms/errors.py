@@ -15,8 +15,8 @@ class NoBistabilityError(NeomsError):
     """An operation needed a fold window and the operating point has none."""
 
 
-class ParameterError(NeomsError):
-    """Invalid physical parameter. Carries the offending field name."""
+class ParameterError(NeomsError, ValueError):
+    """Invalid input value. Carries the offending field name."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
@@ -63,10 +63,6 @@ class ConvergenceError(NumericalError):
     def __init__(self, message: str, last_state=None, diagnostics: dict | None = None):
         super().__init__(message, diagnostics)
         self.last_state = last_state
-
-
-class NoStableRootError(NumericalError):
-    """Branch following found no stable root at some power."""
 
 
 class ConsistencyError(NumericalError):

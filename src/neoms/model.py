@@ -98,17 +98,13 @@ class DriveSpec:
     """Mechanical drive tones on the two mirrors.
 
     Amplitudes eps1/eps2 in rad/s, static phases phi1/phi2 in rad (stored
-    canonically in [0, 2*pi)).  drive_freq1/drive_freq2 are retained for the
-    time-periodic drive experiment in the dynamics module; the steady-state
-    algebra treats the phases as static.
+    canonically in [0, 2*pi)).
     """
 
     eps1: float = 0.0
     eps2: float = 0.0
     phi1: float = 0.0
     phi2: float = 0.0
-    drive_freq1: float = 0.0
-    drive_freq2: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "phi1", canonical_phase(self.phi1))
@@ -122,7 +118,7 @@ class SystemParams:
     `g0` is the single-photon optomechanical coupling rate in rad/s, or None
     to derive it from the cavity geometry.  `delta_c` is the cavity-laser
     detuning omega_c - omega_l (positive means the laser is red of the
-    cavity).  `probe_power` is retained for the dynamics module only.
+    cavity).
     """
 
     cavity_length: float
@@ -138,8 +134,6 @@ class SystemParams:
     drive_power: float
     g0: float | None = None
     coulomb: CoulombSpec = CoulombSpec.direct(0.0)
-    probe_power: float = 0.0
-    probe_detuning: float = 0.0
 
     def with_delta_c(self, delta_c: float) -> "SystemParams":
         return replace(self, delta_c=delta_c)
@@ -154,7 +148,6 @@ class Diagnostic:
 
 _POSITIVE_FIELDS = ("cavity_length", "wavelength", "mass1", "mass2",
                     "omega1", "omega2", "gamma1", "gamma2", "kappa")
-_NONNEGATIVE_FIELDS = ("drive_power", "probe_power")
 
 
 def validate(params: SystemParams) -> list[Diagnostic]:
@@ -172,14 +165,11 @@ def validate(params: SystemParams) -> list[Diagnostic]:
         v = getattr(params, name)
         if not math.isfinite(v) or v <= 0.0:
             err(name, f"must be finite and > 0, got {v!r}")
-    for name in _NONNEGATIVE_FIELDS:
-        v = getattr(params, name)
-        if not math.isfinite(v) or v < 0.0:
-            err(name, f"must be finite and >= 0, got {v!r}")
+    v = params.drive_power
+    if not math.isfinite(v) or v < 0.0:
+        err("drive_power", f"must be finite and >= 0, got {v!r}")
     if not math.isfinite(params.delta_c):
         err("delta_c", "must be finite")
-    if not math.isfinite(params.probe_detuning):
-        err("probe_detuning", "must be finite")
     if params.g0 is not None and (not math.isfinite(params.g0) or params.g0 < 0.0):
         err("g0", f"must be finite and >= 0 when given, got {params.g0!r}")
 
@@ -213,6 +203,15 @@ def zero_point_length(mass: float, omega: float,
     return math.sqrt(constants.hbar / (2.0 * mass * omega))
 
 
+def _coulomb_rate_per_area(spec: CoulombSpec,
+                           constants: PhysicalConstants) -> float | None:
+    """k_e C1 V1 C2 V2 / (hbar r0^3) for geometric input, None for direct."""
+    if not spec.is_geometric:
+        return None
+    return (constants.coulomb_constant * spec.cap1 * spec.volt1
+            * spec.cap2 * spec.volt2 / (constants.hbar * spec.spacing ** 3))
+
+
 def coulomb_coupling_rate(spec: CoulombSpec, mass1: float, mass2: float,
                           omega1: float, omega2: float,
                           constants: PhysicalConstants = CODATA) -> float:
@@ -222,11 +221,9 @@ def coulomb_coupling_rate(spec: CoulombSpec, mass1: float, mass2: float,
     two zero-point lengths.  The r0^-3 law is the leading dipole term of the
     expanded Coulomb interaction between the biased mirrors.
     """
-    if not spec.is_geometric:
+    g_per_area = _coulomb_rate_per_area(spec, constants)
+    if g_per_area is None:
         return spec.gc
-    g_per_area = (constants.coulomb_constant * spec.cap1 * spec.volt1
-                  * spec.cap2 * spec.volt2
-                  / (constants.hbar * spec.spacing ** 3))
     xz1 = zero_point_length(mass1, omega1, constants)
     xz2 = zero_point_length(mass2, omega2, constants)
     return g_per_area * xz1 * xz2
@@ -238,9 +235,8 @@ class DerivedParams:
 
     omega_c/omega_l: cavity and laser angular frequencies.  g_per_len is the
     bare frequency pull omega_c / L in rad/(s m); g0 the single-photon
-    optomechanical rate; gc the mirror-mirror rate; eps_l/eps_p the drive and
-    probe amplitudes in 1/s.  gc_per_area is populated only for geometric
-    Coulomb input.
+    optomechanical rate; gc the mirror-mirror rate; eps_l the drive amplitude
+    in 1/s.  gc_per_area is populated only for geometric Coulomb input.
     """
 
     omega_c: float
@@ -250,8 +246,6 @@ class DerivedParams:
     gc: float
     gc_per_area: float | None
     eps_l: float
-    eps_p: float
-    probe_detuning: float
     x_zpf1: float
     x_zpf2: float
     system: SystemParams
@@ -318,25 +312,12 @@ def derive(params: SystemParams, drives: DriveSpec | None = None,
     xz2 = zero_point_length(params.mass2, params.omega2, constants)
     g0 = params.g0 if params.g0 is not None else g_per_len * xz1
 
-    gc = coulomb_coupling_rate(params.coulomb, params.mass1, params.mass2,
-                               params.omega1, params.omega2, constants)
-    gc_per_area = None
-    if params.coulomb.is_geometric:
-        cs = params.coulomb
-        gc_per_area = (constants.coulomb_constant * cs.cap1 * cs.volt1
-                       * cs.cap2 * cs.volt2
-                       / (constants.hbar * cs.spacing ** 3))
-
+    gc_per_area = _coulomb_rate_per_area(params.coulomb, constants)
+    gc = params.coulomb.gc if gc_per_area is None else gc_per_area * xz1 * xz2
     eps_l = drive_amplitude(params.kappa, params.drive_power, omega_l, constants)
-    omega_p = omega_l + params.probe_detuning
-    if params.probe_power > 0.0 and omega_p <= 0.0:
-        raise ParameterError("probe_detuning", "probe frequency is not positive")
-    eps_p = drive_amplitude(params.kappa, params.probe_power,
-                            omega_p if omega_p > 0.0 else omega_l, constants)
 
     return DerivedParams(omega_c=omega_c, omega_l=omega_l, g_per_len=g_per_len,
                          g0=g0, gc=gc, gc_per_area=gc_per_area, eps_l=eps_l,
-                         eps_p=eps_p, probe_detuning=params.probe_detuning,
                          x_zpf1=xz1, x_zpf2=xz2, system=params,
                          constants=constants)
 

@@ -150,20 +150,34 @@ def family_to_dict(family: FamilyResult, snapshot: str,
     }
 
 
+# ---------------------------------------------------------------- key/value
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return _b(value)
+    if isinstance(value, float):
+        return _f(value)
+    return "" if value is None else str(value)
+
+
+def _keyvalue_csv(record: dict, snapshot: str,
+                  comments: tuple[str, ...] = ()) -> str:
+    """A flat record as `key,value` rows in key order.
+
+    Booleans are written true/false, floats with repr, None as an empty
+    cell and anything else with str.
+    """
+    lines = _preamble(snapshot, comments)
+    lines.append(KEYVALUE_HEADER)
+    lines += [f"{key},{_cell(value)}" for key, value in sorted(record.items())]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------- windows
 
 def window_to_csv(window: BistabilityWindow, snapshot: str,
                   comments: tuple[str, ...] = ()) -> str:
-    lines = _preamble(snapshot, comments)
-    lines.append(KEYVALUE_HEADER)
-    for key, value in sorted(window_to_dict(window).items()):
-        if isinstance(value, bool):
-            lines.append(f"{key},{_b(value)}")
-        elif isinstance(value, float):
-            lines.append(f"{key},{_f(value)}")
-        else:
-            lines.append(f"{key},{value if value is not None else ''}")
-    return "\n".join(lines) + "\n"
+    return _keyvalue_csv(window_to_dict(window), snapshot, comments)
 
 
 def window_json(window: BistabilityWindow, snapshot: str,
@@ -190,11 +204,7 @@ def threshold_to_dict(thr: ThresholdDetuning, kappa: float) -> dict:
 
 def threshold_to_csv(thr: ThresholdDetuning, kappa: float, snapshot: str,
                      comments: tuple[str, ...] = ()) -> str:
-    lines = _preamble(snapshot, comments)
-    lines.append(KEYVALUE_HEADER)
-    for key, value in sorted(threshold_to_dict(thr, kappa).items()):
-        lines.append(f"{key},{_f(value) if isinstance(value, float) else value}")
-    return "\n".join(lines) + "\n"
+    return _keyvalue_csv(threshold_to_dict(thr, kappa), snapshot, comments)
 
 
 # ---------------------------------------------------------------- hysteresis
@@ -208,22 +218,19 @@ def trace_to_csv(trace: HysteresisTrace, snapshot: str,
     lines.append(f"# down_jump_powers_W = [{downs}]")
     lines.append(HYSTERESIS_HEADER)
     for name, seq in (("up", trace.up), ("down", trace.down)):
-        for power, x in seq or ():
+        for power, x in seq:
             lines.append(f"{name},{_f(power)},{_f(x)}")
     return "\n".join(lines) + "\n"
 
 
 def trace_to_dict(trace: HysteresisTrace, snapshot: str,
                   comments: tuple[str, ...] = ()) -> dict:
-    def seq(s):
-        return None if s is None else [[p, x] for p, x in s]
-
     return {
         "kind": "hysteresis",
         "snapshot": snapshot.rstrip("\n").splitlines(),
         "assumptions": list(comments),
-        "up": seq(trace.up),
-        "down": seq(trace.down),
+        "up": [[p, x] for p, x in trace.up],
+        "down": [[p, x] for p, x in trace.down],
         "up_jump_powers_W": list(trace.up_jump_powers),
         "down_jump_powers_W": list(trace.down_jump_powers),
     }
@@ -246,11 +253,7 @@ def fields_to_dict(fields: SteadyStateFields, power: float) -> dict:
 
 def fields_to_csv(fields: SteadyStateFields, power: float, snapshot: str,
                   comments: tuple[str, ...] = ()) -> str:
-    lines = _preamble(snapshot, comments)
-    lines.append(KEYVALUE_HEADER)
-    for key, value in sorted(fields_to_dict(fields, power).items()):
-        lines.append(f"{key},{_f(value) if isinstance(value, float) else value}")
-    return "\n".join(lines) + "\n"
+    return _keyvalue_csv(fields_to_dict(fields, power), snapshot, comments)
 
 
 # ---------------------------------------------------------------- parsing

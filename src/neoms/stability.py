@@ -106,35 +106,3 @@ def classify(fields: SteadyStateFields, derived: DerivedParams,
     return StabilityReport(classification=cls, method=method,
                            eigenvalue_real_parts=reals, margin=-worst)
 
-
-def routh_hurwitz_stable(jac: np.ndarray, rel_tol: float = 1e-12) -> bool:
-    """Optional verification path on the characteristic polynomial.
-
-    Builds the Routh array of det(sI - J) and checks the first column for
-    sign changes.  Raises EigenvalueError on a degenerate (near-zero) pivot,
-    where the criterion is inconclusive.
-    """
-    # the polynomial coefficients carry mixed powers of rate; normalizing
-    # the matrix makes them comparable so the pivot test is meaningful
-    rate = float(np.max(np.abs(jac)))
-    if rate == 0.0:
-        raise EigenvalueError("zero Jacobian", {"jacobian": jac})
-    coeffs = np.poly(jac / rate)     # leading coefficient 1
-    n = len(coeffs)
-    scale = float(np.max(np.abs(coeffs)))
-    rows = [coeffs[0::2].astype(float), coeffs[1::2].astype(float)]
-    width = len(rows[0])
-    rows[1] = np.pad(rows[1], (0, width - len(rows[1])))
-    first_col = [rows[0][0], rows[1][0]]
-    for _ in range(n - 2):
-        top, bot = rows[-2], rows[-1]
-        if abs(bot[0]) < rel_tol * scale:
-            raise EigenvalueError("degenerate Routh pivot",
-                                  {"pivot": float(bot[0]), "scale": scale})
-        nxt = np.zeros(width)
-        for j in range(width - 1):
-            nxt[j] = (bot[0] * top[j + 1] - top[0] * bot[j + 1]) / bot[0]
-        rows.append(nxt)
-        first_col.append(nxt[0])
-        scale = max(scale, float(np.max(np.abs(nxt))))
-    return all(v > 0.0 for v in first_col)

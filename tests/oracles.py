@@ -3,8 +3,9 @@
 Every routine here deliberately avoids the package's own closed-form paths:
 roots come from a double-precision companion matrix refined by
 extended-precision Newton steps, fold powers from a dense scan with
-parabolic refinement, and steady fields from a direct complex 2x2 solve of
-the zero-derivative conditions.
+parabolic refinement, steady fields from a direct complex 2x2 solve of
+the zero-derivative conditions, and stability from the Routh array of the
+Jacobian's characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 
 import mpmath as mp
 import numpy as np
+
+from neoms.errors import EigenvalueError
 
 
 def cubic_roots_extended(a: float, b: float, c: float, d: float,
@@ -128,6 +131,39 @@ def bistable_cubic_direct(derived, drives, eps_l: float,
     dt = derived.delta_c - g0 * gamma
     return (chi * chi, -2.0 * chi * dt,
             half_linewidth ** 2 + dt * dt, -eps_l * eps_l)
+
+
+def routh_hurwitz_stable(jac: np.ndarray, rel_tol: float = 1e-12) -> bool:
+    """Stability from the characteristic polynomial, without eigenvalues.
+
+    Builds the Routh array of det(sI - J) and checks the first column for
+    sign changes.  Raises EigenvalueError on a degenerate (near-zero) pivot,
+    where the criterion is inconclusive.
+    """
+    # the polynomial coefficients carry mixed powers of rate; normalizing
+    # the matrix makes them comparable so the pivot test is meaningful
+    rate = float(np.max(np.abs(jac)))
+    if rate == 0.0:
+        raise EigenvalueError("zero Jacobian", {"jacobian": jac})
+    coeffs = np.poly(jac / rate)     # leading coefficient 1
+    n = len(coeffs)
+    scale = float(np.max(np.abs(coeffs)))
+    rows = [coeffs[0::2].astype(float), coeffs[1::2].astype(float)]
+    width = len(rows[0])
+    rows[1] = np.pad(rows[1], (0, width - len(rows[1])))
+    first_col = [rows[0][0], rows[1][0]]
+    for _ in range(n - 2):
+        top, bot = rows[-2], rows[-1]
+        if abs(bot[0]) < rel_tol * scale:
+            raise EigenvalueError("degenerate Routh pivot",
+                                  {"pivot": float(bot[0]), "scale": scale})
+        nxt = np.zeros(width)
+        for j in range(width - 1):
+            nxt[j] = (bot[0] * top[j + 1] - top[0] * bot[j + 1]) / bot[0]
+        rows.append(nxt)
+        first_col.append(nxt[0])
+        scale = max(scale, float(np.max(np.abs(nxt))))
+    return all(v > 0.0 for v in first_col)
 
 
 def math_isclose_rel(a: float, b: float, rel: float) -> bool:

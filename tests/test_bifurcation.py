@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from neoms.bifurcation import (FAMILY_KEYS, auto_power_grid,
                                bistability_window, family_sweep,
                                hysteresis_from_curve, is_branch_jump,
-                               lower_branch_spread, mirror_displacements,
-                               power_sweep, solve_point)
+                               mirror_displacements, power_sweep, solve_point)
 from neoms.errors import NoBistabilityError
 from neoms.model import CoulombSpec, DriveSpec, derive
 from neoms.stability import Method
@@ -169,6 +168,11 @@ def test_family_applies_values_to_the_right_knob():
         family_sweep(params, drives, "kappa", (1.0,))
     with pytest.raises(ValueError):
         family_sweep(params, drives, "g0", ())
+    for n, bounds in ((0, {}), (1, {}),
+                      (5, {"pmin": 2e-12, "pmax": 1e-12})):
+        with pytest.raises(ValueError):
+            family_sweep(params, drives, "g0", (derived.g0,), n_points=n,
+                         **bounds)
 
 
 def test_family_value_overrides_geometric_coulomb():
@@ -229,8 +233,10 @@ def test_lower_branch_spread_sees_phase_push():
     tone = DriveSpec(eps1=2.0 * params.omega1, phi1=0.0)
     fam = family_sweep(params, tone, "phi1", (0.25 * math.pi, 0.5 * math.pi),
                        n_points=31)
-    spread = lower_branch_spread(fam)
-    assert spread
-    assert max(s for _, s in spread) > 0.0
+    # a drive phase only shifts the branches at fixed power
+    low0, low1 = ([pt.branches[0].photon_number for pt in m.curve.points]
+                  for m in fam.members)
+    assert len(low0) == len(low1) == 31
+    assert max(abs(a - b) for a, b in zip(low0, low1)) > 0.0
     assert FAMILY_KEYS == ("g0", "gc", "delta_c", "eps1", "eps2",
                            "phi1", "phi2")

@@ -182,13 +182,25 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["window", "--config", str(tmp_path / "missing.conf")]) == 2
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["curve"])   # neither --config nor --preset
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    for argv in (["curve", "--preset", "fig2", "--points", "1"],
+                 ["curve", "--preset", "fig2", "--pmin", "1e-9",
+                  "--pmax", "1e-10"],
+                 ["fig", "fig3", "--points", "-2"],
+                 ["family", "--preset", "fig3", "--points", "0"],
+                 ["hysteresis", "--preset", "fig2", "--mode", "dynamic",
+                  "--dwell-factor", "-1", "--points", "3"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and \
+            err.count("\n") == 1, argv
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -96,6 +96,8 @@ def test_geometric_coulomb_block():
     ("kappa 2pi*215 kHz", 10, "key = value"),
     ("kappa = ", 10, "key = value"),
     ("quack = 1 Hz", 10, "unknown key"),
+    ("probe_power = 1 mW", 10, "unknown key"),
+    ("dwell_factor = -1", 10, "dwell_factor"),
     ("kappa = 2pi*215 furlongs", 10, "not valid"),
     ("kappa = 2pi*abc kHz", 10, "bad number"),
     ("kappa = 215", 10, "needs a unit"),

@@ -13,9 +13,8 @@ import pytest
 
 from neoms.bifurcation import bistability_window
 from neoms.errors import ConvergenceError
-from neoms.dynamics import (ORIGIN, MeanFieldState, RampSchedule, Trajectory,
-                            hysteresis_loop, integrate,
-                            quasi_static_hysteresis, relax_to_steady,
+from neoms.dynamics import (ORIGIN, MeanFieldState, Trajectory,
+                            hysteresis_loop, integrate, relax_to_steady,
                             time_derivative)
 from neoms.model import CoulombSpec, DriveSpec, derive
 from neoms.steady_state import (drive_offset, solve_photon_roots,
@@ -155,22 +154,12 @@ def test_wide_linewidth_upper_branch_never_settles(fig2_cfg, fig2_derived):
         exc.value.diagnostics["threshold"]
 
 
-def test_ramp_schedule_validation(fig2_derived):
-    with pytest.raises(ValueError):
-        RampSchedule(powers=(1.0, 2.0), dwell=1.0, direction="sideways")
-    with pytest.raises(ValueError):
-        RampSchedule(powers=(1.0, 2.0), dwell=-1.0, direction="up")
-    with pytest.raises(ValueError):
-        RampSchedule(powers=(1.0,), dwell=1.0, direction="up")
-    with pytest.raises(ValueError):
-        RampSchedule(powers=(1.0, 3.0, 2.0), dwell=1.0, direction="up")
-    with pytest.raises(ValueError):
-        RampSchedule(powers=(1.0, 2.0), dwell=1.0, direction="down")
-    s = RampSchedule.linear(fig2_derived, 1e-10, 5e-10, 5)
-    assert s.direction == "up" and len(s.powers) == 5
-    assert s.powers[0] == 1e-10 and s.powers[-1] == 5e-10
-    d = RampSchedule.linear(fig2_derived, 1e-10, 5e-10, 5, direction="down")
-    assert d.powers[0] == 5e-10 and d.powers[-1] == 1e-10
+def test_hysteresis_loop_validation(fig2_derived):
+    for powers, dwell in (((1e-10, 2e-10), -1.0), ((1e-10, 2e-10), 0.0),
+                          ((1e-10, 2e-10), math.inf), ((1e-10,), None),
+                          ((1e-10, 2e-10, 1e-10), None)):
+        with pytest.raises(ValueError):
+            hysteresis_loop(fig2_derived, DriveSpec(), powers, dwell=dwell)
 
 
 def _clean_loop_inputs(seed=101):
@@ -183,21 +172,11 @@ def _clean_loop_inputs(seed=101):
     return derived, drives, win, powers
 
 
-def test_single_direction_ramp_shape():
-    derived, drives, win, powers = _clean_loop_inputs()
-    sched = RampSchedule(powers=powers, direction="up",
-                         dwell=10.0 / min(derived.kappa, derived.gamma1,
-                                          derived.gamma2))
-    trace = quasi_static_hysteresis(sched, derived, drives)
-    assert trace.down is None
-    assert len(trace.up) == len(powers)
-    assert trace.up_jump_powers and not trace.down_jump_powers
-
-
 def test_loop_jumps_bracket_the_folds():
     derived, drives, win, powers = _clean_loop_inputs()
     trace = hysteresis_loop(derived, drives, powers)
     step = powers[1] - powers[0]
+    assert len(trace.up) == len(trace.down) == len(powers)
     assert trace.loop_area_exists
     assert win.power_up - step <= trace.up_jump <= win.power_up + step
     assert win.power_down - step <= trace.down_jump <= win.power_down + step

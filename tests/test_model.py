@@ -147,10 +147,3 @@ def test_with_delta_c_replaces_only_detuning():
     assert p.delta_c == 1.0
     assert p.kappa == REFERENCE.kappa and p.g0 == REFERENCE.g0
 
-
-def test_probe_inputs_flow_through():
-    p = replace(REFERENCE, probe_power=1e-6, probe_detuning=TWO_PI * 947e3)
-    d = derive(p)
-    assert d.eps_p > 0.0
-    assert d.probe_detuning == TWO_PI * 947e3
-    assert derive(REFERENCE).eps_p == 0.0

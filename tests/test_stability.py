@@ -12,11 +12,11 @@ import pytest
 
 from neoms.bifurcation import bistability_window, solve_point
 from neoms.model import DriveSpec, derive
-from neoms.stability import (Classification, Method, classify, jacobian,
-                             routh_hurwitz_stable)
+from neoms.stability import Classification, Method, classify, jacobian
 from neoms.steady_state import (drive_offset, solve_photon_roots,
                                 steady_fields, susceptibilities)
 from draws import clean_point
+from oracles import routh_hurwitz_stable
 
 
 def _fields_at(derived, drives, eps_sq, x):
