@@ -172,11 +172,19 @@ def _clean_loop_inputs(seed=101):
     return derived, drives, win, powers
 
 
+def test_single_direction_ramp_shape():
+    derived, drives, win, powers = _clean_loop_inputs()
+    trace = hysteresis_loop(derived, drives, powers)
+    assert len(trace.up) == len(trace.down) == len(powers)
+    assert [p for p, _ in trace.up] == list(powers)
+    assert [p for p, _ in trace.down] == list(powers[::-1])
+    assert trace.up_jump_powers and trace.down_jump_powers
+
+
 def test_loop_jumps_bracket_the_folds():
     derived, drives, win, powers = _clean_loop_inputs()
     trace = hysteresis_loop(derived, drives, powers)
     step = powers[1] - powers[0]
-    assert len(trace.up) == len(trace.down) == len(powers)
     assert trace.loop_area_exists
     assert win.power_up - step <= trace.up_jump <= win.power_up + step
     assert win.power_down - step <= trace.down_jump <= win.power_down + step
