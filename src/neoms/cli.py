@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import output
 from .bifurcation import (FAMILY_KEYS, auto_power_grid, bistability_window,
@@ -25,6 +28,24 @@ from .stability import Method
 from .steady_state import drive_offset, susceptibilities, threshold_detuning
 
 _MIRROR_PANELS = {"fig7", "fig8a", "fig8b", "fig8c", "fig8d"}
+
+
+class _Refused(Exception):
+    """Exit 3 with this message, and no more, on stderr."""
+
+
+class _Result(NamedTuple):
+    """What a command computed, with the CSV/JSON writer pair for it.
+
+    Both writers take `*data`, the snapshot of `cfg` and the preset
+    assumptions.  A `refusal` is raised as _Refused once the output is out.
+    """
+
+    cfg: RunConfig
+    data: tuple
+    to_csv: Callable[..., str]
+    to_json: Callable[..., dict]
+    refusal: str | None = None
 
 
 def _err(message: str) -> None:
@@ -76,91 +97,65 @@ def _load_cfg(args) -> RunConfig:
     return cfg
 
 
-def _assumptions(args) -> tuple[str, ...]:
-    if getattr(args, "preset", None) is not None:
-        return get_preset(args.preset).assumptions
-    return ()
-
-
 def _method(args) -> Method:
     return Method.EIGEN if args.method == "eigen" else Method.SLOPE_RULE
 
 
-def _emit(text: str, args) -> None:
+def _emit(args, result: _Result) -> None:
+    """Write `result` as --format asks, to --out or stdout."""
+    snap = result.cfg.snapshot()
+    notes = get_preset(args.preset).assumptions if args.preset else ()
+    if args.format == "csv":
+        text = result.to_csv(*result.data, snap, notes)
+    else:
+        text = output.dumps_json(result.to_json(*result.data, snap, notes))
     if args.out is None:
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text, encoding="utf-8")
 
 
-def _grid_or_none(cfg: RunConfig, args):
-    """Power grid for sweep commands; None means no window and no bounds."""
+def _grid(cfg: RunConfig, args, verb: str):
+    """(derived, power grid) for sweep commands."""
     derived = cfg.derive()
     window = bistability_window(derived, cfg.drives, cfg.convention)
     if (args.pmin is None or args.pmax is None) and not window.exists:
-        return derived, window, None
-    grid = auto_power_grid(window, args.points, args.pmin, args.pmax)
-    return derived, window, grid
+        raise _Refused(f"no bistability window ({window.reason}); "
+                       f"give --pmin and --pmax to {verb} anyway")
+    return derived, auto_power_grid(window, args.points, args.pmin, args.pmax)
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> _Result:
     cfg = _load_cfg(args)
-    derived, window, grid = _grid_or_none(cfg, args)
-    if grid is None:
-        _err(f"no bistability window ({window.reason}); "
-             f"give --pmin and --pmax to sweep anyway")
-        return 3
+    derived, grid = _grid(cfg, args, "sweep")
     curve = power_sweep(derived, cfg.drives, grid, _method(args),
                         cfg.convention)
-    snap = cfg.snapshot()
-    notes = _assumptions(args)
-    if args.format == "csv":
-        _emit(output.curve_to_csv(curve, snap, notes), args)
-    else:
-        _emit(output.dumps_json(
-            output.curve_to_dict(curve, snap, notes, kind=args.kind)), args)
-    return 0
+    return _Result(cfg, (curve,), output.curve_to_csv,
+                   functools.partial(output.curve_to_dict, kind=args.kind))
 
 
-def _cmd_window(args) -> int:
+def _cmd_window(args) -> _Result:
     cfg = _load_cfg(args)
-    derived = cfg.derive()
-    window = bistability_window(derived, cfg.drives, cfg.convention)
-    snap = cfg.snapshot()
-    notes = _assumptions(args)
-    if args.format == "csv":
-        _emit(output.window_to_csv(window, snap, notes), args)
-    else:
-        _emit(output.dumps_json(output.window_json(window, snap, notes)),
-              args)
-    if not window.exists:
-        _err(f"no bistability window: {window.reason}")
-        return 3
-    return 0
+    window = bistability_window(cfg.derive(), cfg.drives, cfg.convention)
+    refusal = None if window.exists else \
+        f"no bistability window: {window.reason}"
+    return _Result(cfg, (window,), output.window_to_csv, output.window_json,
+                   refusal)
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args) -> _Result:
     cfg = _load_cfg(args)
     derived = cfg.derive()
     susc = susceptibilities(derived, cfg.drives)
     gamma = drive_offset(susc, cfg.drives)
     thr = threshold_detuning(derived, susc, gamma, cfg.convention)
-    snap = cfg.snapshot()
-    if args.format == "csv":
-        _emit(output.threshold_to_csv(thr, derived.kappa, snap), args)
-    else:
-        _emit(output.dumps_json(output.threshold_to_dict(thr, derived.kappa)),
-              args)
-    return 0
+    return _Result(cfg, (thr, derived.kappa), output.threshold_to_csv,
+                   output.threshold_to_dict)
 
 
-def _cmd_hysteresis(args) -> int:
+def _cmd_hysteresis(args) -> _Result:
     cfg = _load_cfg(args)
-    derived, window, grid = _grid_or_none(cfg, args)
-    if grid is None:
-        _err(f"no bistability window ({window.reason}); "
-             f"give --pmin and --pmax to ramp anyway")
-        return 3
+    derived, grid = _grid(cfg, args, "ramp")
     if args.mode == "algebraic":
         curve = power_sweep(derived, cfg.drives, grid, _method(args),
                             cfg.convention)
@@ -169,21 +164,18 @@ def _cmd_hysteresis(args) -> int:
         factor = args.dwell_factor
         if factor is None:
             factor = cfg.dwell_factor if cfg.dwell_factor is not None else 10.0
+        if not (math.isfinite(factor) and factor > 0.0):
+            raise ParameterError("dwell_factor", f"must be finite and > 0, "
+                                                 f"got {factor!r}")
         slow = min(derived.kappa, derived.gamma1, derived.gamma2)
         trace = hysteresis_loop(derived, cfg.drives, grid,
                                 dwell=factor / slow,
                                 convention=cfg.convention)
-    snap = cfg.snapshot()
-    notes = _assumptions(args)
-    if args.format == "csv":
-        _emit(output.trace_to_csv(trace, snap, notes), args)
-    else:
-        _emit(output.dumps_json(output.trace_to_dict(trace, snap, notes)),
-              args)
-    return 0
+    return _Result(cfg, (trace,), output.trace_to_csv, output.trace_to_dict)
 
 
-def _resolve_family(cfg: RunConfig, args) -> tuple[str, tuple[float, ...]]:
+def _resolve_family(cfg: RunConfig, args) -> RunConfig:
+    """`cfg` with the vary key and values of --vary/--values applied."""
     vary = args.vary if args.vary is not None else cfg.vary
     if vary is None:
         raise ConfigError("family needs a vary key, from --vary or the "
@@ -197,42 +189,30 @@ def _resolve_family(cfg: RunConfig, args) -> tuple[str, tuple[float, ...]]:
         values = cfg.values
     else:
         raise ConfigError("family needs values, from --values or the config")
-    return vary, values
+    return dataclasses.replace(cfg, vary=vary, values=values)
 
 
-def _cmd_family(args) -> int:
-    cfg = _load_cfg(args)
-    vary, values = _resolve_family(cfg, args)
-    fam = family_sweep(cfg.params, cfg.drives, vary, values,
+def _cmd_family(args) -> _Result:
+    cfg = _resolve_family(_load_cfg(args), args)
+    fam = family_sweep(cfg.params, cfg.drives, cfg.vary, cfg.values,
                        n_points=args.points, method=_method(args),
                        convention=cfg.convention,
                        pmin=args.pmin, pmax=args.pmax)
-    snap = dataclasses.replace(cfg, vary=vary, values=values).snapshot()
-    notes = _assumptions(args)
-    if args.format == "csv":
-        _emit(output.family_to_csv(fam, snap, notes), args)
-    else:
-        _emit(output.dumps_json(output.family_to_dict(fam, snap, notes)),
-              args)
-    return 0
+    return _Result(cfg, (fam,), output.family_to_csv, output.family_to_dict)
 
 
-def _cmd_dynamics(args) -> int:
+def _cmd_dynamics(args) -> _Result:
     cfg = _load_cfg(args)
     derived = cfg.derive()
     power = args.power if args.power is not None else cfg.params.drive_power
     eps = eps_for_power(derived, power)
     fields = relax_to_steady(ORIGIN, derived, cfg.drives, eps,
                              convention=cfg.convention)
-    snap = cfg.snapshot()
-    if args.format == "csv":
-        _emit(output.fields_to_csv(fields, power, snap), args)
-    else:
-        _emit(output.dumps_json(output.fields_to_dict(fields, power)), args)
-    return 0
+    return _Result(cfg, (fields, power), output.fields_to_csv,
+                   output.fields_to_dict)
 
 
-def _cmd_fig(args) -> int:
+def _cmd_fig(args) -> _Result:
     args.preset = args.panel
     args.config = None
     cfg = _load_cfg(args)
@@ -308,7 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        _emit(args, result)
+        if result.refusal is not None:
+            raise _Refused(result.refusal)
+    except _Refused as exc:
+        _err(str(exc))
+        return 3
     except (ConfigError, ParameterError) as exc:
         _err(f"configuration error: {exc}")
         return 2
@@ -321,6 +307,7 @@ def main(argv=None) -> int:
     except NeomsError as exc:
         _err(f"error: {exc}")
         return 4
+    return 0
 
 
 if __name__ == "__main__":

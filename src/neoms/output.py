@@ -35,6 +35,15 @@ def _preamble(snapshot: str, comments: tuple[str, ...] = ()) -> list[str]:
     return lines
 
 
+def _envelope(kind: str, body: dict, snapshot: str,
+              comments: tuple[str, ...] = ()) -> dict:
+    """A JSON result: `body` plus its kind, the snapshot lines and the
+    preset assumptions.  No other code sets those three keys."""
+    return {**body, "kind": kind,
+            "snapshot": snapshot.rstrip("\n").splitlines(),
+            "assumptions": list(comments)}
+
+
 def _none_if_nan(x: float | None) -> float | None:
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return None
@@ -80,24 +89,25 @@ def _branch_dict(b) -> dict:
     }
 
 
+def _points(curve: BistabilityCurve) -> list[dict]:
+    return [
+        {
+            "power_W": pt.power,
+            "eps_sq": pt.eps_sq,
+            "error": pt.error,
+            "branches": [_branch_dict(b) for b in pt.branches],
+        }
+        for pt in curve.points
+    ]
+
+
 def curve_to_dict(curve: BistabilityCurve, snapshot: str,
                   comments: tuple[str, ...] = (), kind: str = "curve") -> dict:
-    return {
-        "kind": kind,
+    return _envelope(kind, {
         "method": str(curve.method.value),
         "convention": str(curve.convention.value),
-        "snapshot": snapshot.rstrip("\n").splitlines(),
-        "assumptions": list(comments),
-        "points": [
-            {
-                "power_W": pt.power,
-                "eps_sq": pt.eps_sq,
-                "error": pt.error,
-                "branches": [_branch_dict(b) for b in pt.branches],
-            }
-            for pt in curve.points
-        ],
-    }
+        "points": _points(curve),
+    }, snapshot, comments)
 
 
 # ---------------------------------------------------------------- families
@@ -105,7 +115,9 @@ def curve_to_dict(curve: BistabilityCurve, snapshot: str,
 def family_to_csv(family: FamilyResult, snapshot: str,
                   comments: tuple[str, ...] = ()) -> str:
     lines = _preamble(snapshot, comments)
-    lines.append(f"# vary = {family.vary}")
+    vary = f"# vary = {family.vary}"
+    if vary not in lines:
+        lines.append(vary)
     lines.append(FAMILY_HEADER)
     for m in family.members:
         lines += _curve_rows(m.curve, prefix=_f(m.value) + ",")
@@ -132,22 +144,19 @@ def window_to_dict(window: BistabilityWindow) -> dict:
 
 def family_to_dict(family: FamilyResult, snapshot: str,
                    comments: tuple[str, ...] = ()) -> dict:
-    return {
-        "kind": "family",
+    return _envelope("family", {
         "vary": family.vary,
         "values": list(family.values),
-        "snapshot": snapshot.rstrip("\n").splitlines(),
-        "assumptions": list(comments),
         "powers_W": list(family.powers),
         "members": [
             {
                 "value": m.value,
                 "window": window_to_dict(m.window),
-                "curve": curve_to_dict(m.curve, snapshot)["points"],
+                "curve": _points(m.curve),
             }
             for m in family.members
         ],
-    }
+    }, snapshot, comments)
 
 
 # ---------------------------------------------------------------- key/value
@@ -160,16 +169,17 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _keyvalue_csv(record: dict, snapshot: str,
-                  comments: tuple[str, ...] = ()) -> str:
-    """A flat record as `key,value` rows in key order.
+def _keyvalue_csv(doc: dict) -> str:
+    """A flat JSON result as `key,value` rows in key order.
 
-    Booleans are written true/false, floats with repr, None as an empty
-    cell and anything else with str.
+    Its assumptions and snapshot become the preamble.  Booleans are written
+    true/false, floats with repr, None as an empty cell and anything else
+    with str.
     """
-    lines = _preamble(snapshot, comments)
+    lines = [f"# {line}" for line in (*doc["assumptions"], *doc["snapshot"])]
     lines.append(KEYVALUE_HEADER)
-    lines += [f"{key},{_cell(value)}" for key, value in sorted(record.items())]
+    lines += [f"{key},{_cell(value)}" for key, value in sorted(doc.items())
+              if key not in ("snapshot", "assumptions")]
     return "\n".join(lines) + "\n"
 
 
@@ -177,34 +187,32 @@ def _keyvalue_csv(record: dict, snapshot: str,
 
 def window_to_csv(window: BistabilityWindow, snapshot: str,
                   comments: tuple[str, ...] = ()) -> str:
-    return _keyvalue_csv(window_to_dict(window), snapshot, comments)
+    doc = window_json(window, snapshot, comments)
+    del doc["kind"]     # the window CSV has never had a kind row
+    return _keyvalue_csv(doc)
 
 
 def window_json(window: BistabilityWindow, snapshot: str,
                 comments: tuple[str, ...] = ()) -> dict:
-    out = window_to_dict(window)
-    out["kind"] = "window"
-    out["snapshot"] = snapshot.rstrip("\n").splitlines()
-    out["assumptions"] = list(comments)
-    return out
+    return _envelope("window", window_to_dict(window), snapshot, comments)
 
 
 # ---------------------------------------------------------------- threshold
 
-def threshold_to_dict(thr: ThresholdDetuning, kappa: float) -> dict:
-    return {
-        "kind": "threshold",
+def threshold_to_dict(thr: ThresholdDetuning, kappa: float, snapshot: str,
+                      comments: tuple[str, ...] = ()) -> dict:
+    return _envelope("threshold", {
         "convention": str(thr.convention.value),
         "delta_tilde_rad_s": thr.delta_tilde,
         "in_kappa_units": thr.in_kappa_units,
         "delta_c_rad_s": thr.delta_c,
         "kappa_rad_s": kappa,
-    }
+    }, snapshot, comments)
 
 
 def threshold_to_csv(thr: ThresholdDetuning, kappa: float, snapshot: str,
                      comments: tuple[str, ...] = ()) -> str:
-    return _keyvalue_csv(threshold_to_dict(thr, kappa), snapshot, comments)
+    return _keyvalue_csv(threshold_to_dict(thr, kappa, snapshot, comments))
 
 
 # ---------------------------------------------------------------- hysteresis
@@ -225,22 +233,19 @@ def trace_to_csv(trace: HysteresisTrace, snapshot: str,
 
 def trace_to_dict(trace: HysteresisTrace, snapshot: str,
                   comments: tuple[str, ...] = ()) -> dict:
-    return {
-        "kind": "hysteresis",
-        "snapshot": snapshot.rstrip("\n").splitlines(),
-        "assumptions": list(comments),
+    return _envelope("hysteresis", {
         "up": [[p, x] for p, x in trace.up],
         "down": [[p, x] for p, x in trace.down],
         "up_jump_powers_W": list(trace.up_jump_powers),
         "down_jump_powers_W": list(trace.down_jump_powers),
-    }
+    }, snapshot, comments)
 
 
 # ---------------------------------------------------------------- fields
 
-def fields_to_dict(fields: SteadyStateFields, power: float) -> dict:
-    return {
-        "kind": "steady_fields",
+def fields_to_dict(fields: SteadyStateFields, power: float, snapshot: str,
+                   comments: tuple[str, ...] = ()) -> dict:
+    return _envelope("steady_fields", {
         "power_W": power,
         "photon_number": fields.photon_number,
         "cavity_re": fields.c_s.real,
@@ -248,12 +253,12 @@ def fields_to_dict(fields: SteadyStateFields, power: float) -> dict:
         "q1_m": fields.q_1s,
         "q2_m": fields.q_2s,
         "effective_detuning_rad_s": fields.effective_detuning,
-    }
+    }, snapshot, comments)
 
 
 def fields_to_csv(fields: SteadyStateFields, power: float, snapshot: str,
                   comments: tuple[str, ...] = ()) -> str:
-    return _keyvalue_csv(fields_to_dict(fields, power), snapshot, comments)
+    return _keyvalue_csv(fields_to_dict(fields, power, snapshot, comments))
 
 
 # ---------------------------------------------------------------- parsing

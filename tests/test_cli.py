@@ -10,6 +10,7 @@ from neoms.config import RunConfig
 from neoms.model import derive
 from neoms.bifurcation import bistability_window
 from neoms.output import parse_curve_csv
+from neoms.presets import get_preset
 from draws import clean_system
 
 SUB_THRESHOLD = """\
@@ -190,17 +191,41 @@ def test_usage_errors_exit_2(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
-    for argv in (["curve", "--preset", "fig2", "--points", "1"],
-                 ["curve", "--preset", "fig2", "--pmin", "1e-9",
-                  "--pmax", "1e-10"],
-                 ["fig", "fig3", "--points", "-2"],
-                 ["family", "--preset", "fig3", "--points", "0"],
-                 ["hysteresis", "--preset", "fig2", "--mode", "dynamic",
-                  "--dwell-factor", "-1", "--points", "3"]):
+    for argv, says in (
+            (["curve", "--preset", "fig2", "--points", "1"], "points"),
+            (["curve", "--preset", "fig2", "--pmin", "1e-9",
+              "--pmax", "1e-10"], "pmax"),
+            (["fig", "fig3", "--points", "-2"], "points"),
+            (["family", "--preset", "fig3", "--points", "0"], "points"),
+            # the factor as typed, not the dwell in seconds
+            (["hysteresis", "--preset", "fig2", "--mode", "dynamic",
+              "--dwell-factor", "-1", "--points", "3"],
+             "dwell_factor: must be finite and > 0, got -1.0\n")):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and \
             err.count("\n") == 1, argv
+        assert says in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--preset", "fig2", "--points", "11"],
+    ["mirror", "--preset", "fig2", "--points", "11"],
+    ["window", "--preset", "fig2"],
+    ["threshold", "--preset", "fig2"],
+    ["hysteresis", "--preset", "fig2", "--points", "11"],
+    ["family", "--preset", "fig2", "--vary", "g0",
+     "--values", "2pi*5 kHz, 2pi*6 kHz", "--points", "11"],
+    ["dynamics", "--preset", "fig2", "--power", "2e-9"],
+    ["fig", "fig2", "--points", "11"],
+], ids=lambda argv: argv[0])
+def test_json_envelope_on_every_command(argv, capsys):
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] in ("curve", "mirror", "window", "threshold",
+                           "hysteresis", "family", "steady_fields")
+    assert doc["snapshot"][0].startswith("cavity_length = ")
+    assert doc["assumptions"] == list(get_preset("fig2").assumptions)
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
