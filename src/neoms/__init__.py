@@ -10,11 +10,10 @@ from .bifurcation import (BistabilityCurve, BistabilityWindow, BranchSolution,
                           CurvePoint, FamilyMember, FamilyResult,
                           HysteresisTrace, auto_power_grid,
                           bistability_window, family_sweep,
-                          hysteresis_from_curve, mirror_displacements,
-                          power_sweep, solve_point)
+                          hysteresis_from_curve, power_sweep, solve_point)
 from .config import RunConfig, load_config, parse_config_text
-from .dynamics import (ORIGIN, MeanFieldState, Trajectory, hysteresis_loop,
-                       integrate, relax_to_steady, time_derivative)
+from .dynamics import (ORIGIN, MeanFieldState, hysteresis_loop,
+                       relax_to_steady, time_derivative)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError,
                      EigenvalueError, NeomsError, NoBistabilityError,
                      NumericalError, ParameterError, ResidualError,

@@ -367,16 +367,3 @@ def family_sweep(params: SystemParams, drives: DriveSpec, vary: str,
     return FamilyResult(vary=vary, values=vals, members=tuple(members),
                         powers=powers)
 
-
-def mirror_displacements(curve: BistabilityCurve,
-                         ) -> tuple[tuple[float, int, float, float, bool], ...]:
-    """Rows (power, branch index, q1, q2, stable) for every branch.
-
-    The mirror positions inherit the photon-number multiplicity point by
-    point, which is the displacement-bistability statement.
-    """
-    rows = []
-    for pt in curve.points:
-        for i, b in enumerate(pt.branches):
-            rows.append((pt.power, i, b.fields.q_1s, b.fields.q_2s, b.stable))
-    return tuple(rows)

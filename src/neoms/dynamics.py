@@ -48,28 +48,14 @@ class MeanFieldState:
 
 ORIGIN = MeanFieldState(0j, 0j, 0j)
 
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Accepted integrator steps: strictly increasing times, complex states."""
-
-    times: np.ndarray            # (n,)
-    states: np.ndarray           # (n, 3) complex: c, b1, b2
-    rtol: float
-    atol: float
-    nfev: int
-
-    @property
-    def final_state(self) -> MeanFieldState:
-        c, b1, b2 = self.states[-1]
-        return MeanFieldState(c=complex(c), b1=complex(b1), b2=complex(b2),
-                              t=float(self.times[-1]))
-
-    def photon_numbers(self) -> np.ndarray:
-        return np.abs(self.states[:, 0]) ** 2
+# Relaxation settings, described in relax_to_steady.
+RTOL = 1e-9
+SETTLE_TOL = 1e-10
+SETTLED_CHECKPOINTS = 3
+ROOT_TOL = 1e-6
 
 
-def _make_rhs(derived: DerivedParams, drives: DriveSpec, eps_l,
+def _make_rhs(derived: DerivedParams, drives: DriveSpec, eps_l: float,
               convention: LinewidthConvention):
     kh = amplitude_decay(derived.kappa, convention)
     dc = derived.delta_c
@@ -81,12 +67,10 @@ def _make_rhs(derived: DerivedParams, drives: DriveSpec, eps_l,
     f1i = drives.eps1 * math.sin(drives.phi1)
     f2r = drives.eps2 * math.cos(drives.phi2)
     f2i = drives.eps2 * math.sin(drives.phi2)
-    eps_fn = eps_l if callable(eps_l) else None
-    eps_const = 0.0 if eps_fn else float(eps_l)
+    el = float(eps_l)
 
     def rhs(t, y):
         cr, ci, u1, v1, u2, v2 = y
-        el = eps_fn(t) if eps_fn is not None else eps_const
         det = dc - 2.0 * g0 * u1
         return np.array([
             det * ci - kh * cr + el,
@@ -112,70 +96,31 @@ def time_derivative(state: MeanFieldState, derived: DerivedParams,
     return MeanFieldState.from_quadratures(dy, t=state.t)
 
 
-def integrate(initial: MeanFieldState, derived: DerivedParams,
-              drives: DriveSpec, eps_l, t_final: float,
-              rtol: float = 1e-9, atol: float | None = None,
-              convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-              ) -> Trajectory:
-    """Integrate from `initial.t` to `t_final`.
-
-    `eps_l` is a constant amplitude or a callable of time.  Raises
-    StiffnessError if the explicit stepper's step size collapses; there is no
-    implicit fallback.
-    """
-    if t_final <= initial.t:
-        raise ValueError("t_final must exceed the initial time")
-    y0 = initial.to_quadratures()
-    if atol is None:
-        atol = rtol * max(1.0, float(np.max(np.abs(y0))))
-    rhs = _make_rhs(derived, drives, eps_l, convention)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (initial.t, t_final), y0, method="DOP853",
-                        rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StiffnessError(f"integration failed: {sol.message}",
-                             {"t_reached": float(sol.t[-1]) if sol.t.size else initial.t,
-                              "rtol": rtol, "atol": atol})
-    states = np.empty((sol.t.size, 3), dtype=complex)
-    states[:, 0] = sol.y[0] + 1j * sol.y[1]
-    states[:, 1] = sol.y[2] + 1j * sol.y[3]
-    states[:, 2] = sol.y[4] + 1j * sol.y[5]
-    return Trajectory(times=sol.t.copy(), states=states, rtol=rtol,
-                      atol=atol, nfev=int(sol.nfev))
-
-
 def _nearest_root(x: float, roots: tuple[float, ...]) -> tuple[float, float]:
     best = min(roots, key=lambda r: abs(r - x))
-    rel = abs(x - best) / max(abs(best), abs(x), 1e-300)
-    if best == 0.0 and x == 0.0:
-        rel = 0.0
-    return best, rel
+    return best, abs(x - best) / max(abs(best), abs(x), 1e-300)
 
 
 def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
                     drives: DriveSpec, eps_l: float | None = None,
-                    rtol: float = 1e-9,
-                    settle_tol: float = 1e-10,
-                    required_checkpoints: int = 3,
                     checkpoint: float | None = None,
                     t_max: float | None = None,
-                    validate_tol: float = 1e-6,
                     convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
                     ) -> SteadyStateFields:
     """Integrate until the derivative norm stays below threshold.
 
-    Settled means ||d(state)/dt|| < settle_tol * max(eps_l, kappa) at
-    `required_checkpoints` consecutive checkpoint times.  The bulk of the
-    approach runs at the caller's tolerance; once the derivative norm is
+    Settled means ||d(state)/dt|| < SETTLE_TOL * max(eps_l, kappa) at
+    SETTLED_CHECKPOINTS consecutive checkpoint times.  The bulk of the
+    approach runs at tolerance RTOL; once the derivative norm is
     within 1e4 of the threshold the remaining checkpoints run at a much
     tighter tolerance, because the settled residual floor is set by
     integrator noise and the loose stage's floor sits above the threshold.
 
-    The settled photon number is validated against the cubic roots for the
-    same drive; the result is the settled state re-expressed as
-    SteadyStateFields.  Raises ConvergenceError (carrying the last state)
-    when t_max is exhausted, for example when the attractor is a limit cycle
-    rather than a fixed point.
+    The settled photon number must lie within ROOT_TOL (relative) of a
+    cubic root for the same drive; the result is the settled state
+    re-expressed as SteadyStateFields.  Raises ConvergenceError (carrying
+    the last state) when t_max is exhausted, for example when the attractor
+    is a limit cycle rather than a fixed point.
     """
     if eps_l is None:
         eps_l = derived.eps_l
@@ -186,9 +131,8 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
         t_max = 1000.0 / slow
     rhs = _make_rhs(derived, drives, eps_l, convention)
     norm_scale = max(eps_l, derived.kappa)
-    strict = settle_tol * norm_scale
+    strict = SETTLE_TOL * norm_scale
     loose = 1e4 * strict
-    rtol_fine = min(rtol, 1e-12)
 
     # absolute tolerance keyed to the largest root amplitude at this drive
     susc = susceptibilities(derived, drives)
@@ -203,7 +147,7 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     fine = False
     while t < initial.t + t_max:
         t_next = min(t + checkpoint, initial.t + t_max)
-        rt = rtol_fine if fine else rtol
+        rt = 1e-12 if fine else RTOL
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_ivp(rhs, (t, t_next), y, method="DOP853",
                             rtol=rt, atol=rt * amp)
@@ -214,7 +158,7 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
         norm = float(np.linalg.norm(rhs(t, y)))
         if fine and norm < strict:
             streak += 1
-            if streak >= required_checkpoints:
+            if streak >= SETTLED_CHECKPOINTS:
                 break
         elif not fine and norm < loose:
             fine = True
@@ -233,7 +177,7 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     x = state.photon_number
     if roots.roots:
         root, rel = _nearest_root(x, roots.roots)
-        if rel > validate_tol:
+        if rel > ROOT_TOL:
             raise ConsistencyError(
                 "settled photon number matches no cubic root",
                 {"settled": x, "nearest_root": root, "relative": rel})
@@ -246,8 +190,8 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
 
 
 def _ramp(powers: tuple[float, ...], dwell: float, derived: DerivedParams,
-          drives: DriveSpec, initial: MeanFieldState, rtol: float,
-          settle_tol: float, convention: LinewidthConvention,
+          drives: DriveSpec, initial: MeanFieldState,
+          convention: LinewidthConvention,
           ) -> tuple[tuple[tuple[float, float], ...], MeanFieldState]:
     """Relax at each power in order, starting each step where the last ended."""
     state = initial
@@ -255,8 +199,7 @@ def _ramp(powers: tuple[float, ...], dwell: float, derived: DerivedParams,
     for p in powers:
         eps = eps_for_power(derived, p)
         try:
-            fields = relax_to_steady(state, derived, drives, eps, rtol=rtol,
-                                     settle_tol=settle_tol,
+            fields = relax_to_steady(state, derived, drives, eps,
                                      checkpoint=dwell / 4.0,
                                      t_max=400.0 * dwell,
                                      convention=convention)
@@ -274,8 +217,6 @@ def _ramp(powers: tuple[float, ...], dwell: float, derived: DerivedParams,
 
 def hysteresis_loop(derived: DerivedParams, drives: DriveSpec,
                     powers: tuple[float, ...], dwell: float | None = None,
-                    rtol: float = 1e-9,
-                    settle_tol: float = 1e-10,
                     convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
                     ) -> HysteresisTrace:
     """Full quasi-static loop: ramp up, then back down from the settled top.
@@ -294,9 +235,7 @@ def hysteresis_loop(derived: DerivedParams, drives: DriveSpec,
         dwell = 10.0 / min(derived.kappa, derived.gamma1, derived.gamma2)
     if not (math.isfinite(dwell) and dwell > 0.0):
         raise ParameterError("dwell", f"must be finite and > 0, got {dwell!r}")
-    up, top = _ramp(ps, dwell, derived, drives, ORIGIN, rtol, settle_tol,
-                    convention)
-    down, _ = _ramp(ps[::-1], dwell, derived, drives, top, rtol, settle_tol,
-                    convention)
+    up, top = _ramp(ps, dwell, derived, drives, ORIGIN, convention)
+    down, _ = _ramp(ps[::-1], dwell, derived, drives, top, convention)
     return HysteresisTrace(up=up, down=down, up_jump_powers=jump_powers(up),
                            down_jump_powers=jump_powers(down))

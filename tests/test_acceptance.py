@@ -15,7 +15,7 @@ import numpy as np
 
 from neoms.bifurcation import (auto_power_grid, bistability_window,
                                family_sweep, hysteresis_from_curve,
-                               mirror_displacements, power_sweep, solve_point)
+                               power_sweep, solve_point)
 from neoms.config import parse_config_text
 from neoms.dynamics import (ORIGIN, MeanFieldState, hysteresis_loop,
                             relax_to_steady)
@@ -313,7 +313,8 @@ def test_criterion_09_mirror_bistability_inherits_exactly():
     derived = derive(params, drives)
     win = bistability_window(derived, drives)
     curve = power_sweep(derived, drives, auto_power_grid(win, 101))
-    rows = mirror_displacements(curve)
+    rows = [(pt.power, i, b.fields.q_1s, b.fields.q_2s, b.stable)
+            for pt in curve.points for i, b in enumerate(pt.branches)]
     photon_bistable = set(curve.bistable_powers())
     mirror_counts = {}
     for power, _, _, _, _ in rows:

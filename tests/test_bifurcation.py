@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from neoms.bifurcation import (FAMILY_KEYS, auto_power_grid,
                                bistability_window, family_sweep,
                                hysteresis_from_curve, is_branch_jump,
-                               mirror_displacements, power_sweep, solve_point)
+                               power_sweep, solve_point)
 from neoms.errors import NoBistabilityError
 from neoms.model import CoulombSpec, DriveSpec, derive
 from neoms.stability import Method
@@ -214,7 +214,8 @@ def test_mirror_displacement_rows_inherit_multiplicity():
     params, derived, drives, win = _clean()
     powers = auto_power_grid(win, n=51)
     curve = power_sweep(derived, drives, powers)
-    rows = mirror_displacements(curve)
+    rows = [(pt.power, i, b.fields.q_1s, b.fields.q_2s, b.stable)
+            for pt in curve.points for i, b in enumerate(pt.branches)]
     assert len(rows) == sum(curve.multiplicities())
     by_power = {}
     for power, idx, q1, q2, stable in rows:

@@ -13,9 +13,8 @@ import pytest
 
 from neoms.bifurcation import bistability_window
 from neoms.errors import ConvergenceError
-from neoms.dynamics import (ORIGIN, MeanFieldState, Trajectory,
-                            hysteresis_loop, integrate, relax_to_steady,
-                            time_derivative)
+from neoms.dynamics import (ORIGIN, MeanFieldState, hysteresis_loop,
+                            relax_to_steady, time_derivative)
 from neoms.model import CoulombSpec, DriveSpec, derive
 from neoms.steady_state import (drive_offset, solve_photon_roots,
                                 steady_fields, susceptibilities,
@@ -58,40 +57,6 @@ def test_derivative_vanishes_at_algebraic_steady_state():
             d = time_derivative(s, derived, drives, eps_l=eps)
             norm = math.sqrt(abs(d.c) ** 2 + abs(d.b1) ** 2 + abs(d.b2) ** 2)
             assert norm <= 1e-9 * scale
-
-
-def test_integrate_rejects_bad_horizon(fig2_derived):
-    with pytest.raises(ValueError):
-        integrate(ORIGIN, fig2_derived, DriveSpec(), fig2_derived.eps_l,
-                  t_final=0.0)
-
-
-def test_integrate_is_deterministic():
-    rng = np.random.default_rng(59)
-    params, derived, drives, eps_sq, _ = clean_point(rng)
-    eps = math.sqrt(eps_sq)
-    t_final = 20.0 / derived.kappa
-    a = integrate(ORIGIN, derived, drives, eps, t_final)
-    b = integrate(ORIGIN, derived, drives, eps, t_final)
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.states, b.states)
-    assert isinstance(a, Trajectory) and a.nfev == b.nfev
-
-
-def test_integrate_accepts_time_dependent_drive():
-    rng = np.random.default_rng(67)
-    params, derived, drives, eps_sq, _ = clean_point(rng)
-    eps0 = math.sqrt(eps_sq)
-    t_final = 10.0 / derived.kappa
-
-    def ramp(t):
-        return eps0 * min(1.0, t * derived.kappa / 5.0)
-
-    a = integrate(ORIGIN, derived, drives, ramp, t_final)
-    b = integrate(ORIGIN, derived, drives, eps0, t_final)
-    # the ramped drive deposits less field early on
-    assert a.photon_numbers()[1] < b.photon_numbers()[1]
-    assert a.times[0] == 0.0 and a.times[-1] == t_final
 
 
 def test_vacuum_relaxes_to_lowest_root():
