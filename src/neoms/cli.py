@@ -125,8 +125,7 @@ def _grid(cfg: RunConfig, args, verb: str):
     return derived, auto_power_grid(window, args.points, args.pmin, args.pmax)
 
 
-def _cmd_curve(args) -> _Result:
-    cfg = _load_cfg(args)
+def _cmd_curve(args, cfg: RunConfig) -> _Result:
     derived, grid = _grid(cfg, args, "sweep")
     curve = power_sweep(derived, cfg.drives, grid, _method(args),
                         cfg.convention)
@@ -134,8 +133,7 @@ def _cmd_curve(args) -> _Result:
                    functools.partial(output.curve_to_dict, kind=args.kind))
 
 
-def _cmd_window(args) -> _Result:
-    cfg = _load_cfg(args)
+def _cmd_window(args, cfg: RunConfig) -> _Result:
     window = bistability_window(cfg.derive(), cfg.drives, cfg.convention)
     refusal = None if window.exists else \
         f"no bistability window: {window.reason}"
@@ -143,8 +141,7 @@ def _cmd_window(args) -> _Result:
                    refusal)
 
 
-def _cmd_threshold(args) -> _Result:
-    cfg = _load_cfg(args)
+def _cmd_threshold(args, cfg: RunConfig) -> _Result:
     derived = cfg.derive()
     susc = susceptibilities(derived, cfg.drives)
     gamma = drive_offset(susc, cfg.drives)
@@ -153,8 +150,7 @@ def _cmd_threshold(args) -> _Result:
                    output.threshold_to_dict)
 
 
-def _cmd_hysteresis(args) -> _Result:
-    cfg = _load_cfg(args)
+def _cmd_hysteresis(args, cfg: RunConfig) -> _Result:
     derived, grid = _grid(cfg, args, "ramp")
     if args.mode == "algebraic":
         curve = power_sweep(derived, cfg.drives, grid, _method(args),
@@ -192,8 +188,8 @@ def _resolve_family(cfg: RunConfig, args) -> RunConfig:
     return dataclasses.replace(cfg, vary=vary, values=values)
 
 
-def _cmd_family(args) -> _Result:
-    cfg = _resolve_family(_load_cfg(args), args)
+def _cmd_family(args, cfg: RunConfig) -> _Result:
+    cfg = _resolve_family(cfg, args)
     fam = family_sweep(cfg.params, cfg.drives, cfg.vary, cfg.values,
                        n_points=args.points, method=_method(args),
                        convention=cfg.convention,
@@ -201,8 +197,7 @@ def _cmd_family(args) -> _Result:
     return _Result(cfg, (fam,), output.family_to_csv, output.family_to_dict)
 
 
-def _cmd_dynamics(args) -> _Result:
-    cfg = _load_cfg(args)
+def _cmd_dynamics(args, cfg: RunConfig) -> _Result:
     derived = cfg.derive()
     power = args.power if args.power is not None else cfg.params.drive_power
     eps = eps_for_power(derived, power)
@@ -212,16 +207,11 @@ def _cmd_dynamics(args) -> _Result:
                    output.fields_to_dict)
 
 
-def _cmd_fig(args) -> _Result:
-    args.preset = args.panel
-    args.config = None
-    cfg = _load_cfg(args)
+def _cmd_fig(args, cfg: RunConfig) -> _Result:
     if cfg.vary is not None:
-        args.vary = None
-        args.values = None
-        return _cmd_family(args)
-    args.kind = "mirror" if args.panel in _MIRROR_PANELS else "curve"
-    return _cmd_curve(args)
+        return _cmd_family(args, cfg)
+    args.kind = "mirror" if args.preset in _MIRROR_PANELS else "curve"
+    return _cmd_curve(args, cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("fig", help="run a named preset end to end")
-    p.add_argument("panel", choices=sorted(PRESETS))
+    p.add_argument("preset", choices=sorted(PRESETS))
     _add_grid(p); _add_method(p); _add_convention(p); _add_output(p)
-    p.set_defaults(func=_cmd_fig, config=None, preset=None)
+    p.set_defaults(func=_cmd_fig, config=None, vary=None, values=None)
 
     return parser
 
@@ -288,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = args.func(args)
+        result = args.func(args, _load_cfg(args))
         _emit(args, result)
         if result.refusal is not None:
             raise _Refused(result.refusal)
