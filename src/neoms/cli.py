@@ -31,14 +31,15 @@ _MIRROR_PANELS = {"fig7", "fig8a", "fig8b", "fig8c", "fig8d"}
 
 
 class _Refused(Exception):
-    """Exit 3 with this message, and no more, on stderr."""
+    """Exit 3, printing the message to stderr as it is."""
 
 
 class _Result(NamedTuple):
     """What a command computed, with the CSV/JSON writer pair for it.
 
     Both writers take `*data`, the snapshot of `cfg` and the preset
-    assumptions.  A `refusal` is raised as _Refused once the output is out.
+    assumptions.  A `refusal` is raised as _Refused after the output is
+    written.
     """
 
     cfg: RunConfig
@@ -135,8 +136,8 @@ def _cmd_curve(args, cfg: RunConfig) -> _Result:
 
 def _cmd_window(args, cfg: RunConfig) -> _Result:
     window = bistability_window(cfg.derive(), cfg.drives, cfg.convention)
-    refusal = None if window.exists else \
-        f"no bistability window: {window.reason}"
+    refusal = (None if window.exists
+               else f"no bistability window: {window.reason}")
     return _Result(cfg, (window,), output.window_to_csv, output.window_json,
                    refusal)
 
