@@ -12,8 +12,6 @@ from .bifurcation import (BistabilityCurve, BistabilityWindow, BranchSolution,
                           bistability_window, family_sweep,
                           hysteresis_from_curve, power_sweep, solve_point)
 from .config import RunConfig, load_config, parse_config_text
-from .dynamics import (ORIGIN, MeanFieldState, hysteresis_loop,
-                       relax_to_steady, time_derivative)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError,
                      EigenvalueError, NeomsError, NoBistabilityError,
                      NumericalError, ParameterError, ResidualError,
@@ -34,3 +32,16 @@ from .steady_state import (CriticalPoints, CubicCoefficients, PhotonRoots,
                            threshold_detuning)
 
 __version__ = "0.1.0"
+
+# Importing `dynamics` loads scipy.integrate, several times the cost of the
+# rest of the package; only time-domain runs need it.
+_DYNAMICS_NAMES = frozenset({"ORIGIN", "MeanFieldState", "hysteresis_loop",
+                             "relax_to_steady", "time_derivative"})
+
+
+def __getattr__(name: str):
+    """Serve the `dynamics` names on first use."""
+    if name in _DYNAMICS_NAMES:
+        from . import dynamics
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

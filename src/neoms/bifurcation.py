@@ -173,8 +173,7 @@ def auto_power_grid(window: BistabilityWindow, n: int = 201,
     if pmin is None or pmax is None:
         if not window.exists:
             raise NoBistabilityError(
-                f"no bistability window ({window.reason}); give explicit "
-                f"power bounds")
+                f"{window.reason}; give explicit power bounds")
         if pmin is None:
             pmin = 0.5 * window.power_down
         if pmax is None:

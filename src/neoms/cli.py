@@ -19,7 +19,6 @@ from . import output
 from .bifurcation import (FAMILY_KEYS, auto_power_grid, bistability_window,
                           family_sweep, hysteresis_from_curve, power_sweep)
 from .config import RunConfig, load_config, parse_scalar_for_key
-from .dynamics import ORIGIN, hysteresis_loop, relax_to_steady
 from .errors import (ConfigError, NeomsError, NoBistabilityError,
                      NumericalError, ParameterError)
 from .model import LinewidthConvention, eps_for_power
@@ -116,18 +115,15 @@ def _emit(args, result: _Result) -> None:
         Path(args.out).write_text(text, encoding="utf-8")
 
 
-def _grid(cfg: RunConfig, args, verb: str):
+def _grid(cfg: RunConfig, args):
     """(derived, power grid) for sweep commands."""
     derived = cfg.derive()
     window = bistability_window(derived, cfg.drives, cfg.convention)
-    if (args.pmin is None or args.pmax is None) and not window.exists:
-        raise _Refused(f"no bistability window ({window.reason}); "
-                       f"give --pmin and --pmax to {verb} anyway")
     return derived, auto_power_grid(window, args.points, args.pmin, args.pmax)
 
 
 def _cmd_curve(args, cfg: RunConfig) -> _Result:
-    derived, grid = _grid(cfg, args, "sweep")
+    derived, grid = _grid(cfg, args)
     curve = power_sweep(derived, cfg.drives, grid, _method(args),
                         cfg.convention)
     return _Result(cfg, (curve,), output.curve_to_csv,
@@ -152,7 +148,7 @@ def _cmd_threshold(args, cfg: RunConfig) -> _Result:
 
 
 def _cmd_hysteresis(args, cfg: RunConfig) -> _Result:
-    derived, grid = _grid(cfg, args, "ramp")
+    derived, grid = _grid(cfg, args)
     if args.mode == "algebraic":
         curve = power_sweep(derived, cfg.drives, grid, _method(args),
                             cfg.convention)
@@ -164,6 +160,7 @@ def _cmd_hysteresis(args, cfg: RunConfig) -> _Result:
         if not (math.isfinite(factor) and factor > 0.0):
             raise ParameterError("dwell_factor", f"must be finite and > 0, "
                                                  f"got {factor!r}")
+        from .dynamics import hysteresis_loop
         slow = min(derived.kappa, derived.gamma1, derived.gamma2)
         trace = hysteresis_loop(derived, cfg.drives, grid,
                                 dwell=factor / slow,
@@ -199,6 +196,7 @@ def _cmd_family(args, cfg: RunConfig) -> _Result:
 
 
 def _cmd_dynamics(args, cfg: RunConfig) -> _Result:
+    from .dynamics import ORIGIN, relax_to_steady
     derived = cfg.derive()
     power = args.power if args.power is not None else cfg.params.drive_power
     eps = eps_for_power(derived, power)

@@ -1,10 +1,16 @@
 """Command-line surface: every subcommand in process, exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neoms
+import neoms.dynamics
 from neoms.cli import main
 from neoms.config import RunConfig
 from neoms.model import derive
@@ -87,8 +93,18 @@ def test_window_absent_exits_3_but_reports(tmp_path, capsys):
 def test_curve_without_window_needs_bounds(tmp_path, capsys):
     conf = tmp_path / "sub.conf"
     conf.write_text(SUB_THRESHOLD, encoding="utf-8")
-    assert main(["curve", "--config", str(conf)]) == 3
-    capsys.readouterr()
+    for argv, reason in (
+            (["curve"], "below_threshold"),
+            (["hysteresis"], "below_threshold"),
+            (["family", "--vary", "g0", "--values", "2pi*4 kHz, 2pi*5 kHz"],
+             "no family member is bistable")):
+        assert main(argv + ["--config", str(conf)]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].endswith("give explicit power bounds"), lines[0]
+        assert reason in lines[0]
     assert main(["curve", "--config", str(conf), "--points", "5",
                  "--pmin", "1e-12", "--pmax", "1e-10"]) == 0
     _, rows = parse_curve_csv(capsys.readouterr().out)
@@ -242,3 +258,38 @@ def test_identical_invocations_identical_bytes(capsys):
     first = capsys.readouterr().out
     assert main(["curve", "--preset", "fig5", "--points", "41"]) == 0
     assert capsys.readouterr().out == first
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+loaded = {}
+import neoms
+loaded["import neoms"] = "scipy" in sys.modules
+import neoms.cli
+loaded["import neoms.cli"] = "scipy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = neoms.cli.main(["window", "--preset", "fig2"])
+loaded["window"] = "scipy" in sys.modules
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def test_algebraic_paths_do_not_import_scipy():
+    src = str(Path(neoms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0
+    assert report["loaded"] == {"import neoms": False,
+                                "import neoms.cli": False, "window": False}
+    from neoms import relax_to_steady
+    assert relax_to_steady is neoms.dynamics.relax_to_steady
+    for name in ("ORIGIN", "MeanFieldState", "hysteresis_loop",
+                 "time_derivative"):
+        assert getattr(neoms, name) is getattr(neoms.dynamics, name)
+    with pytest.raises(AttributeError):
+        neoms.no_such_name
