@@ -29,16 +29,12 @@ from .steady_state import drive_offset, susceptibilities, threshold_detuning
 _MIRROR_PANELS = {"fig7", "fig8a", "fig8b", "fig8c", "fig8d"}
 
 
-class _Refused(Exception):
-    """Exit 3, printing the message to stderr as it is."""
-
-
 class _Result(NamedTuple):
     """What a command computed, with the CSV/JSON writer pair for it.
 
     Both writers take `*data`, the snapshot of `cfg` and the preset
-    assumptions.  A `refusal` is raised as _Refused after the output is
-    written.
+    assumptions.  A `refusal` is printed to stderr, as it is, after the
+    output is written, and exits 3.
     """
 
     cfg: RunConfig
@@ -279,11 +275,6 @@ def main(argv=None) -> int:
     try:
         result = args.func(args, _load_cfg(args))
         _emit(args, result)
-        if result.refusal is not None:
-            raise _Refused(result.refusal)
-    except _Refused as exc:
-        _err(str(exc))
-        return 3
     except (ConfigError, ParameterError) as exc:
         _err(f"configuration error: {exc}")
         return 2
@@ -296,6 +287,9 @@ def main(argv=None) -> int:
     except NeomsError as exc:
         _err(f"error: {exc}")
         return 4
+    if result.refusal is not None:
+        _err(result.refusal)
+        return 3
     return 0
 
 

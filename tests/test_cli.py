@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import neoms
 import neoms.dynamics
 from neoms.cli import main
 from neoms.config import RunConfig
