@@ -22,7 +22,7 @@ from .model import (CODATA, CoulombSpec, DerivedParams, DriveSpec,
                     eps_for_power, power_for_eps_sq, validate)
 from .presets import PRESETS, Preset, get_preset
 from .stability import (Classification, Method, StabilityReport, classify,
-                        jacobian)
+                        classify_batch, jacobian)
 from .steady_state import (CriticalPoints, CubicCoefficients, PhotonRoots,
                            SteadyStateFields, Susceptibilities,
                            ThresholdDetuning, critical_points,

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import NoBistabilityError, ParameterError, ResidualError
 from .model import (DerivedParams, DriveSpec, LinewidthConvention,
                     SystemParams, derive, eps_for_power, power_for_eps_sq)
-from .stability import Classification, Method, StabilityReport, classify
+from .stability import (Classification, Method, StabilityReport,
+                        classify_batch)
 from .steady_state import (CriticalPoints, SteadyStateFields,
                            ThresholdDetuning, critical_points,
                            cubic_coefficients, drive_offset,
@@ -181,36 +182,12 @@ def auto_power_grid(window: BistabilityWindow, n: int = 201,
     return _power_grid(pmin, pmax, n)
 
 
-def _point(derived, drives, susc, gamma, power, method, convention,
-           ) -> CurvePoint:
-    eps = eps_for_power(derived, power)
-    coeffs = cubic_coefficients(derived, susc, gamma, eps, convention)
-    try:
-        roots = solve_photon_roots(coeffs)
-    except ResidualError as exc:
-        return CurvePoint(power=power, eps_sq=eps * eps, branches=(),
-                          error=str(exc))
-    branches = []
-    for x in roots.roots:
-        fields = steady_fields(x, derived, susc, drives, eps_l=eps,
-                               convention=convention)
-        report = classify(fields, derived, method=method,
-                          all_roots=roots.roots, convention=convention)
-        branches.append(BranchSolution(photon_number=x, fields=fields,
-                                       stability=report))
-    return CurvePoint(power=power, eps_sq=eps * eps,
-                      branches=tuple(branches))
-
-
 def solve_point(derived: DerivedParams, drives: DriveSpec, power: float,
                 method: Method = Method.EIGEN,
                 convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
                 ) -> CurvePoint:
     """All steady branches at one power, classified."""
-    susc = susceptibilities(derived, drives)
-    gamma = drive_offset(susc, drives)
-    return _point(derived, drives, susc, gamma, float(power), method,
-                  convention)
+    return power_sweep(derived, drives, [power], method, convention).points[0]
 
 
 def power_sweep(derived: DerivedParams, drives: DriveSpec,
@@ -220,12 +197,31 @@ def power_sweep(derived: DerivedParams, drives: DriveSpec,
     """Solve and classify every root over a power grid, in grid order.
 
     Root-solve failures are recorded on the offending point rather than
-    aborting the sweep.
+    aborting the sweep.  All roots are classified in one batch.
     """
     susc = susceptibilities(derived, drives)
     gamma = drive_offset(susc, drives)
-    points = tuple(_point(derived, drives, susc, gamma, float(p), method,
-                          convention) for p in powers)
+    solved = []     # (power, eps, error, fields per root) in grid order
+    states = []     # (fields, all roots at that power) for every root
+    for p in powers:
+        p = float(p)
+        eps = eps_for_power(derived, p)
+        coeffs = cubic_coefficients(derived, susc, gamma, eps, convention)
+        try:
+            roots = solve_photon_roots(coeffs)
+        except ResidualError as exc:
+            solved.append((p, eps, str(exc), ()))
+            continue
+        fields = [steady_fields(x, derived, susc, drives, eps_l=eps,
+                                convention=convention) for x in roots.roots]
+        solved.append((p, eps, None, fields))
+        states += [(f, roots.roots) for f in fields]
+    reports = iter(classify_batch(states, derived, method, convention))
+    points = tuple(CurvePoint(
+        power=p, eps_sq=eps * eps, error=error,
+        branches=tuple(BranchSolution(f.photon_number, f, next(reports))
+                       for f in fields))
+        for p, eps, error, fields in solved)
     return BistabilityCurve(points=points, method=method,
                             convention=convention)
 

@@ -144,18 +144,19 @@ def _cmd_threshold(args, cfg: RunConfig) -> _Result:
 
 
 def _cmd_hysteresis(args, cfg: RunConfig) -> _Result:
+    factor = args.dwell_factor
+    if factor is None:
+        factor = cfg.dwell_factor if cfg.dwell_factor is not None else 10.0
+    # a bad option is a usage error (exit 2) even where no grid can be built
+    if args.mode == "dynamic" and not (math.isfinite(factor) and factor > 0):
+        raise ParameterError("dwell_factor", f"must be finite and > 0, "
+                                             f"got {factor!r}")
     derived, grid = _grid(cfg, args)
     if args.mode == "algebraic":
         curve = power_sweep(derived, cfg.drives, grid, _method(args),
                             cfg.convention)
         trace = hysteresis_from_curve(curve)
     else:
-        factor = args.dwell_factor
-        if factor is None:
-            factor = cfg.dwell_factor if cfg.dwell_factor is not None else 10.0
-        if not (math.isfinite(factor) and factor > 0.0):
-            raise ParameterError("dwell_factor", f"must be finite and > 0, "
-                                                 f"got {factor!r}")
         from .dynamics import hysteresis_loop
         slow = min(derived.kappa, derived.gamma1, derived.gamma2)
         trace = hysteresis_loop(derived, cfg.drives, grid,

@@ -35,24 +35,36 @@ class Method(str, Enum):
 EIGEN_TOL_KAPPA = 1e-9
 
 
-def jacobian(fields: SteadyStateFields, derived: DerivedParams,
-             convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-             ) -> np.ndarray:
-    """6x6 real Jacobian at a steady operating point."""
+def jacobians(fields, derived: DerivedParams,
+              convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
+              ) -> np.ndarray:
+    """(n, 6, 6) real Jacobians at a sequence of n steady operating points."""
     kh = amplitude_decay(derived.kappa, convention)
     g0, gc = derived.g0, derived.gc
     w1, w2 = derived.omega1, derived.omega2
     h1, h2 = 0.5 * derived.gamma1, 0.5 * derived.gamma2
-    det = fields.effective_detuning
-    cr, ci = fields.c_s.real, fields.c_s.imag
-    return np.array([
+    det = np.array([f.effective_detuning for f in fields], dtype=float)
+    c_s = np.array([f.c_s for f in fields], dtype=complex)
+    cr, ci = c_s.real, c_s.imag
+    rows = [
         [-kh,           det,      -2.0 * g0 * ci, 0.0,  0.0,  0.0],
         [-det,          -kh,       2.0 * g0 * cr, 0.0,  0.0,  0.0],
         [0.0,           0.0,      -h1,            w1,   0.0,  gc],
         [2.0 * g0 * cr, 2.0 * g0 * ci, -w1,      -h1,  -gc,   0.0],
         [0.0,           0.0,       0.0,           gc,  -h2,   w2],
         [0.0,           0.0,      -gc,            0.0, -w2,  -h2],
-    ])
+    ]
+    flat = np.empty((36, len(det)))
+    for k, v in enumerate(v for row in rows for v in row):
+        flat[k] = v
+    return np.ascontiguousarray(flat.T).reshape(len(det), 6, 6)
+
+
+def jacobian(fields: SteadyStateFields, derived: DerivedParams,
+             convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
+             ) -> np.ndarray:
+    """6x6 real Jacobian at a steady operating point."""
+    return jacobians([fields], derived, convention)[0]
 
 
 @dataclass(frozen=True)
@@ -72,26 +84,10 @@ def _slope_rule(x: float, all_roots: tuple[float, ...]) -> Classification:
     return Classification.STABLE
 
 
-def classify(fields: SteadyStateFields, derived: DerivedParams,
-             method: Method = Method.EIGEN,
-             all_roots: tuple[float, ...] | None = None,
-             convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-             ) -> StabilityReport:
-    """Classify one steady state.
-
-    The slope rule needs the full ascending root set of the same cubic; the
-    eigen method needs only the fields.
-    """
-    if method == Method.SLOPE_RULE:
-        if all_roots is None:
-            raise ValueError("slope rule requires the full root set")
-        cls = _slope_rule(fields.photon_number, tuple(all_roots))
-        return StabilityReport(classification=cls, method=method,
-                               eigenvalue_real_parts=(), margin=math.nan)
-
-    jac = jacobian(fields, derived, convention)
+def _check_eigvals(jac: np.ndarray) -> None:
+    """Raise EigenvalueError, with the condition number, if eigvals fails."""
     try:
-        eig = np.linalg.eigvals(jac)
+        np.linalg.eigvals(jac)
     except np.linalg.LinAlgError as exc:
         try:
             cond = float(np.linalg.cond(jac))
@@ -99,10 +95,44 @@ def classify(fields: SteadyStateFields, derived: DerivedParams,
             cond = math.inf
         raise EigenvalueError("eigenvalue computation failed",
                               {"condition": cond, "jacobian": jac}) from exc
-    reals = tuple(sorted(float(v) for v in eig.real))
-    tol = EIGEN_TOL_KAPPA * derived.kappa
-    worst = reals[-1]
-    cls = Classification.STABLE if worst < -tol else Classification.UNSTABLE
-    return StabilityReport(classification=cls, method=method,
-                           eigenvalue_real_parts=reals, margin=-worst)
 
+
+def classify_batch(states, derived: DerivedParams,
+                   method: Method = Method.EIGEN,
+                   convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
+                   ) -> list[StabilityReport]:
+    """Classify steady states given as (fields, all_roots) pairs, in order.
+
+    The slope rule needs each state's full ascending root set of the same
+    cubic; the eigen method needs only the fields and makes one eigvals
+    call for the whole batch.  If that call fails, the EigenvalueError is
+    the one of the first state whose own Jacobian fails.
+    """
+    if method == Method.SLOPE_RULE:
+        if any(roots is None for _, roots in states):
+            raise ValueError("slope rule requires the full root set")
+        return [StabilityReport(_slope_rule(f.photon_number, tuple(roots)),
+                                method, (), math.nan) for f, roots in states]
+    jacs = jacobians([f for f, _ in states], derived, convention)
+    try:
+        eig = np.linalg.eigvals(jacs)
+    except np.linalg.LinAlgError:
+        for jac in jacs:
+            _check_eigvals(jac)
+        raise
+    tol = EIGEN_TOL_KAPPA * derived.kappa
+    # a stable sort keeps ties in LAPACK's order, as sorted() did per root
+    rows = np.sort(eig.real, axis=1, kind="stable").tolist()
+    return [StabilityReport(Classification.STABLE if r[-1] < -tol
+                            else Classification.UNSTABLE, method, tuple(r),
+                            -r[-1]) for r in rows]
+
+
+def classify(fields: SteadyStateFields, derived: DerivedParams,
+             method: Method = Method.EIGEN,
+             all_roots: tuple[float, ...] | None = None,
+             convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
+             ) -> StabilityReport:
+    """Classify one steady state: `classify_batch` of one."""
+    return classify_batch([(fields, all_roots)], derived, method,
+                          convention)[0]

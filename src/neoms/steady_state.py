@@ -200,6 +200,7 @@ def _polish_root(coeffs: CubicCoefficients, x: float) -> float:
     """Newton-polish a root; near folds fall back to the slope extremum."""
     best_x, best_f = x, abs(cubic_value(coeffs, x))
     scale = max(abs(x), 1.0)
+    seen = set()
     for _ in range(60):
         f = cubic_value(coeffs, x)
         fp = cubic_slope(coeffs, x)
@@ -215,6 +216,10 @@ def _polish_root(coeffs: CubicCoefficients, x: float) -> float:
         # relative to x itself: tiny roots need steps far below 1 ulp of 1.0
         if abs(step) <= 1e-16 * abs(x):
             break
+        # a repeat means a cycle of iterates already scored: best_x is final
+        if x in seen:
+            break
+        seen.add(x)
     return best_x
 
 

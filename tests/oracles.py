@@ -5,7 +5,9 @@ roots come from a double-precision companion matrix refined by
 extended-precision Newton steps, fold powers from a dense scan with
 parabolic refinement, steady fields from a direct complex 2x2 solve of
 the zero-derivative conditions, and stability from the Routh array of the
-Jacobian's characteristic polynomial.
+Jacobian's characteristic polynomial.  `polish_root_reference` is the
+Newton polish as it was before it learned to stop at a repeated iterate,
+kept to pin that the early exit returns the same float.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from neoms.errors import EigenvalueError
+from neoms.steady_state import cubic_slope, cubic_value
 
 
 def cubic_roots_extended(a: float, b: float, c: float, d: float,
@@ -168,3 +171,25 @@ def routh_hurwitz_stable(jac: np.ndarray, rel_tol: float = 1e-12) -> bool:
 
 def math_isclose_rel(a: float, b: float, rel: float) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
+
+
+def polish_root_reference(coeffs, x: float) -> float:
+    """Newton-polish a root for up to 60 steps, without the cycle exit."""
+    best_x, best_f = x, abs(cubic_value(coeffs, x))
+    scale = max(abs(x), 1.0)
+    for _ in range(60):
+        f = cubic_value(coeffs, x)
+        fp = cubic_slope(coeffs, x)
+        if fp == 0.0:
+            break
+        step = f / fp
+        if abs(step) > 0.5 * scale:   # diverging; keep the best seen
+            break
+        x -= step
+        af = abs(cubic_value(coeffs, x))
+        if af < best_f:
+            best_x, best_f = x, af
+        # relative to x itself: tiny roots need steps far below 1 ulp of 1.0
+        if abs(step) <= 1e-16 * abs(x):
+            break
+    return best_x

@@ -27,8 +27,9 @@ from neoms.steady_state import (critical_points, cubic_coefficients,
                                 drive_offset, fold_powers_eps_sq,
                                 solve_photon_roots, steady_fields,
                                 susceptibilities, threshold_detuning)
-from neoms.output import CURVE_HEADER, curve_to_csv, parse_curve_csv
+from neoms.output import CURVE_HEADER, curve_to_csv
 from neoms.cli import main
+from curve_csv import parse_curve_csv
 from draws import REFERENCE, clean_point, clean_system, reference_draw
 from oracles import cubic_roots_extended, fold_powers_scan
 

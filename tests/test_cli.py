@@ -14,7 +14,7 @@ from neoms.cli import main
 from neoms.config import RunConfig
 from neoms.model import derive
 from neoms.bifurcation import bistability_window
-from neoms.output import parse_curve_csv
+from curve_csv import parse_curve_csv
 from neoms.presets import get_preset
 from draws import clean_system
 
@@ -198,7 +198,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["window", "--config", str(tmp_path / "missing.conf")]) == 2
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
+    sub = tmp_path / "sub.conf"
+    sub.write_text(SUB_THRESHOLD, encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         main(["curve"])   # neither --config nor --preset
     assert exc.value.code == 2
@@ -215,6 +217,10 @@ def test_usage_errors_exit_2(capsys):
             # the factor as typed, not the dwell in seconds
             (["hysteresis", "--preset", "fig2", "--mode", "dynamic",
               "--dwell-factor", "-1", "--points", "3"],
+             "dwell_factor: must be finite and > 0, got -1.0\n"),
+            # the bad option, not the missing window (exit 3), is reported
+            (["hysteresis", "--config", str(sub), "--mode", "dynamic",
+              "--dwell-factor", "-1"],
              "dwell_factor: must be finite and > 0, got -1.0\n")):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

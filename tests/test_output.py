@@ -13,9 +13,9 @@ from neoms.model import derive
 from neoms.output import (CURVE_HEADER, FAMILY_HEADER, HYSTERESIS_HEADER,
                           curve_to_csv, curve_to_dict, dumps_json,
                           family_to_csv, family_to_dict, fields_to_csv,
-                          parse_curve_csv, threshold_to_csv, trace_to_csv,
-                          trace_to_dict, window_json, window_to_csv,
-                          window_to_dict)
+                          threshold_to_csv, trace_to_csv, trace_to_dict,
+                          window_json, window_to_csv, window_to_dict)
+from curve_csv import parse_curve_csv
 from draws import clean_system
 
 

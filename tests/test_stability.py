@@ -6,16 +6,21 @@ of operating point.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from neoms.bifurcation import bistability_window, solve_point
-from neoms.model import DriveSpec, derive
-from neoms.stability import Classification, Method, classify, jacobian
+from neoms.bifurcation import (auto_power_grid, bistability_window,
+                               power_sweep, solve_point)
+from neoms.errors import EigenvalueError
+from neoms.model import DriveSpec, LinewidthConvention, derive
+from neoms.presets import get_preset
+from neoms.stability import (EIGEN_TOL_KAPPA, Classification, Method,
+                             classify, classify_batch, jacobian)
 from neoms.steady_state import (drive_offset, solve_photon_roots,
                                 steady_fields, susceptibilities)
-from draws import clean_point
+from draws import clean_point, clean_system
 from oracles import routh_hurwitz_stable
 
 
@@ -147,3 +152,69 @@ def test_wide_linewidth_upper_branch_disagreement(fig2_cfg, fig2_derived):
     # lower branch and middle branch stay textbook
     assert pt_eig.branches[0].stable
     assert not pt_eig.branches[1].stable
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_batched_classification_equals_per_root_eigvals():
+    """Each report of a sweep's one batched eigvals call is bit for bit the
+    one a per-root eigvals call on that root's Jacobian gives."""
+    sweeps = []
+    for name in ("fig2", "fig8a"):
+        cfg = get_preset(name).config()
+        derived = cfg.derive()
+        win = bistability_window(derived, cfg.drives, cfg.convention)
+        sweeps.append((derived, cfg.convention, power_sweep(
+            derived, cfg.drives, auto_power_grid(win, 201), Method.EIGEN,
+            cfg.convention)))
+    rng = np.random.default_rng(1203)
+    for i in range(50):
+        params, drives = clean_system(rng, with_tones=i % 2 == 1)
+        derived = derive(params, drives)
+        win = bistability_window(derived, drives)
+        sweeps.append((derived, LinewidthConvention.HALF_KAPPA,
+                       power_sweep(derived, drives, auto_power_grid(win, 21))))
+    checked = 0
+    for derived, conv, curve in sweeps:
+        tol = EIGEN_TOL_KAPPA * derived.kappa
+        for pt in curve.points:
+            for b in pt.branches:
+                eig = np.linalg.eigvals(jacobian(b.fields, derived, conv))
+                reals = sorted(float(v) for v in eig.real)
+                rep = b.stability
+                assert rep.eigenvalue_real_parts == tuple(reals)
+                assert _bits(rep.eigenvalue_real_parts) == _bits(reals)
+                assert _bits([rep.margin]) == _bits([-reals[-1]])
+                assert (rep.classification is Classification.STABLE) == (
+                    reals[-1] < -tol)
+                checked += 1
+    assert checked > 2000
+
+
+def test_batch_eigen_failure_reports_first_failing_state(fig2_cfg,
+                                                         fig2_derived):
+    win = bistability_window(fig2_derived, fig2_cfg.drives)
+    pt = solve_point(fig2_derived, fig2_cfg.drives,
+                     math.sqrt(win.power_up * win.power_down))
+    roots = tuple(b.photon_number for b in pt.branches)
+    states = [(b.fields, roots) for b in pt.branches * 3]
+    k = 4
+    bad = replace(states[k][0], c_s=complex(math.nan, 1.0))
+    later = replace(states[k + 2][0], effective_detuning=math.nan)
+    states[k], states[k + 2] = (bad, roots), (later, roots)
+    with pytest.raises(EigenvalueError) as exc:
+        classify_batch(states, fig2_derived)
+    want = jacobian(bad, fig2_derived)
+    assert str(exc.value).startswith("eigenvalue computation failed")
+    assert np.array_equal(exc.value.diagnostics["jacobian"], want,
+                          equal_nan=True)
+    try:
+        cond = float(np.linalg.cond(want))
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    assert _bits([exc.value.diagnostics["condition"]]) == _bits([cond])
+    # the states before k classify as they do alone
+    good = classify_batch(states[:k], fig2_derived)
+    assert good == [classify(f, fig2_derived) for f, _ in states[:k]]

@@ -11,10 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from neoms.bifurcation import (auto_power_grid, bistability_window,
+                               family_sweep)
 from neoms.errors import NumericalError
 from neoms.model import (DriveSpec, LinewidthConvention, derive,
                          eps_for_power, power_for_eps_sq)
-from neoms.steady_state import (critical_points, cubic_coefficients,
+from neoms.presets import PRESETS, get_preset
+from neoms.stability import Method
+from neoms.steady_state import (_polish_root, _real_cubic_roots,
+                                critical_points, cubic_coefficients,
                                 cubic_value, drive_offset, fold_powers_eps_sq,
                                 relative_residual, solve_photon_roots,
                                 steady_fields, susceptibilities,
@@ -22,7 +27,7 @@ from neoms.steady_state import (critical_points, cubic_coefficients,
 from draws import REFERENCE, TWO_PI, clean_point, reference_draw
 from oracles import (bistable_cubic_direct, cavity_field_direct,
                      cubic_roots_extended, fold_powers_scan,
-                     mirror_fields_direct)
+                     mirror_fields_direct, polish_root_reference)
 
 
 def _layers(params, drives=DriveSpec(), convention=LinewidthConvention.HALF_KAPPA):
@@ -244,3 +249,60 @@ def test_cubic_value_at_roots_is_small(fig2_derived):
     scale = abs(coeffs.a4)
     for x in roots.roots:
         assert abs(cubic_value(coeffs, x)) <= 1e-9 * scale
+
+
+def _preset_members():
+    """(derived, drives, convention, default grid, window) of every curve
+    in the 13 presets, one per family member."""
+    for name in sorted(PRESETS):
+        cfg = get_preset(name).config()
+        if cfg.values is None:
+            derived = cfg.derive()
+            win = bistability_window(derived, cfg.drives, cfg.convention)
+            yield (derived, cfg.drives, cfg.convention,
+                   auto_power_grid(win, 201), win)
+            continue
+        fam = family_sweep(cfg.params, cfg.drives, cfg.vary, cfg.values,
+                           n_points=201, method=Method.SLOPE_RULE,
+                           convention=cfg.convention)
+        for m in fam.members:
+            yield m.derived, m.drives, cfg.convention, fam.powers, m.window
+
+
+def _coefficients(derived, drives, convention, eps):
+    susc = susceptibilities(derived, drives)
+    return cubic_coefficients(derived, susc, drive_offset(susc, drives),
+                              eps, convention)
+
+
+def test_newton_cycle_exit_returns_the_uncut_polish():
+    """The polish stops at its first repeated iterate; the float it returns,
+    sign of zero included, is the one the 60-step loop returns."""
+    cases = []          # (coefficients, seeds)
+    for derived, drives, conv, grid, win in _preset_members():
+        for p in grid:
+            c = _coefficients(derived, drives, conv,
+                              eps_for_power(derived, p))
+            cases.append((c, _real_cubic_roots(c.a1, c.a2, c.a3, c.a4)))
+        if not win.exists:
+            continue
+        for fold in (win.power_up, win.power_down):
+            for p in (fold * (1 - 1e-9), fold, fold * (1 + 1e-9)):
+                c = _coefficients(derived, drives, conv,
+                                  eps_for_power(derived, p))
+                seeds = _real_cubic_roots(c.a1, c.a2, c.a3, c.a4)
+                cases.append((c, [math.nextafter(x, toward) for x in seeds
+                                  for toward in (-math.inf, math.inf)]))
+    rng = np.random.default_rng(1201)
+    for _ in range(200):
+        _, derived, drives, eps_sq, _ = clean_point(rng)
+        c = _coefficients(derived, drives, LinewidthConvention.HALF_KAPPA,
+                          math.sqrt(eps_sq))
+        cases.append((c, _real_cubic_roots(c.a1, c.a2, c.a3, c.a4)))
+    checked = 0
+    for c, seeds in cases:
+        for x in seeds:
+            assert _polish_root(c, x).hex() == \
+                polish_root_reference(c, x).hex(), (c, x)
+            checked += 1
+    assert checked > 10000
