@@ -147,8 +147,8 @@ def _cmd_hysteresis(args, cfg: RunConfig) -> _Result:
     factor = args.dwell_factor
     if factor is None:
         factor = cfg.dwell_factor if cfg.dwell_factor is not None else 10.0
-    # a bad option is a usage error (exit 2) even where no grid can be built
-    if args.mode == "dynamic" and not (math.isfinite(factor) and factor > 0):
+    # a bad option is a usage error (exit 2) in both modes, grid or none
+    if not (math.isfinite(factor) and factor > 0):
         raise ParameterError("dwell_factor", f"must be finite and > 0, "
                                              f"got {factor!r}")
     derived, grid = _grid(cfg, args)

@@ -70,7 +70,7 @@ def _make_rhs(derived: DerivedParams, drives: DriveSpec, eps_l: float,
     el = float(eps_l)
 
     def rhs(t, y):
-        cr, ci, u1, v1, u2, v2 = y
+        cr, ci, u1, v1, u2, v2 = y.tolist()   # floats: same bits, cheaper
         det = dc - 2.0 * g0 * u1
         return np.array([
             det * ci - kh * cr + el,

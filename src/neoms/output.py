@@ -8,8 +8,8 @@ Neither format embeds timestamps, so equal inputs give equal bytes.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 from .bifurcation import (BistabilityCurve, BistabilityWindow, FamilyResult,
                           HysteresisTrace)
@@ -51,7 +51,46 @@ def _none_if_nan(x: float | None) -> float | None:
 
 
 def dumps_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` plus a
+    newline, written directly: `indent` sends json to its slower pure-Python
+    encoder.  Unlike json, a key that is not a str raises TypeError."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write_json(obj, pad: str, out: list[str]) -> None:
+    # json's order of tests; bools before ints, float.__repr__ for np.float64
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"float {obj!r} is not JSON compliant")
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for item in obj:
+            out.append(sep + inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(pad + "]" if obj else "[]")
+    elif isinstance(obj, dict):
+        inner, sep = pad + "  ", "{"
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep + inner, _quote(key), ": ")
+            _write_json(obj[key], inner, out)
+            sep = ","
+        out.append(pad + "}" if obj else "{}")
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------- curves

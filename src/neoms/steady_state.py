@@ -34,6 +34,9 @@ class Susceptibilities:
     beta1 maps photon number into b_1s, beta2 and beta3 map the two drive
     tones; alpha1/alpha2/alpha3 are the corresponding real projections onto
     b_1s + conj(b_1s).  denominator is the coupled-mirror determinant.
+    The rest are fixed per sweep and read by steady_fields in place of its
+    `drives`: mirror root d2, tone2 = eps2 e^{-i phi2}, beta3 eps1 e^{-i phi1},
+    beta2 tone2 and drive_offset.
     """
 
     beta1: complex
@@ -43,17 +46,17 @@ class Susceptibilities:
     alpha2: float
     alpha3: float
     denominator: complex
-
-
-def _mirror_roots(derived: DerivedParams) -> tuple[complex, complex]:
-    d1 = complex(0.5 * derived.gamma1, derived.omega1)
-    d2 = complex(0.5 * derived.gamma2, derived.omega2)
-    return d1, d2
+    d2: complex
+    tone2: complex
+    tone1_term: complex
+    tone2_term: complex
+    offset: float
 
 
 def susceptibilities(derived: DerivedParams, drives: DriveSpec) -> Susceptibilities:
-    """Compute the beta/alpha response layer for the given drive phases."""
-    d1, d2 = _mirror_roots(derived)
+    """Compute the beta/alpha response layer for the given drives."""
+    d1 = complex(0.5 * derived.gamma1, derived.omega1)
+    d2 = complex(0.5 * derived.gamma2, derived.omega2)
     gc = derived.gc
     den = d1 * d2 + gc * gc
     if abs(den) < 1e-300:
@@ -77,12 +80,16 @@ def susceptibilities(derived: DerivedParams, drives: DriveSpec) -> Susceptibilit
                 raise NumericalError("susceptibility identity beta2 failed",
                                      {"beta2": beta2, "alt": alt2})
 
+    phase1, phase2 = cmath.exp(-1j * drives.phi1), cmath.exp(-1j * drives.phi2)
     alpha1 = 2.0 * beta1.real
-    alpha2 = 2.0 * (beta2 * cmath.exp(-1j * drives.phi2)).real
-    alpha3 = 2.0 * (beta3 * cmath.exp(-1j * drives.phi1)).real
-    return Susceptibilities(beta1=beta1, beta2=beta2, beta3=beta3,
-                            alpha1=alpha1, alpha2=alpha2, alpha3=alpha3,
-                            denominator=den)
+    alpha2 = 2.0 * (beta2 * phase2).real
+    alpha3 = 2.0 * (beta3 * phase1).real
+    tone1, tone2 = drives.eps1 * phase1, drives.eps2 * phase2
+    return Susceptibilities(
+        beta1=beta1, beta2=beta2, beta3=beta3, alpha1=alpha1, alpha2=alpha2,
+        alpha3=alpha3, denominator=den, d2=d2, tone2=tone2,
+        tone1_term=beta3 * tone1, tone2_term=beta2 * tone2,
+        offset=alpha2 * drives.eps2 + alpha3 * drives.eps1)
 
 
 def drive_offset(susc: Susceptibilities, drives: DriveSpec) -> float:
@@ -198,11 +205,11 @@ def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
 
 def _polish_root(coeffs: CubicCoefficients, x: float) -> float:
     """Newton-polish a root; near folds fall back to the slope extremum."""
-    best_x, best_f = x, abs(cubic_value(coeffs, x))
+    f = cubic_value(coeffs, x)
+    best_x, best_f = x, abs(f)
     scale = max(abs(x), 1.0)
     seen = set()
     for _ in range(60):
-        f = cubic_value(coeffs, x)
         fp = cubic_slope(coeffs, x)
         if fp == 0.0:
             break
@@ -210,9 +217,9 @@ def _polish_root(coeffs: CubicCoefficients, x: float) -> float:
         if abs(step) > 0.5 * scale:   # diverging; keep the best seen
             break
         x -= step
-        af = abs(cubic_value(coeffs, x))
-        if af < best_f:
-            best_x, best_f = x, af
+        f = cubic_value(coeffs, x)   # the next pass's step reuses it
+        if abs(f) < best_f:
+            best_x, best_f = x, abs(f)
         # relative to x itself: tiny roots need steps far below 1 ulp of 1.0
         if abs(step) <= 1e-16 * abs(x):
             break
@@ -259,10 +266,10 @@ def solve_photon_roots(coeffs: CubicCoefficients) -> PhotonRoots:
     polished = []
     for x in raw:
         y = _polish_root(coeffs, x)
-        if relative_residual(coeffs, y) > RESIDUAL_CONTRACT:
+        if (ry := relative_residual(coeffs, y)) > RESIDUAL_CONTRACT:
             # stalled on a flat near-fold pair: retarget the extremum
             z = _polish_fold(coeffs, y)
-            if relative_residual(coeffs, z) < relative_residual(coeffs, y):
+            if relative_residual(coeffs, z) < ry:
                 y = z
         polished.append(y)
 
@@ -378,15 +385,9 @@ def steady_fields(
     if eps_l is None:
         eps_l = derived.eps_l
     kh = amplitude_decay(derived.kappa, convention)
-    _, d2 = _mirror_roots(derived)
-    tone1 = drives.eps1 * cmath.exp(-1j * drives.phi1)
-    tone2 = drives.eps2 * cmath.exp(-1j * drives.phi2)
-
-    b1 = susc.beta1 * x + susc.beta3 * tone1 + susc.beta2 * tone2
-    b2 = (-1j * derived.gc * b1 + tone2) / d2
-
-    gamma = drive_offset(susc, drives)
-    det = derived.delta_c - derived.g0 * (susc.alpha1 * x + gamma)
+    b1 = susc.beta1 * x + susc.tone1_term + susc.tone2_term
+    b2 = (-1j * derived.gc * b1 + susc.tone2) / susc.d2
+    det = derived.delta_c - derived.g0 * (susc.alpha1 * x + susc.offset)
     c_s = eps_l / complex(kh, det)
 
     xc = abs(c_s) ** 2

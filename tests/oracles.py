@@ -5,20 +5,28 @@ roots come from a double-precision companion matrix refined by
 extended-precision Newton steps, fold powers from a dense scan with
 parabolic refinement, steady fields from a direct complex 2x2 solve of
 the zero-derivative conditions, and stability from the Routh array of the
-Jacobian's characteristic polynomial.  `polish_root_reference` is the
-Newton polish as it was before it learned to stop at a repeated iterate,
-kept to pin that the early exit returns the same float.
+Jacobian's characteristic polynomial.
+
+Three references keep earlier forms of hot code, verbatim, to pin that a
+faster form returns the same floats: `polish_root_reference` is the Newton
+polish before it learned to stop at a repeated iterate,
+`steady_fields_reference` the field reconstruction before its per-sweep
+constants moved into `Susceptibilities`, and `rhs_reference` the mean-field
+right-hand side when it still did its arithmetic on numpy scalars.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath as mp
 import numpy as np
 
-from neoms.errors import EigenvalueError
-from neoms.steady_state import cubic_slope, cubic_value
+from neoms.errors import ConsistencyError, EigenvalueError
+from neoms.model import LinewidthConvention, amplitude_decay
+from neoms.steady_state import (SteadyStateFields, cubic_slope, cubic_value,
+                                drive_offset)
 
 
 def cubic_roots_extended(a: float, b: float, c: float, d: float,
@@ -193,3 +201,73 @@ def polish_root_reference(coeffs, x: float) -> float:
         if abs(step) <= 1e-16 * abs(x):
             break
     return best_x
+
+
+def steady_fields_reference(x, derived, susc, drives, eps_l=None,
+                            convention=LinewidthConvention.HALF_KAPPA):
+    """`steady_fields` recomputing its drive terms on every call."""
+    if eps_l is None:
+        eps_l = derived.eps_l
+    kh = amplitude_decay(derived.kappa, convention)
+    d2 = complex(0.5 * derived.gamma2, derived.omega2)
+    tone1 = drives.eps1 * cmath.exp(-1j * drives.phi1)
+    tone2 = drives.eps2 * cmath.exp(-1j * drives.phi2)
+
+    b1 = susc.beta1 * x + susc.beta3 * tone1 + susc.beta2 * tone2
+    b2 = (-1j * derived.gc * b1 + tone2) / d2
+
+    gamma = drive_offset(susc, drives)
+    det = derived.delta_c - derived.g0 * (susc.alpha1 * x + gamma)
+    c_s = eps_l / complex(kh, det)
+
+    xc = abs(c_s) ** 2
+    if x == 0.0:
+        if xc != 0.0:
+            raise ConsistencyError("nonzero field at zero photon number",
+                                   {"photon_number": x, "field_sq": xc})
+    elif abs(xc - x) > 1e-9 * x:
+        raise ConsistencyError(
+            "cavity field inconsistent with photon-number root",
+            {"photon_number": x, "field_sq": xc,
+             "relative": abs(xc - x) / x})
+
+    q1 = derived.x_zpf1 * 2.0 * b1.real
+    q2 = derived.x_zpf2 * 2.0 * b2.real
+    return SteadyStateFields(photon_number=x, c_s=c_s, b_1s=b1, b_2s=b2,
+                             q_1s=q1, q_2s=q2, effective_detuning=det)
+
+
+def rhs_reference(derived, drives, eps_l, convention):
+    """The mean-field right-hand side with its arithmetic on numpy scalars."""
+    kh = amplitude_decay(derived.kappa, convention)
+    dc = derived.delta_c
+    g0, gc = derived.g0, derived.gc
+    w1, w2 = derived.omega1, derived.omega2
+    h1, h2 = 0.5 * derived.gamma1, 0.5 * derived.gamma2
+    # the tone phases are static, so each tone is a constant force
+    f1r = drives.eps1 * math.cos(drives.phi1)
+    f1i = drives.eps1 * math.sin(drives.phi1)
+    f2r = drives.eps2 * math.cos(drives.phi2)
+    f2i = drives.eps2 * math.sin(drives.phi2)
+    el = float(eps_l)
+
+    def rhs(t, y):
+        cr, ci, u1, v1, u2, v2 = y
+        det = dc - 2.0 * g0 * u1
+        return np.array([
+            det * ci - kh * cr + el,
+            -det * cr - kh * ci,
+            -h1 * u1 + w1 * v1 + gc * v2 + f1r,
+            g0 * (cr * cr + ci * ci) - w1 * u1 - h1 * v1 - gc * u2 - f1i,
+            -h2 * u2 + w2 * v2 + gc * v1 + f2r,
+            -w2 * u2 - h2 * v2 - gc * u1 - f2i,
+        ])
+
+    return rhs
+
+
+def fields_hex(f: SteadyStateFields) -> tuple[str, ...]:
+    """Every float of `f` as float.hex, so equality is bit for bit."""
+    return tuple(v.hex() for v in (
+        f.photon_number, f.c_s.real, f.c_s.imag, f.b_1s.real, f.b_1s.imag,
+        f.b_2s.real, f.b_2s.imag, f.q_1s, f.q_2s, f.effective_detuning))

@@ -221,6 +221,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             # the bad option, not the missing window (exit 3), is reported
             (["hysteresis", "--config", str(sub), "--mode", "dynamic",
               "--dwell-factor", "-1"],
+             "dwell_factor: must be finite and > 0, got -1.0\n"),
+            # the algebraic mode does not use the dwell, but still refuses it
+            (["hysteresis", "--preset", "fig2", "--dwell-factor", "-1",
+              "--points", "3"],
              "dwell_factor: must be finite and > 0, got -1.0\n")):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -11,15 +11,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from neoms import dynamics
 from neoms.bifurcation import bistability_window
 from neoms.errors import ConvergenceError
-from neoms.dynamics import (ORIGIN, MeanFieldState, hysteresis_loop,
-                            relax_to_steady, time_derivative)
-from neoms.model import CoulombSpec, DriveSpec, derive
+from neoms.dynamics import (ORIGIN, MeanFieldState, _make_rhs,
+                            hysteresis_loop, relax_to_steady, time_derivative)
+from neoms.model import CoulombSpec, DriveSpec, LinewidthConvention, derive
 from neoms.steady_state import (drive_offset, solve_photon_roots,
                                 steady_fields, susceptibilities,
                                 cubic_coefficients)
 from draws import REFERENCE, clean_point, clean_system
+from oracles import fields_hex, rhs_reference
 
 
 def test_state_quadrature_round_trip():
@@ -57,6 +59,56 @@ def test_derivative_vanishes_at_algebraic_steady_state():
             d = time_derivative(s, derived, drives, eps_l=eps)
             norm = math.sqrt(abs(d.c) ** 2 + abs(d.b1) ** 2 + abs(d.b2) ** 2)
             assert norm <= 1e-9 * scale
+
+
+def _quadratures(rng, n):
+    """n states whose parts span 1e-6 to 1e6 in magnitude with both signs,
+    with exact zeros of both signs mixed in."""
+    states = []
+    for _ in range(n):
+        parts = []
+        for _ in range(6):
+            k = rng.integers(10)
+            parts.append(0.0 if k == 0 else -0.0 if k == 1 else
+                         float(rng.choice((-1.0, 1.0))
+                               * 10.0 ** rng.uniform(-6.0, 6.0)))
+        states.append(np.array(parts))
+    return states
+
+
+def test_rhs_is_bit_identical_to_the_numpy_scalar_form(fig2_cfg,
+                                                       fig2_derived):
+    """The RHS unpacks its state to Python floats; every operation, and so
+    every returned bit, is the one the numpy-scalar form computes."""
+    rng = np.random.default_rng(1401)
+    systems = [(fig2_derived, fig2_cfg.drives, fig2_cfg.convention)]
+    conventions = list(LinewidthConvention)
+    for i in range(50):
+        params, drives = clean_system(rng, with_tones=i % 2 == 0)
+        systems.append((derive(params, drives), drives,
+                        conventions[i % len(conventions)]))
+    for derived, drives, conv in systems:
+        rhs = _make_rhs(derived, drives, derived.eps_l, conv)
+        ref = rhs_reference(derived, drives, derived.eps_l, conv)
+        for y in _quadratures(rng, 200):
+            assert rhs(0.0, y).tobytes() == ref(0.0, y).tobytes(), y
+
+
+def test_relaxation_unchanged_under_the_numpy_scalar_rhs(monkeypatch):
+    """The first three relaxations of acceptance criterion 5 settle on the
+    same bits whichever form of the RHS the integrator calls."""
+    def settle():
+        rng = np.random.default_rng(1005)
+        out = []
+        for _ in range(3):
+            _, derived, drives, eps_sq, _ = clean_point(rng)
+            out.append(fields_hex(relax_to_steady(
+                ORIGIN, derived, drives, eps_l=math.sqrt(eps_sq))))
+        return out
+
+    fast = settle()
+    monkeypatch.setattr(dynamics, "_make_rhs", rhs_reference)
+    assert settle() == fast
 
 
 def test_vacuum_relaxes_to_lowest_root():

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neoms.bifurcation import (BistabilityWindow, auto_power_grid,
                                bistability_window, family_sweep,
                                hysteresis_from_curve, power_sweep)
 from neoms.model import derive
+from neoms.stability import Classification, Method
 from neoms.output import (CURVE_HEADER, FAMILY_HEADER, HYSTERESIS_HEADER,
                           curve_to_csv, curve_to_dict, dumps_json,
                           family_to_csv, family_to_dict, fields_to_csv,
@@ -158,3 +161,53 @@ def test_float_repr_round_trip_synthetic():
     ])
     for v in values:
         assert float(repr(float(v))) == float(v)
+
+
+def _stdlib_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_TEXT = st.text(st.characters(codec="utf-8")
+                | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'
+                                  '\u00e9\u2028\U0001f600'))
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
+           | _TEXT)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCS)
+def test_dumps_json_equals_the_stdlib_encoder(doc):
+    assert dumps_json(doc) == _stdlib_json(doc)
+
+
+def test_dumps_json_explicit_cases():
+    for doc in ({}, [], (), "", {"a": {}, "b": [], "c": ()},
+                {"x": np.float64(0.1), "y": [np.float64(-0.0)]},
+                np.float64(1e-300),
+                {"stable": Classification.STABLE, "how": [Method.EIGEN,
+                                                          Method.SLOPE_RULE]},
+                {"b": True, "a": [1, False, None, 2 ** 70, -3]}):
+        assert dumps_json(doc) == _stdlib_json(doc), doc
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan"),
+                {"x": [1.0, math.inf]}):
+        with pytest.raises(ValueError):
+            _stdlib_json(bad)
+        with pytest.raises(ValueError):
+            dumps_json(bad)
+    for bad in ({1, 2}, {"x": {1.0}}, np.int64(3)):
+        with pytest.raises(TypeError):
+            _stdlib_json(bad)
+        with pytest.raises(TypeError):
+            dumps_json(bad)
+    # json would write the int key as "1"; results only ever have str keys
+    for bad in ({1: "a"}, {"x": {2: 0}}):
+        with pytest.raises(TypeError):
+            dumps_json(bad)

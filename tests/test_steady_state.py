@@ -13,7 +13,7 @@ import pytest
 
 from neoms.bifurcation import (auto_power_grid, bistability_window,
                                family_sweep)
-from neoms.errors import NumericalError
+from neoms.errors import ConsistencyError, NumericalError
 from neoms.model import (DriveSpec, LinewidthConvention, derive,
                          eps_for_power, power_for_eps_sq)
 from neoms.presets import PRESETS, get_preset
@@ -26,8 +26,9 @@ from neoms.steady_state import (_polish_root, _real_cubic_roots,
                                 threshold_detuning)
 from draws import REFERENCE, TWO_PI, clean_point, reference_draw
 from oracles import (bistable_cubic_direct, cavity_field_direct,
-                     cubic_roots_extended, fold_powers_scan,
-                     mirror_fields_direct, polish_root_reference)
+                     cubic_roots_extended, fields_hex, fold_powers_scan,
+                     mirror_fields_direct, polish_root_reference,
+                     steady_fields_reference)
 
 
 def _layers(params, drives=DriveSpec(), convention=LinewidthConvention.HALF_KAPPA):
@@ -306,3 +307,35 @@ def test_newton_cycle_exit_returns_the_uncut_polish():
                 polish_root_reference(c, x).hex(), (c, x)
             checked += 1
     assert checked > 10000
+
+
+def test_hoisted_steady_fields_equal_the_per_root_form():
+    """Taking the tone terms, d2 and the drive offset from Susceptibilities
+    returns the same bits, or the same refusal, as recomputing them for
+    every root."""
+    def outcome(fn, *args):
+        try:
+            return fields_hex(fn(*args))
+        except ConsistencyError as exc:
+            return str(exc)
+
+    cases = []          # (derived, drives, convention, eps_l)
+    for derived, drives, conv, grid, _ in _preset_members():
+        cases += [(derived, drives, conv, eps_for_power(derived, p))
+                  for p in grid]
+    rng = np.random.default_rng(1402)
+    for _ in range(50):
+        _, derived, drives, eps_sq, _ = clean_point(rng, with_tones=True)
+        cases.append((derived, drives, LinewidthConvention.HALF_KAPPA,
+                      math.sqrt(eps_sq)))
+    checked = 0
+    for derived, drives, conv, eps in cases:
+        susc = susceptibilities(derived, drives)
+        coeffs = cubic_coefficients(derived, susc, drive_offset(susc, drives),
+                                    eps, conv)
+        for x in solve_photon_roots(coeffs).roots:
+            args = (x, derived, susc, drives, eps, conv)
+            assert outcome(steady_fields, *args) == \
+                outcome(steady_fields_reference, *args), (derived, x)
+            checked += 1
+    assert checked > 5000
