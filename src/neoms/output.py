@@ -56,7 +56,8 @@ def dumps_json(obj) -> str:
     encoder.  Unlike json, a key that is not a str raises TypeError."""
     out: list[str] = []
     _write_json(obj, "\n", out)
-    return "".join(out) + "\n"
+    out.append("\n")   # joined once: a copy for the newline would add a peak
+    return "".join(out)
 
 
 def _write_json(obj, pad: str, out: list[str]) -> None:
@@ -74,20 +75,23 @@ def _write_json(obj, pad: str, out: list[str]) -> None:
             raise ValueError(f"float {obj!r} is not JSON compliant")
         out.append(float.__repr__(obj))
     elif isinstance(obj, (list, tuple)):
-        inner, sep = pad + "  ", "["
+        # one separator string per container, not per item: peak memory
+        inner = pad + "  "
+        sep, comma = "[" + inner, "," + inner
         for item in obj:
-            out.append(sep + inner)
+            out.append(sep)
             _write_json(item, inner, out)
-            sep = ","
+            sep = comma
         out.append(pad + "]" if obj else "[]")
     elif isinstance(obj, dict):
-        inner, sep = pad + "  ", "{"
+        inner = pad + "  "
+        sep, comma = "{" + inner, "," + inner
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out += (sep + inner, _quote(key), ": ")
+            out += (sep, _quote(key), ": ")
             _write_json(obj[key], inner, out)
-            sep = ","
+            sep = comma
         out.append(pad + "}" if obj else "{}")
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
