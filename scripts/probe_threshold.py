@@ -8,6 +8,7 @@ differ by a factor of 2 (sqrt(3)/2 vs sqrt(3) in units of kappa).
 """
 
 import argparse
+from dataclasses import replace
 
 from neoms.bifurcation import bistability_window
 from neoms.model import DriveSpec, LinewidthConvention, derive
@@ -20,9 +21,9 @@ def bisect_threshold(params, drives, convention, tol_kappa=1e-9):
     kappa = params.kappa
 
     def exists(delta_c):
-        d = derive(params.with_delta_c(delta_c), drives)
+        d = derive(replace(params, delta_c=delta_c), drives)
         s = susceptibilities(d, drives)
-        c = cubic_coefficients(d, s, 0.0, d.eps_l, convention)
+        c = cubic_coefficients(d, s, d.eps_l, convention)
         return critical_points(c).exists
 
     lo, hi = 0.05 * kappa, 4.0 * kappa
@@ -50,7 +51,7 @@ def main():
     print(f"{'delta_c/kappa':>14} {'half-kappa':>12} {'kappa':>12}")
     for i in range(args.steps):
         ratio = 0.5 + 2.0 * i / (args.steps - 1)
-        d = derive(params.with_delta_c(ratio * kappa), drives)
+        d = derive(replace(params, delta_c=ratio * kappa), drives)
         row = []
         for conv in LinewidthConvention:
             win = bistability_window(d, drives, convention=conv)
@@ -61,7 +62,7 @@ def main():
     for conv in LinewidthConvention:
         d = derive(params, drives)
         s = susceptibilities(d, drives)
-        analytic = threshold_detuning(d, s, 0.0, conv)
+        analytic = threshold_detuning(d, s, conv)
         bisected = bisect_threshold(params, drives, conv)
         print(f"{conv.value:>12}: analytic {analytic.delta_c / kappa:.9f} "
               f"kappa ({analytic.in_kappa_units:.9f} before tone shift), "

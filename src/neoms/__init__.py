@@ -26,10 +26,9 @@ from .stability import (Classification, Method, StabilityReport, classify,
 from .steady_state import (CriticalPoints, CubicCoefficients, PhotonRoots,
                            SteadyStateFields, Susceptibilities,
                            ThresholdDetuning, critical_points,
-                           cubic_coefficients, drive_offset,
-                           fold_powers_eps_sq, solve_photon_roots,
-                           steady_fields, susceptibilities,
-                           threshold_detuning)
+                           cubic_coefficients, fold_powers_eps_sq,
+                           solve_photon_roots, steady_fields,
+                           susceptibilities, threshold_detuning)
 
 __version__ = "0.1.0"
 

@@ -21,10 +21,9 @@ from .stability import (Classification, Method, StabilityReport,
                         classify_batch)
 from .steady_state import (CriticalPoints, SteadyStateFields,
                            ThresholdDetuning, critical_points,
-                           cubic_coefficients, drive_offset,
-                           fold_powers_eps_sq, solve_photon_roots,
-                           steady_fields, susceptibilities,
-                           threshold_detuning)
+                           cubic_coefficients, fold_powers_eps_sq,
+                           solve_photon_roots, steady_fields,
+                           susceptibilities, threshold_detuning)
 
 
 @dataclass(frozen=True)
@@ -131,12 +130,11 @@ def bistability_window(derived: DerivedParams, drives: DriveSpec,
                        ) -> BistabilityWindow:
     """Closed-form fold powers for the given operating point."""
     susc = susceptibilities(derived, drives)
-    gamma = drive_offset(susc, drives)
     # the folds do not depend on the drive strength, only on the curve shape
-    coeffs = cubic_coefficients(derived, susc, gamma, eps_l=0.0,
+    coeffs = cubic_coefficients(derived, susc, eps_l=0.0,
                                 convention=convention)
     crit = critical_points(coeffs)
-    thr = threshold_detuning(derived, susc, gamma, convention)
+    thr = threshold_detuning(derived, susc, convention)
     if not crit.exists:
         return BistabilityWindow(exists=False, reason=crit.reason,
                                  power_up=None, power_down=None,
@@ -200,13 +198,12 @@ def power_sweep(derived: DerivedParams, drives: DriveSpec,
     aborting the sweep.  All roots are classified in one batch.
     """
     susc = susceptibilities(derived, drives)
-    gamma = drive_offset(susc, drives)
     solved = []     # (power, eps, error, fields per root) in grid order
     states = []     # (fields, all roots at that power) for every root
     for p in powers:
         p = float(p)
         eps = eps_for_power(derived, p)
-        coeffs = cubic_coefficients(derived, susc, gamma, eps, convention)
+        coeffs = cubic_coefficients(derived, susc, eps, convention)
         try:
             roots = solve_photon_roots(coeffs)
         except ResidualError as exc:

@@ -24,7 +24,7 @@ from .errors import (ConfigError, NeomsError, NoBistabilityError,
 from .model import LinewidthConvention, eps_for_power
 from .presets import PRESETS, get_preset
 from .stability import Method
-from .steady_state import drive_offset, susceptibilities, threshold_detuning
+from .steady_state import susceptibilities, threshold_detuning
 
 _MIRROR_PANELS = {"fig7", "fig8a", "fig8b", "fig8c", "fig8d"}
 
@@ -137,8 +137,7 @@ def _cmd_window(args, cfg: RunConfig) -> _Result:
 def _cmd_threshold(args, cfg: RunConfig) -> _Result:
     derived = cfg.derive()
     susc = susceptibilities(derived, cfg.drives)
-    gamma = drive_offset(susc, cfg.drives)
-    thr = threshold_detuning(derived, susc, gamma, cfg.convention)
+    thr = threshold_detuning(derived, susc, cfg.convention)
     return _Result(cfg, (thr, derived.kappa), output.threshold_to_csv,
                    output.threshold_to_dict)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .bifurcation import FAMILY_KEYS
 from .errors import ConfigError
-from .model import (CODATA, CoulombSpec, DerivedParams, DriveSpec,
+from .model import (CoulombSpec, DerivedParams, DriveSpec,
                     LinewidthConvention, SystemParams, derive)
 
 _UNITS: dict[str, dict[str, float]] = {
@@ -122,7 +122,7 @@ class RunConfig:
     values: tuple[float, ...] | None = None
 
     def derive(self) -> DerivedParams:
-        return derive(self.params, self.drives, CODATA)
+        return derive(self.params, self.drives)
 
     def snapshot(self) -> str:
         """Canonical SI re-serialization; parses back to the same config."""

@@ -20,7 +20,7 @@ from .errors import (ConsistencyError, ConvergenceError, ParameterError,
 from .model import (DerivedParams, DriveSpec, LinewidthConvention,
                     amplitude_decay, eps_for_power)
 from .steady_state import (SteadyStateFields, cubic_coefficients,
-                           drive_offset, solve_photon_roots, susceptibilities)
+                           solve_photon_roots, susceptibilities)
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,7 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
 
     # absolute tolerance keyed to the largest root amplitude at this drive
     susc = susceptibilities(derived, drives)
-    gamma = drive_offset(susc, drives)
-    coeffs = cubic_coefficients(derived, susc, gamma, eps_l, convention)
+    coeffs = cubic_coefficients(derived, susc, eps_l, convention)
     roots = solve_photon_roots(coeffs)
     amp = math.sqrt(max(roots.roots[-1], 1.0)) if roots.roots else 1.0
 

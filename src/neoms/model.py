@@ -13,7 +13,7 @@ the frozen `DerivedParams` snapshot produced by `derive`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParameterError
@@ -135,9 +135,6 @@ class SystemParams:
     g0: float | None = None
     coulomb: CoulombSpec = CoulombSpec.direct(0.0)
 
-    def with_delta_c(self, delta_c: float) -> "SystemParams":
-        return replace(self, delta_c=delta_c)
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -197,36 +194,22 @@ def validate(params: SystemParams) -> list[Diagnostic]:
     return out
 
 
-def zero_point_length(mass: float, omega: float,
-                      constants: PhysicalConstants = CODATA) -> float:
+def zero_point_length(mass: float, omega: float) -> float:
     """Mechanical zero-point length sqrt(hbar / (2 m omega)) in m."""
-    return math.sqrt(constants.hbar / (2.0 * mass * omega))
+    return math.sqrt(CODATA.hbar / (2.0 * mass * omega))
 
 
-def _coulomb_rate_per_area(spec: CoulombSpec,
-                           constants: PhysicalConstants) -> float | None:
-    """k_e C1 V1 C2 V2 / (hbar r0^3) for geometric input, None for direct."""
+def _coulomb_rate_per_area(spec: CoulombSpec) -> float | None:
+    """Per-area rate k_e C1 V1 C2 V2 / (hbar r0^3) for geometric input.
+
+    Multiplied by the two zero-point lengths, it gives the mirror-mirror
+    rate G_c in rad/s.  The r0^-3 law is the leading dipole term of the expanded Coulomb
+    interaction between the biased mirrors.  None for direct input.
+    """
     if not spec.is_geometric:
         return None
-    return (constants.coulomb_constant * spec.cap1 * spec.volt1
-            * spec.cap2 * spec.volt2 / (constants.hbar * spec.spacing ** 3))
-
-
-def coulomb_coupling_rate(spec: CoulombSpec, mass1: float, mass2: float,
-                          omega1: float, omega2: float,
-                          constants: PhysicalConstants = CODATA) -> float:
-    """Mirror-mirror coupling rate G_c in rad/s.
-
-    Geometric form: the per-area rate k_e C1 V1 C2 V2 / (hbar r0^3) times the
-    two zero-point lengths.  The r0^-3 law is the leading dipole term of the
-    expanded Coulomb interaction between the biased mirrors.
-    """
-    g_per_area = _coulomb_rate_per_area(spec, constants)
-    if g_per_area is None:
-        return spec.gc
-    xz1 = zero_point_length(mass1, omega1, constants)
-    xz2 = zero_point_length(mass2, omega2, constants)
-    return g_per_area * xz1 * xz2
+    return (CODATA.coulomb_constant * spec.cap1 * spec.volt1
+            * spec.cap2 * spec.volt2 / (CODATA.hbar * spec.spacing ** 3))
 
 
 @dataclass(frozen=True)
@@ -249,7 +232,6 @@ class DerivedParams:
     x_zpf1: float
     x_zpf2: float
     system: SystemParams
-    constants: PhysicalConstants = CODATA
 
     # pass-throughs used constantly downstream
     @property
@@ -277,16 +259,15 @@ class DerivedParams:
         return self.system.gamma2
 
 
-def drive_amplitude(kappa: float, power: float, omega: float,
-                    constants: PhysicalConstants = CODATA) -> float:
+def drive_amplitude(kappa: float, power: float, omega: float) -> float:
     """Input drive amplitude sqrt(2 kappa P / (hbar omega)) in 1/s."""
     if power == 0.0:
         return 0.0
-    return math.sqrt(2.0 * kappa * power / (constants.hbar * omega))
+    return math.sqrt(2.0 * kappa * power / (CODATA.hbar * omega))
 
 
-def derive(params: SystemParams, drives: DriveSpec | None = None,
-           constants: PhysicalConstants = CODATA) -> DerivedParams:
+def derive(params: SystemParams, drives: DriveSpec | None = None
+           ) -> DerivedParams:
     """Resolve every derived quantity, rejecting invalid inputs.
 
     Raises ParameterError naming the first offending field.  The result is
@@ -302,34 +283,32 @@ def derive(params: SystemParams, drives: DriveSpec | None = None,
             if not math.isfinite(v) or v < 0.0:
                 raise ParameterError(name, f"must be finite and >= 0, got {v!r}")
 
-    omega_c = TWO_PI * constants.light_speed / params.wavelength
+    omega_c = TWO_PI * CODATA.light_speed / params.wavelength
     omega_l = omega_c - params.delta_c
     if omega_l <= 0.0:
         raise ParameterError("delta_c", "detuning places the laser at or "
                                         "below zero frequency")
     g_per_len = omega_c / params.cavity_length
-    xz1 = zero_point_length(params.mass1, params.omega1, constants)
-    xz2 = zero_point_length(params.mass2, params.omega2, constants)
+    xz1 = zero_point_length(params.mass1, params.omega1)
+    xz2 = zero_point_length(params.mass2, params.omega2)
     g0 = params.g0 if params.g0 is not None else g_per_len * xz1
 
-    gc_per_area = _coulomb_rate_per_area(params.coulomb, constants)
+    gc_per_area = _coulomb_rate_per_area(params.coulomb)
     gc = params.coulomb.gc if gc_per_area is None else gc_per_area * xz1 * xz2
-    eps_l = drive_amplitude(params.kappa, params.drive_power, omega_l, constants)
+    eps_l = drive_amplitude(params.kappa, params.drive_power, omega_l)
 
     return DerivedParams(omega_c=omega_c, omega_l=omega_l, g_per_len=g_per_len,
                          g0=g0, gc=gc, gc_per_area=gc_per_area, eps_l=eps_l,
-                         x_zpf1=xz1, x_zpf2=xz2, system=params,
-                         constants=constants)
+                         x_zpf1=xz1, x_zpf2=xz2, system=params)
 
 
 def eps_for_power(derived: DerivedParams, power: float) -> float:
     """Drive amplitude at an arbitrary input power, same laser frequency."""
     if power < 0.0:
         raise ParameterError("power", f"must be >= 0, got {power!r}")
-    return drive_amplitude(derived.kappa, power, derived.omega_l,
-                           derived.constants)
+    return drive_amplitude(derived.kappa, power, derived.omega_l)
 
 
 def power_for_eps_sq(derived: DerivedParams, eps_sq: float) -> float:
     """Input power in W that produces a given squared drive amplitude."""
-    return eps_sq * derived.constants.hbar * derived.omega_l / (2.0 * derived.kappa)
+    return eps_sq * CODATA.hbar * derived.omega_l / (2.0 * derived.kappa)

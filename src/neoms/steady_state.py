@@ -24,7 +24,6 @@ from .model import (DerivedParams, DriveSpec, LinewidthConvention,
                     amplitude_decay)
 
 RESIDUAL_CONTRACT = 1e-9          # |cubic(x)| / max(|a4|, 1) for every root
-_IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -32,20 +31,17 @@ class Susceptibilities:
     """Linear response of the mirror pair entering the cavity line.
 
     beta1 maps photon number into b_1s, beta2 and beta3 map the two drive
-    tones; alpha1/alpha2/alpha3 are the corresponding real projections onto
-    b_1s + conj(b_1s).  denominator is the coupled-mirror determinant.
+    tones; alpha1 is the real projection of beta1 onto b_1s + conj(b_1s).
     The rest are fixed per sweep and read by steady_fields in place of its
     `drives`: mirror root d2, tone2 = eps2 e^{-i phi2}, beta3 eps1 e^{-i phi1},
-    beta2 tone2 and drive_offset.
+    beta2 tone2 and the static drive offset Gamma = alpha2 eps2 + alpha3 eps1,
+    with alpha2/alpha3 the real projections of the two phased tone terms.
     """
 
     beta1: complex
     beta2: complex
     beta3: complex
     alpha1: float
-    alpha2: float
-    alpha3: float
-    denominator: complex
     d2: complex
     tone2: complex
     tone1_term: complex
@@ -67,34 +63,14 @@ def susceptibilities(derived: DerivedParams, drives: DriveSpec) -> Susceptibilit
     beta1 = 1j * derived.g0 * d2 / den
     beta2 = -1j * gc / den
     beta3 = d2 / den
-
-    # identities the layered forms must satisfy
-    if derived.g0 > 0.0:
-        alt3 = -1j * beta1 / derived.g0
-        if abs(alt3 - beta3) > _IDENTITY_TOL * max(abs(beta3), 1e-300):
-            raise NumericalError("susceptibility identity beta3 failed",
-                                 {"beta3": beta3, "alt": alt3})
-        if gc > 0.0:
-            alt2 = -(gc / derived.g0) * beta1 / d2
-            if abs(alt2 - beta2) > _IDENTITY_TOL * max(abs(beta2), 1e-300):
-                raise NumericalError("susceptibility identity beta2 failed",
-                                     {"beta2": beta2, "alt": alt2})
-
     phase1, phase2 = cmath.exp(-1j * drives.phi1), cmath.exp(-1j * drives.phi2)
-    alpha1 = 2.0 * beta1.real
     alpha2 = 2.0 * (beta2 * phase2).real
     alpha3 = 2.0 * (beta3 * phase1).real
     tone1, tone2 = drives.eps1 * phase1, drives.eps2 * phase2
     return Susceptibilities(
-        beta1=beta1, beta2=beta2, beta3=beta3, alpha1=alpha1, alpha2=alpha2,
-        alpha3=alpha3, denominator=den, d2=d2, tone2=tone2,
-        tone1_term=beta3 * tone1, tone2_term=beta2 * tone2,
+        beta1=beta1, beta2=beta2, beta3=beta3, alpha1=2.0 * beta1.real, d2=d2,
+        tone2=tone2, tone1_term=beta3 * tone1, tone2_term=beta2 * tone2,
         offset=alpha2 * drives.eps2 + alpha3 * drives.eps1)
-
-
-def drive_offset(susc: Susceptibilities, drives: DriveSpec) -> float:
-    """Static mirror displacement offset Gamma = alpha2 eps2 + alpha3 eps1."""
-    return susc.alpha2 * drives.eps2 + susc.alpha3 * drives.eps1
 
 
 @dataclass(frozen=True)
@@ -105,7 +81,6 @@ class CubicCoefficients:
     a2: float
     a3: float
     a4: float
-    gamma_offset: float      # Gamma
     delta_tilde: float       # delta_c - g0 * Gamma
     kerr_slope: float        # chi = g0 * alpha1
     half_linewidth: float    # cavity amplitude decay used in a3
@@ -115,20 +90,18 @@ class CubicCoefficients:
 def cubic_coefficients(
     derived: DerivedParams,
     susc: Susceptibilities,
-    gamma_offset: float,
     eps_l: float,
     convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
 ) -> CubicCoefficients:
     """Expand eps_l^2 = x (kh^2 + (dt - chi x)^2) into polynomial form."""
     kh = amplitude_decay(derived.kappa, convention)
     chi = derived.g0 * susc.alpha1
-    dt = derived.delta_c - derived.g0 * gamma_offset
+    dt = derived.delta_c - derived.g0 * susc.offset
     return CubicCoefficients(
         a1=chi * chi,
         a2=-2.0 * chi * dt,
         a3=kh * kh + dt * dt,
         a4=-(eps_l * eps_l),
-        gamma_offset=gamma_offset,
         delta_tilde=dt,
         kerr_slope=chi,
         half_linewidth=kh,
@@ -344,7 +317,6 @@ class ThresholdDetuning:
 def threshold_detuning(
     derived: DerivedParams,
     susc: Susceptibilities,
-    gamma_offset: float,
     convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
 ) -> ThresholdDetuning:
     """Closed-form existence threshold sqrt(3) * (amplitude decay)."""
@@ -352,7 +324,7 @@ def threshold_detuning(
     dt = math.sqrt(3.0) * kh
     return ThresholdDetuning(delta_tilde=dt,
                              in_kappa_units=dt / derived.kappa,
-                             delta_c=dt + derived.g0 * gamma_offset,
+                             delta_c=dt + derived.g0 * susc.offset,
                              convention=convention)
 
 

@@ -24,7 +24,6 @@ from neoms.model import CoulombSpec, DriveSpec, SystemParams, derive
 from neoms.steady_state import (
     critical_points,
     cubic_coefficients,
-    drive_offset,
     fold_powers_eps_sq,
     solve_photon_roots,
     susceptibilities,
@@ -112,7 +111,7 @@ def clean_system(rng: np.random.Generator,
     # hitting a target shifted detuning can be set exactly in one shot.
     target = rng.uniform(min_detuning_kappa, max_detuning_kappa) * kappa
     probe = derive(params, drives)
-    offs = drive_offset(susceptibilities(probe, drives), drives)
+    offs = susceptibilities(probe, drives).offset
     return replace(params, delta_c=target + probe.g0 * offs), drives
 
 
@@ -130,15 +129,13 @@ def clean_point(rng: np.random.Generator,
                                   min_detuning_kappa=min_detuning_kappa)
     derived = derive(params, drives)
     susc = susceptibilities(derived, drives)
-    gamma = drive_offset(susc, drives)
-    shape = cubic_coefficients(derived, susc, gamma, eps_l=0.0)
+    shape = cubic_coefficients(derived, susc, eps_l=0.0)
     crit = critical_points(shape)
     assert crit.exists, "clean draw must sit above threshold"
     up, down = fold_powers_eps_sq(shape, crit)
     if fraction is None:
         fraction = rng.uniform(0.15, 0.85)
     eps_sq = down * (up / down) ** fraction
-    coeffs = cubic_coefficients(derived, susc, gamma,
-                                eps_l=math.sqrt(eps_sq))
+    coeffs = cubic_coefficients(derived, susc, eps_l=math.sqrt(eps_sq))
     roots = solve_photon_roots(coeffs)
     return params, derived, drives, eps_sq, roots

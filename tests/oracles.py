@@ -25,8 +25,7 @@ import numpy as np
 
 from neoms.errors import ConsistencyError, EigenvalueError
 from neoms.model import LinewidthConvention, amplitude_decay
-from neoms.steady_state import (SteadyStateFields, cubic_slope, cubic_value,
-                                drive_offset)
+from neoms.steady_state import SteadyStateFields, cubic_slope, cubic_value
 
 
 def cubic_roots_extended(a: float, b: float, c: float, d: float,
@@ -210,13 +209,15 @@ def steady_fields_reference(x, derived, susc, drives, eps_l=None,
         eps_l = derived.eps_l
     kh = amplitude_decay(derived.kappa, convention)
     d2 = complex(0.5 * derived.gamma2, derived.omega2)
-    tone1 = drives.eps1 * cmath.exp(-1j * drives.phi1)
-    tone2 = drives.eps2 * cmath.exp(-1j * drives.phi2)
+    phase1, phase2 = cmath.exp(-1j * drives.phi1), cmath.exp(-1j * drives.phi2)
+    tone1, tone2 = drives.eps1 * phase1, drives.eps2 * phase2
 
     b1 = susc.beta1 * x + susc.beta3 * tone1 + susc.beta2 * tone2
     b2 = (-1j * derived.gc * b1 + tone2) / d2
 
-    gamma = drive_offset(susc, drives)
+    # Gamma from the betas, never from the `susc.offset` under test
+    gamma = (2.0 * (susc.beta2 * phase2).real * drives.eps2
+             + 2.0 * (susc.beta3 * phase1).real * drives.eps1)
     det = derived.delta_c - derived.g0 * (susc.alpha1 * x + gamma)
     c_s = eps_l / complex(kh, det)
 

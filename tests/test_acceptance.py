@@ -24,9 +24,9 @@ from neoms.model import (DriveSpec, LinewidthConvention, derive,
 from neoms.presets import get_preset
 from neoms.stability import Classification, Method, classify
 from neoms.steady_state import (critical_points, cubic_coefficients,
-                                drive_offset, fold_powers_eps_sq,
-                                solve_photon_roots, steady_fields,
-                                susceptibilities, threshold_detuning)
+                                fold_powers_eps_sq, solve_photon_roots,
+                                steady_fields, susceptibilities,
+                                threshold_detuning)
 from neoms.output import CURVE_HEADER, curve_to_csv
 from neoms.cli import main
 from curve_csv import parse_curve_csv
@@ -38,10 +38,9 @@ def _coeffs_for(params, drives=DriveSpec(), eps_l=None,
                 convention=LinewidthConvention.HALF_KAPPA):
     derived = derive(params, drives)
     susc = susceptibilities(derived, drives)
-    gamma = drive_offset(susc, drives)
     if eps_l is None:
         eps_l = derived.eps_l
-    return derived, susc, cubic_coefficients(derived, susc, gamma, eps_l,
+    return derived, susc, cubic_coefficients(derived, susc, eps_l,
                                              convention)
 
 
@@ -82,7 +81,7 @@ def test_criterion_02_threshold_by_bisection():
         kappa = REFERENCE.kappa
 
         def exists_at(delta_c):
-            _, _, coeffs = _coeffs_for(REFERENCE.with_delta_c(delta_c),
+            _, _, coeffs = _coeffs_for(replace(REFERENCE, delta_c=delta_c),
                                        convention=convention)
             return critical_points(coeffs).exists
 
@@ -97,7 +96,7 @@ def test_criterion_02_threshold_by_bisection():
         bisected = 0.5 * (lo + hi)
         derived = derive(REFERENCE)
         susc = susceptibilities(derived, DriveSpec())
-        analytic = threshold_detuning(derived, susc, 0.0, convention)
+        analytic = threshold_detuning(derived, susc, convention)
         err = abs(bisected - analytic.delta_c) / kappa
         assert err < 1e-6
         assert math.isclose(analytic.in_kappa_units, expect_units,
@@ -118,7 +117,7 @@ def test_criterion_03_no_coupling_no_bistability():
         powers = np.geomspace(1e-15, 1e-1, 40)
         susc = susceptibilities(derived, DriveSpec())
         for p in powers:
-            coeffs = cubic_coefficients(derived, susc, 0.0,
+            coeffs = cubic_coefficients(derived, susc,
                                         eps_for_power(derived, p))
             assert len(solve_photon_roots(coeffs)) == 1
         win = bistability_window(derived, DriveSpec())
@@ -134,7 +133,7 @@ def test_criterion_04_fold_ratio_at_reference_detuning():
     dt, kh = 3.6, 0.5
     from neoms.steady_state import CubicCoefficients
     coeffs = CubicCoefficients(a1=1.0, a2=-2.0 * dt, a3=kh * kh + dt * dt,
-                               a4=0.0, gamma_offset=0.0, delta_tilde=dt,
+                               a4=0.0, delta_tilde=dt,
                                kerr_slope=1.0, half_linewidth=kh,
                                convention=LinewidthConvention.HALF_KAPPA)
     crit = critical_points(coeffs)
@@ -247,7 +246,7 @@ def test_criterion_07_parameter_trends_and_periodicity():
     widths_dc = []
     for v in fig5.values:
         if not math.isclose(v / fig5.params.kappa, 1.8, rel_tol=1e-9):
-            d = derive(fig5.params.with_delta_c(v), fig5.drives)
+            d = derive(replace(fig5.params, delta_c=v), fig5.drives)
             widths_dc.append(bistability_window(d, fig5.drives).width)
     assert widths_dc[0] < widths_dc[1] < widths_dc[2]
     # (d) every curve is 2pi periodic in either drive phase
@@ -301,12 +300,11 @@ def test_criterion_09_mirror_bistability_inherits_exactly():
         params, derived, drives, eps_sq, roots = clean_point(
             rng, with_tones=True)
         susc = susceptibilities(derived, drives)
-        gamma = drive_offset(susc, drives)
         eps = math.sqrt(eps_sq)
         for x in roots.roots:
             f = steady_fields(x, derived, susc, drives, eps_l=eps)
             lhs = f.q_1s / derived.x_zpf1
-            rhs = susc.alpha1 * x + gamma
+            rhs = susc.alpha1 * x + susc.offset
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
     # the multivalued power region is identical for photons and mirrors
     params, drives = clean_system(np.random.default_rng(1010),

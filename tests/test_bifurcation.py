@@ -49,7 +49,7 @@ def test_window_matches_multiplicity_pattern():
 
 def test_window_absent_below_threshold():
     params, derived, drives, _ = _clean()
-    low = derive(params.with_delta_c(0.5 * params.kappa), drives)
+    low = derive(replace(params, delta_c=0.5 * params.kappa), drives)
     win = bistability_window(low, drives)
     assert not win.exists and win.reason == "below_threshold"
     assert win.width == 0.0 and math.isnan(win.fold_ratio)
@@ -202,7 +202,7 @@ def test_family_shares_one_grid():
 
 def test_family_without_bistable_member_needs_bounds():
     params, derived, drives, win = _clean()
-    sub = params.with_delta_c(0.3 * params.kappa)
+    sub = replace(params, delta_c=0.3 * params.kappa)
     with pytest.raises(NoBistabilityError):
         family_sweep(sub, drives, "g0", (derived.g0,), n_points=5)
     fam = family_sweep(sub, drives, "g0", (derived.g0,), n_points=5,

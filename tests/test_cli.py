@@ -1,10 +1,8 @@
 """Command-line surface: every subcommand in process, exit-code contract."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,13 +281,10 @@ print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
-def test_algebraic_paths_do_not_import_scipy():
-    src = str(Path(neoms.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
+def test_algebraic_paths_do_not_import_scipy(subprocess_env):
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
+                          env=subprocess_env, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["code"] == 0
@@ -302,3 +297,24 @@ def test_algebraic_paths_do_not_import_scipy():
         assert getattr(neoms, name) is getattr(neoms.dynamics, name)
     with pytest.raises(AttributeError):
         neoms.no_such_name
+
+
+def test_subnormal_g0_reports_no_window_like_zero(tmp_path, capsys):
+    reports = []
+    for g0 in ("0", "1e-310"):
+        conf = tmp_path / f"g0_{g0}.conf"
+        text = get_preset("fig2").text.replace("g0 = 2pi*5 kHz",
+                                               f"g0 = {g0} rad/s")
+        assert f"g0 = {g0} rad/s" in text
+        conf.write_text(text, encoding="utf-8")
+        assert main(["window", "--config", str(conf), "--format",
+                     "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("no bistability window: "
+                                "no_cubic_nonlinearity\n")
+        doc = json.loads(captured.out)
+        assert doc["exists"] is False
+        assert doc["reason"] == "no_cubic_nonlinearity"
+        del doc["snapshot"]
+        reports.append(doc)
+    assert reports[0] == reports[1]

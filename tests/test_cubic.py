@@ -20,7 +20,7 @@ from oracles import cubic_roots_extended
 def make_coeffs(chi: float, dt: float, kh: float, eps: float) -> CubicCoefficients:
     return CubicCoefficients(
         a1=chi * chi, a2=-2.0 * chi * dt, a3=kh * kh + dt * dt,
-        a4=-(eps * eps), gamma_offset=0.0, delta_tilde=dt, kerr_slope=chi,
+        a4=-(eps * eps), delta_tilde=dt, kerr_slope=chi,
         half_linewidth=kh, convention=LinewidthConvention.HALF_KAPPA)
 
 

@@ -17,9 +17,8 @@ from neoms.errors import ConvergenceError
 from neoms.dynamics import (ORIGIN, MeanFieldState, _make_rhs,
                             hysteresis_loop, relax_to_steady, time_derivative)
 from neoms.model import CoulombSpec, DriveSpec, LinewidthConvention, derive
-from neoms.steady_state import (drive_offset, solve_photon_roots,
-                                steady_fields, susceptibilities,
-                                cubic_coefficients)
+from neoms.steady_state import (solve_photon_roots, steady_fields,
+                                susceptibilities, cubic_coefficients)
 from draws import REFERENCE, clean_point, clean_system
 from oracles import fields_hex, rhs_reference
 
@@ -156,8 +155,7 @@ def test_wide_linewidth_upper_branch_never_settles(fig2_cfg, fig2_derived):
     from neoms.model import eps_for_power
     eps = eps_for_power(fig2_derived, power)
     susc = susceptibilities(fig2_derived, fig2_cfg.drives)
-    gamma = drive_offset(susc, fig2_cfg.drives)
-    coeffs = cubic_coefficients(fig2_derived, susc, gamma, eps)
+    coeffs = cubic_coefficients(fig2_derived, susc, eps)
     roots = solve_photon_roots(coeffs)
     top = steady_fields(roots.roots[-1], fig2_derived, susc, fig2_cfg.drives,
                         eps_l=eps)

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from neoms.errors import ParameterError
 from neoms.model import (CODATA, CoulombSpec, DriveSpec, LinewidthConvention,
                          SystemParams, amplitude_decay, canonical_phase,
-                         coulomb_coupling_rate, derive, drive_amplitude,
-                         eps_for_power, power_for_eps_sq, validate,
-                         zero_point_length)
+                         derive, drive_amplitude, eps_for_power,
+                         power_for_eps_sq, validate, zero_point_length)
 from draws import REFERENCE, TWO_PI
 
 
@@ -54,11 +53,9 @@ def test_g0_falls_back_to_geometric_pull():
 def test_geometric_coulomb_rate_extended_precision():
     spec = CoulombSpec.geometric(cap1=100e-12, cap2=100e-12, volt1=1.0,
                                  volt2=1.0, spacing=1e-3)
-    gc = coulomb_coupling_rate(spec, 145e-12, 145e-12,
-                               TWO_PI * 947e3, TWO_PI * 947e3)
-    assert math.isclose(gc, 52.08510698955119, rel_tol=1e-12)
     d = derive(replace(REFERENCE, coulomb=spec))
-    assert math.isclose(d.gc, gc, rel_tol=0.0, abs_tol=0.0)
+    assert math.isclose(d.gc, 52.08510698955119, rel_tol=1e-12)
+    assert d.gc == d.gc_per_area * d.x_zpf1 * d.x_zpf2
     assert math.isclose(d.gc_per_area, 8.522465366972893e+32, rel_tol=1e-12)
     # direct form passes through untouched and reports no per-area rate
     dd = derive(replace(REFERENCE, coulomb=CoulombSpec.direct(12.5)))
@@ -140,10 +137,4 @@ def test_derive_is_deterministic():
     a = derive(REFERENCE, DriveSpec(eps1=1.0, phi1=0.3))
     b = derive(REFERENCE, DriveSpec(eps1=1.0, phi1=0.3))
     assert a == b
-
-
-def test_with_delta_c_replaces_only_detuning():
-    p = REFERENCE.with_delta_c(1.0)
-    assert p.delta_c == 1.0
-    assert p.kappa == REFERENCE.kappa and p.g0 == REFERENCE.g0
 

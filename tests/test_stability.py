@@ -18,8 +18,7 @@ from neoms.model import DriveSpec, LinewidthConvention, derive
 from neoms.presets import get_preset
 from neoms.stability import (EIGEN_TOL_KAPPA, Classification, Method,
                              classify, classify_batch, jacobian)
-from neoms.steady_state import (drive_offset, solve_photon_roots,
-                                steady_fields, susceptibilities)
+from neoms.steady_state import steady_fields, susceptibilities
 from draws import clean_point, clean_system
 from oracles import routh_hurwitz_stable
 

@@ -7,12 +7,13 @@ evaluation; they are independent of the package's trigonometric root path.
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from neoms.bifurcation import (auto_power_grid, bistability_window,
-                               family_sweep)
+from neoms.bifurcation import (_apply_family_value, auto_power_grid,
+                               bistability_window, family_sweep)
 from neoms.errors import ConsistencyError, NumericalError
 from neoms.model import (DriveSpec, LinewidthConvention, derive,
                          eps_for_power, power_for_eps_sq)
@@ -20,24 +21,22 @@ from neoms.presets import PRESETS, get_preset
 from neoms.stability import Method
 from neoms.steady_state import (_polish_root, _real_cubic_roots,
                                 critical_points, cubic_coefficients,
-                                cubic_value, drive_offset, fold_powers_eps_sq,
+                                cubic_value, fold_powers_eps_sq,
                                 relative_residual, solve_photon_roots,
                                 steady_fields, susceptibilities,
                                 threshold_detuning)
-from draws import REFERENCE, TWO_PI, clean_point, reference_draw
+from draws import (REFERENCE, TWO_PI, clean_point, clean_system,
+                   reference_draw)
 from oracles import (bistable_cubic_direct, cavity_field_direct,
                      cubic_roots_extended, fields_hex, fold_powers_scan,
                      mirror_fields_direct, polish_root_reference,
                      steady_fields_reference)
 
 
-def _layers(params, drives=DriveSpec(), convention=LinewidthConvention.HALF_KAPPA):
+def _cubic(params, drives=DriveSpec(), convention=LinewidthConvention.HALF_KAPPA):
     derived = derive(params, drives)
-    susc = susceptibilities(derived, drives)
-    gamma = drive_offset(susc, drives)
-    coeffs = cubic_coefficients(derived, susc, gamma, derived.eps_l,
-                                convention)
-    return derived, susc, gamma, coeffs
+    return cubic_coefficients(derived, susceptibilities(derived, drives),
+                              derived.eps_l, convention)
 
 
 def test_alpha1_closed_form(fig2_derived):
@@ -53,6 +52,41 @@ def test_alpha1_closed_form(fig2_derived):
     assert math.isclose(susc.alpha1, expect, rel_tol=1e-12)
 
 
+def _identity_cases():
+    """Every preset and family member, then seeded draws of both kinds."""
+    for name in sorted(PRESETS):
+        cfg = get_preset(name).config()
+        yield name, cfg.params, cfg.drives
+        for v in cfg.values or ():
+            yield (f"{name} {cfg.vary} = {v!r}",
+                   *_apply_family_value(cfg.params, cfg.drives, cfg.vary, v))
+    rng = np.random.default_rng(1501)
+    for i in range(120):
+        yield f"reference draw {i}", reference_draw(rng), DriveSpec()
+    for i in range(120):
+        yield (f"clean draw {i}", *clean_system(rng, with_tones=True))
+
+
+def test_susceptibility_identities():
+    """beta3 = -i beta1 / g0, and beta2 = -(gc / g0) beta1 / d2, to 1e-12."""
+    n3 = n2 = 0
+    for label, params, drives in _identity_cases():
+        derived = derive(params, drives)
+        s = susceptibilities(derived, drives)
+        g0, gc = derived.g0, derived.gc
+        if g0 > 0.0:
+            alt3 = -1j * s.beta1 / g0
+            assert abs(alt3 - s.beta3) <= 1e-12 * max(abs(s.beta3), 1e-300), \
+                label
+            n3 += 1
+            if gc > 0.0:
+                alt2 = -(gc / g0) * s.beta1 / s.d2
+                assert abs(alt2 - s.beta2) <= \
+                    1e-12 * max(abs(s.beta2), 1e-300), label
+                n2 += 1
+    assert n3 >= 250 and n2 >= 100, (n3, n2)
+
+
 def test_alpha1_reduces_without_coulomb(fig2_derived):
     # gc = 0 already at this point: alpha1 = 2 g0 omega1 / |d1|^2
     susc = susceptibilities(fig2_derived, DriveSpec())
@@ -65,10 +99,9 @@ def test_alpha1_reduces_without_coulomb(fig2_derived):
 def test_cubic_coefficients_recompute(fig2_derived):
     drives = DriveSpec()
     susc = susceptibilities(fig2_derived, drives)
-    gamma = drive_offset(susc, drives)
-    coeffs = cubic_coefficients(fig2_derived, susc, gamma, fig2_derived.eps_l)
+    coeffs = cubic_coefficients(fig2_derived, susc, fig2_derived.eps_l)
     chi = fig2_derived.g0 * susc.alpha1
-    dt = fig2_derived.delta_c - fig2_derived.g0 * gamma
+    dt = fig2_derived.delta_c - fig2_derived.g0 * susc.offset
     kh = 0.5 * fig2_derived.kappa
     assert coeffs.a1 == chi * chi
     assert coeffs.a2 == -2.0 * chi * dt
@@ -82,9 +115,8 @@ def test_cubic_coefficients_direct_rebuild_with_tones():
     for _ in range(20):
         params, derived, drives, eps_sq, _ = clean_point(rng, with_tones=True)
         susc = susceptibilities(derived, drives)
-        gamma = drive_offset(susc, drives)
         eps = math.sqrt(eps_sq)
-        got = cubic_coefficients(derived, susc, gamma, eps)
+        got = cubic_coefficients(derived, susc, eps)
         a1, a2, a3, a4 = bistable_cubic_direct(derived, drives, eps,
                                                0.5 * derived.kappa)
         assert math.isclose(got.a1, a1, rel_tol=1e-12)
@@ -96,10 +128,9 @@ def test_cubic_coefficients_direct_rebuild_with_tones():
 def test_full_kappa_convention_changes_only_linewidth(fig2_derived):
     drives = DriveSpec()
     susc = susceptibilities(fig2_derived, drives)
-    gamma = drive_offset(susc, drives)
-    half = cubic_coefficients(fig2_derived, susc, gamma, fig2_derived.eps_l,
+    half = cubic_coefficients(fig2_derived, susc, fig2_derived.eps_l,
                               LinewidthConvention.HALF_KAPPA)
-    full = cubic_coefficients(fig2_derived, susc, gamma, fig2_derived.eps_l,
+    full = cubic_coefficients(fig2_derived, susc, fig2_derived.eps_l,
                               LinewidthConvention.FULL_KAPPA)
     assert full.half_linewidth == 2.0 * half.half_linewidth
     assert full.a1 == half.a1 and full.a2 == half.a2 and full.a4 == half.a4
@@ -111,7 +142,7 @@ def test_roots_match_extended_precision_oracle():
     rng = np.random.default_rng(23)
     for _ in range(200):
         params = reference_draw(rng)
-        derived, susc, gamma, coeffs = _layers(params)
+        coeffs = _cubic(params)
         roots = solve_photon_roots(coeffs)
         oracle = [r for r in cubic_roots_extended(coeffs.a1, coeffs.a2,
                                                   coeffs.a3, coeffs.a4)
@@ -125,7 +156,7 @@ def test_roots_ascending_with_residual_contract():
     rng = np.random.default_rng(5)
     for _ in range(100):
         params = reference_draw(rng)
-        _, _, _, coeffs = _layers(params)
+        coeffs = _cubic(params)
         roots = solve_photon_roots(coeffs)
         assert all(a < b for a, b in zip(roots.roots, roots.roots[1:]))
         assert all(r >= 0.0 for r in roots.roots)
@@ -135,7 +166,7 @@ def test_roots_ascending_with_residual_contract():
 
 
 def test_critical_points_extended_precision(fig2_derived):
-    _, _, _, coeffs = _layers(REFERENCE)
+    coeffs = _cubic(REFERENCE)
     crit = critical_points(coeffs)
     assert crit.exists
     assert math.isclose(crit.x_c_minus, 5057.502493711124, rel_tol=1e-12)
@@ -147,8 +178,8 @@ def test_critical_points_extended_precision(fig2_derived):
 
 
 def test_critical_points_below_threshold():
-    params = REFERENCE.with_delta_c(0.5 * REFERENCE.kappa)
-    _, _, _, coeffs = _layers(params)
+    params = replace(REFERENCE, delta_c=0.5 * REFERENCE.kappa)
+    coeffs = _cubic(params)
     crit = critical_points(coeffs)
     assert not crit.exists and crit.reason == "below_threshold"
 
@@ -156,7 +187,7 @@ def test_critical_points_below_threshold():
 def test_critical_points_without_nonlinearity():
     import dataclasses
     params = dataclasses.replace(REFERENCE, g0=0.0)
-    _, _, _, coeffs = _layers(params)
+    coeffs = _cubic(params)
     assert coeffs.a1 == 0.0
     crit = critical_points(coeffs)
     assert not crit.exists and crit.reason == "no_cubic_nonlinearity"
@@ -164,11 +195,11 @@ def test_critical_points_without_nonlinearity():
 
 def test_threshold_detuning_both_conventions(fig2_derived):
     susc = susceptibilities(fig2_derived, DriveSpec())
-    thr = threshold_detuning(fig2_derived, susc, 0.0)
+    thr = threshold_detuning(fig2_derived, susc)
     assert math.isclose(thr.delta_tilde, 1169900.5899310703, rel_tol=1e-12)
     assert math.isclose(thr.in_kappa_units, math.sqrt(3.0) / 2.0,
                         rel_tol=1e-15)
-    full = threshold_detuning(fig2_derived, susc, 0.0,
+    full = threshold_detuning(fig2_derived, susc,
                               LinewidthConvention.FULL_KAPPA)
     assert math.isclose(full.in_kappa_units, math.sqrt(3.0), rel_tol=1e-15)
 
@@ -176,14 +207,17 @@ def test_threshold_detuning_both_conventions(fig2_derived):
 def test_threshold_accounts_for_tone_offset(fig2_derived):
     drives = DriveSpec(eps1=2.0 * fig2_derived.omega1, phi1=0.25)
     susc = susceptibilities(fig2_derived, drives)
-    gamma = drive_offset(susc, drives)
-    thr = threshold_detuning(fig2_derived, susc, gamma)
+    # Gamma = alpha3 eps1 with alpha3 = 2 Re(beta3 e^{-i phi1})
+    gamma = 2.0 * (susc.beta3 * cmath.exp(-0.25j)).real * drives.eps1
+    assert gamma != 0.0
+    assert math.isclose(susc.offset, gamma, rel_tol=1e-12)
+    thr = threshold_detuning(fig2_derived, susc)
     assert math.isclose(thr.delta_c - fig2_derived.g0 * gamma,
                         thr.delta_tilde, rel_tol=1e-12)
 
 
 def test_fold_powers_match_dense_scan(fig2_derived):
-    _, _, _, coeffs = _layers(REFERENCE)
+    coeffs = _cubic(REFERENCE)
     crit = critical_points(coeffs)
     up, down = fold_powers_eps_sq(coeffs, crit)
     ref_up, ref_down = fold_powers_scan(coeffs.delta_tilde,
@@ -200,8 +234,8 @@ def test_fold_powers_match_dense_scan(fig2_derived):
 
 
 def test_fold_powers_require_existing_folds():
-    params = REFERENCE.with_delta_c(0.1 * REFERENCE.kappa)
-    _, _, _, coeffs = _layers(params)
+    params = replace(REFERENCE, delta_c=0.1 * REFERENCE.kappa)
+    coeffs = _cubic(params)
     crit = critical_points(coeffs)
     with pytest.raises(NumericalError):
         fold_powers_eps_sq(coeffs, crit)
@@ -235,17 +269,16 @@ def test_steady_fields_mirror_identity_every_branch():
         params, derived, drives, eps_sq, roots = clean_point(rng,
                                                              with_tones=True)
         susc = susceptibilities(derived, drives)
-        gamma = drive_offset(susc, drives)
         eps = math.sqrt(eps_sq)
         for x in roots.roots:
             f = steady_fields(x, derived, susc, drives, eps_l=eps)
             lhs = f.q_1s / derived.x_zpf1
-            rhs = susc.alpha1 * x + gamma
+            rhs = susc.alpha1 * x + susc.offset
             assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
 
 def test_cubic_value_at_roots_is_small(fig2_derived):
-    _, _, _, coeffs = _layers(REFERENCE)
+    coeffs = _cubic(REFERENCE)
     roots = solve_photon_roots(coeffs)
     scale = abs(coeffs.a4)
     for x in roots.roots:
@@ -272,8 +305,7 @@ def _preset_members():
 
 def _coefficients(derived, drives, convention, eps):
     susc = susceptibilities(derived, drives)
-    return cubic_coefficients(derived, susc, drive_offset(susc, drives),
-                              eps, convention)
+    return cubic_coefficients(derived, susc, eps, convention)
 
 
 def test_newton_cycle_exit_returns_the_uncut_polish():
@@ -331,8 +363,7 @@ def test_hoisted_steady_fields_equal_the_per_root_form():
     checked = 0
     for derived, drives, conv, eps in cases:
         susc = susceptibilities(derived, drives)
-        coeffs = cubic_coefficients(derived, susc, drive_offset(susc, drives),
-                                    eps, conv)
+        coeffs = cubic_coefficients(derived, susc, eps, conv)
         for x in solve_photon_roots(coeffs).roots:
             args = (x, derived, susc, drives, eps, conv)
             assert outcome(steady_fields, *args) == \
