@@ -154,8 +154,12 @@ def bistability_window(derived: DerivedParams, drives: DriveSpec,
 def _power_grid(pmin: float, pmax: float, n: int) -> tuple[float, ...]:
     """n evenly spaced powers from pmin to pmax.
 
-    Raises ParameterError (a ValueError) unless n >= 2 and pmax > pmin.
+    Raises ParameterError (a ValueError) unless n >= 2, both bounds are
+    finite and pmax > pmin.
     """
+    for name, p in (("pmin", pmin), ("pmax", pmax)):
+        if not math.isfinite(p):
+            raise ParameterError(name, f"must be finite, got {p!r}")
     if n < 2:
         raise ParameterError("points", f"a power grid needs at least 2, "
                                        f"got {n!r}")

@@ -107,8 +107,11 @@ class DriveSpec:
     phi2: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "phi1", canonical_phase(self.phi1))
-        object.__setattr__(self, "phi2", canonical_phase(self.phi2))
+        for name in ("phi1", "phi2"):
+            phi = getattr(self, name)
+            if not math.isfinite(phi):
+                raise ParameterError(name, f"must be finite, got {phi!r}")
+            object.__setattr__(self, name, canonical_phase(phi))
 
 
 @dataclass(frozen=True)
@@ -304,6 +307,8 @@ def derive(params: SystemParams, drives: DriveSpec | None = None
 
 def eps_for_power(derived: DerivedParams, power: float) -> float:
     """Drive amplitude at an arbitrary input power, same laser frequency."""
+    if not math.isfinite(power):
+        raise ParameterError("power", f"must be finite, got {power!r}")
     if power < 0.0:
         raise ParameterError("power", f"must be >= 0, got {power!r}")
     return drive_amplitude(derived.kappa, power, derived.omega_l)

@@ -8,8 +8,12 @@ time-domain integration) rather than against the code path under test.
 """
 
 import math
+import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -106,6 +110,19 @@ def test_criterion_02_threshold_by_bisection():
     assert elapsed < 1.0
     print(f"\nPASS criterion 2: bisection vs closed form "
           f"{results} (units of kappa, error < 1e-6), {elapsed:.3f} s < 1 s")
+
+
+def test_probe_threshold_script_meets_criterion_02(subprocess_env):
+    """scripts/probe_threshold.py runs, and its bisections land within
+    criterion 2's 1e-6 kappa of the closed form in both conventions."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "probe_threshold.py"
+    proc = subprocess.run([sys.executable, str(script)], env=subprocess_env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    diffs = [float(d) for d in
+             re.findall(r" difference (\S+)$", proc.stdout, re.MULTILINE)]
+    assert len(diffs) == 2 and all(d < 1e-6 for d in diffs), proc.stdout
 
 
 def test_criterion_03_no_coupling_no_bistability():

@@ -199,6 +199,12 @@ def test_bad_config_exits_2(tmp_path, capsys):
 def test_usage_errors_exit_2(tmp_path, capsys):
     sub = tmp_path / "sub.conf"
     sub.write_text(SUB_THRESHOLD, encoding="utf-8")
+    phi_inf = tmp_path / "phi_inf.conf"
+    phi_inf.write_text(SUB_THRESHOLD + "phi1 = inf rad\n", encoding="utf-8")
+    phi_nan = tmp_path / "phi_nan.conf"
+    phi_nan.write_text(get_preset("fig2").text
+                       + "phi1 = nan rad\neps1 = 1e6 rad/s\n",
+                       encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         main(["curve"])   # neither --config nor --preset
     assert exc.value.code == 2
@@ -223,7 +229,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             # the algebraic mode does not use the dwell, but still refuses it
             (["hysteresis", "--preset", "fig2", "--dwell-factor", "-1",
               "--points", "3"],
-             "dwell_factor: must be finite and > 0, got -1.0\n")):
+             "dwell_factor: must be finite and > 0, got -1.0\n"),
+            # a non-finite phase, from a config file or a family value
+            (["window", "--config", str(phi_inf)],
+             "phi1: must be finite, got inf\n"),
+            (["window", "--config", str(phi_nan), "--format", "json"],
+             "phi1: must be finite, got nan\n"),
+            (["family", "--preset", "fig6a", "--vary", "phi1",
+              "--values", "inf rad", "--points", "3"],
+             "phi1: must be finite, got inf\n"),
+            # a non-finite grid bound never reaches np.linspace
+            (["curve", "--preset", "fig2", "--pmin", "nan", "--pmax", "1",
+              "--points", "3"], "pmin: must be finite, got nan\n"),
+            (["hysteresis", "--preset", "fig2", "--pmin", "0",
+              "--pmax", "inf", "--points", "3"],
+             "pmax: must be finite, got inf\n")):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and \
@@ -297,6 +317,25 @@ def test_algebraic_paths_do_not_import_scipy(subprocess_env):
         assert getattr(neoms, name) is getattr(neoms.dynamics, name)
     with pytest.raises(AttributeError):
         neoms.no_such_name
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["dynamics", "--preset", "fig2", "--power", "nan"],
+     "power: must be finite, got nan"),
+    (["dynamics", "--preset", "fig2", "--power", "inf"],
+     "power: must be finite, got inf"),
+    (["curve", "--preset", "fig2", "--pmin", "0", "--pmax", "inf",
+      "--points", "3"], "pmax: must be finite, got inf"),
+], ids=["dynamics-nan", "dynamics-inf", "curve-pmax-inf"])
+def test_non_finite_power_exits_2_promptly(argv, says, subprocess_env):
+    # in a subprocess with a timeout: an unchecked NaN power integrates
+    # without end, and the test must fail rather than hang
+    proc = subprocess.run([sys.executable, "-m", "neoms", *argv],
+                          env=subprocess_env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"configuration error: {says}\n"
+    assert "RuntimeWarning" not in proc.stderr and proc.stdout == ""
 
 
 def test_subnormal_g0_reports_no_window_like_zero(tmp_path, capsys):

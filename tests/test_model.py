@@ -73,8 +73,9 @@ def test_power_amplitude_round_trip():
     for p in (1e-12, 3.7e-9, 9e-3, 2.0):
         eps = eps_for_power(d, p)
         assert math.isclose(power_for_eps_sq(d, eps * eps), p, rel_tol=1e-14)
-    with pytest.raises(ParameterError):
-        eps_for_power(d, -1e-3)
+    for bad in (-1e-3, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="^power: "):
+            eps_for_power(d, bad)
 
 
 def test_amplitude_decay_conventions():
@@ -104,6 +105,13 @@ def test_drive_spec_stores_canonical_phases():
     d = DriveSpec(eps1=1.0, phi1=-math.pi, phi2=5 * TWO_PI + 0.5)
     assert 0.0 <= d.phi1 < TWO_PI
     assert d.phi2 == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["phi1", "phi2"])
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_drive_spec_rejects_non_finite_phases(field, phi):
+    with pytest.raises(ParameterError, match=f"^{field}: must be finite"):
+        DriveSpec(eps1=1e6, **{field: phi})
 
 
 def test_validate_flags_bad_fields():
