@@ -32,8 +32,8 @@ from .steady_state import (CriticalPoints, CubicCoefficients, PhotonRoots,
 
 __version__ = "0.1.0"
 
-# Importing `dynamics` loads scipy.integrate, several times the cost of the
-# rest of the package; only time-domain runs need it.
+# `dynamics` is imported on first use: only time-domain runs need it, and
+# loading it eagerly would add its import time to every algebraic command.
 _DYNAMICS_NAMES = frozenset({"ORIGIN", "MeanFieldState", "hysteresis_loop",
                              "relax_to_steady", "time_derivative"})
 

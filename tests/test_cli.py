@@ -1,14 +1,16 @@
 """Command-line surface: every subcommand in process, exit-code contract."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import neoms.dynamics
-from neoms.cli import main
+from neoms.cli import build_parser, main
 from neoms.config import RunConfig
 from neoms.model import derive
 from neoms.bifurcation import bistability_window
@@ -294,10 +296,13 @@ import neoms
 loaded["import neoms"] = "scipy" in sys.modules
 import neoms.cli
 loaded["import neoms.cli"] = "scipy" in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
-    code = neoms.cli.main(["window", "--preset", "fig2"])
-loaded["window"] = "scipy" in sys.modules
-print(json.dumps({"code": code, "loaded": loaded}))
+codes = []
+for argv in (["window", "--preset", "fig2"],
+             ["dynamics", "--preset", "fig2", "--power", "2e-9"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(neoms.cli.main(argv))
+    loaded[argv[0]] = "scipy" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
@@ -307,9 +312,10 @@ def test_algebraic_paths_do_not_import_scipy(subprocess_env):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["code"] == 0
+    assert report["codes"] == [0, 0]
     assert report["loaded"] == {"import neoms": False,
-                                "import neoms.cli": False, "window": False}
+                                "import neoms.cli": False, "window": False,
+                                "dynamics": False}
     from neoms import relax_to_steady
     assert relax_to_steady is neoms.dynamics.relax_to_steady
     for name in ("ORIGIN", "MeanFieldState", "hysteresis_loop",
@@ -317,6 +323,42 @@ def test_algebraic_paths_do_not_import_scipy(subprocess_env):
         assert getattr(neoms, name) is getattr(neoms.dynamics, name)
     with pytest.raises(AttributeError):
         neoms.no_such_name
+
+
+_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None    # every import of scipy now fails
+import neoms.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(neoms.cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_without_scipy(clean_conf, subprocess_env):
+    path, win = clean_conf
+    power = repr((win.power_down * win.power_up) ** 0.5)
+    commands = [
+        ["curve", "--preset", "fig2", "--points", "11"],
+        ["mirror", "--preset", "fig8a", "--points", "11"],
+        ["window", "--preset", "fig2"],
+        ["threshold", "--preset", "fig2"],
+        ["hysteresis", "--preset", "fig2", "--points", "11"],
+        ["family", "--preset", "fig3", "--points", "11"],
+        ["fig", "fig2", "--points", "11"],
+        ["dynamics", "--preset", "fig2", "--power", "2e-9"],
+        ["dynamics", "--config", path, "--power", power],
+        ["hysteresis", "--config", path, "--mode", "dynamic",
+         "--points", "9"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY,
+                           json.dumps(commands)],
+                          env=subprocess_env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(commands)
 
 
 @pytest.mark.parametrize("argv, says", [
@@ -357,3 +399,23 @@ def test_subnormal_g0_reports_no_window_like_zero(tmp_path, capsys):
         del doc["snapshot"]
         reports.append(doc)
     assert reports[0] == reports[1]
+
+
+def test_cli_diff_list_names_only_existing_subcommands(capsys):
+    """scripts/cli_diff.py's invocations parse, except the usage errors it
+    lists on purpose, and together they reach every subcommand."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "cli_diff.py"
+    spec = importlib.util.spec_from_file_location("cli_diff", path)
+    cli_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_diff)
+    reached = set()
+    for argv in cli_diff.INVOCATIONS:
+        if argv in cli_diff.USAGE_ERRORS:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
+        else:
+            reached.add(build_parser().parse_args(argv).command)
+    capsys.readouterr()
+    assert reached == {"curve", "mirror", "window", "threshold", "hysteresis",
+                       "family", "dynamics", "fig"}

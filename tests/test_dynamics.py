@@ -5,7 +5,10 @@ fixed point c = eps_l / (kh + i delta_c), which anchors the integrator
 against an answer that needs no root solving at all.
 """
 
+import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,10 +16,12 @@ import pytest
 
 from neoms import dynamics
 from neoms.bifurcation import bistability_window
-from neoms.errors import ConvergenceError
+from neoms.errors import ConvergenceError, StiffnessError
 from neoms.dynamics import (ORIGIN, MeanFieldState, _make_rhs,
                             hysteresis_loop, relax_to_steady, time_derivative)
-from neoms.model import CoulombSpec, DriveSpec, LinewidthConvention, derive
+from neoms.model import (CoulombSpec, DriveSpec, LinewidthConvention, derive,
+                         eps_for_power)
+from neoms.presets import get_preset
 from neoms.steady_state import (solve_photon_roots, steady_fields,
                                 susceptibilities, cubic_coefficients)
 from draws import REFERENCE, clean_point, clean_system
@@ -90,7 +95,8 @@ def test_rhs_is_bit_identical_to_the_numpy_scalar_form(fig2_cfg,
         rhs = _make_rhs(derived, drives, derived.eps_l, conv)
         ref = rhs_reference(derived, drives, derived.eps_l, conv)
         for y in _quadratures(rng, 200):
-            assert rhs(0.0, y).tobytes() == ref(0.0, y).tobytes(), y
+            assert (np.array(rhs(0.0, y.tolist())).tobytes()
+                    == ref(0.0, y).tobytes()), y
 
 
 def test_relaxation_unchanged_under_the_numpy_scalar_rhs(monkeypatch):
@@ -205,3 +211,109 @@ def test_loop_jumps_bracket_the_folds():
     assert win.power_down - step <= trace.down_jump <= win.power_down + step
     # hysteresis proper: the downward jump sits strictly below the upward one
     assert trace.down_jump < trace.up_jump
+
+
+def test_tableau_is_scipys():
+    """Every transcribed DOP853 coefficient equals scipy's, zeros included."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    n = ref.N_STAGES
+    assert list(dynamics._C) == ref.C[:n].tolist()
+    assert [list(row) for row in dynamics._A] == \
+        [ref.A[s, :s].tolist() for s in range(1, n)]
+    assert not ref.A[:n, :n][np.triu_indices(n)].any()
+    assert list(dynamics._B) == ref.B.tolist() == ref.A[n, :n].tolist()
+    assert list(dynamics._E3) == ref.E3.tolist()
+    assert list(dynamics._E5) == ref.E5.tolist()
+
+
+def _oracle_segments():
+    """(rhs, t_span, y0, rtol, atol): one checkpoint of relax_to_steady each.
+
+    fig2 at three powers (the last one a limit cycle) and 50 clean_point
+    draws, each from vacuum at RTOL and from a random state at 1e-12.  The
+    random starts begin one checkpoint in, so the step floor is not at t = 0.
+    """
+    cfg = get_preset("fig2").config()
+    fig2 = derive(cfg.params, cfg.drives)
+    cases = [(fig2, cfg.drives, eps_for_power(fig2, p) ** 2)
+             for p in (1e-9, 2e-9, 1.2e-8)]
+    rng = np.random.default_rng(1601)
+    for i in range(50):
+        _, derived, drives, eps_sq, _ = clean_point(rng, with_tones=i % 2 == 0)
+        cases.append((derived, drives, eps_sq))
+    for derived, drives, eps_sq in cases:
+        eps = math.sqrt(eps_sq)
+        rhs = _make_rhs(derived, drives, eps, LinewidthConvention.HALF_KAPPA)
+        coeffs = cubic_coefficients(derived, susceptibilities(derived, drives),
+                                    eps)
+        amp = math.sqrt(max(solve_photon_roots(coeffs).roots[-1], 1.0))
+        step = 1.0 / min(derived.kappa, derived.gamma1, derived.gamma2)
+        yield rhs, (0.0, step), [0.0] * 6, dynamics.RTOL, dynamics.RTOL * amp
+        start = (rng.normal(size=6) * amp).tolist()
+        yield rhs, (step, 2.0 * step), start, 1e-12, 1e-12 * amp
+
+
+def test_solve_ivp_takes_scipys_steps():
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    segments = list(_oracle_segments())
+    assert len(segments) >= 100
+    for rhs, span, y0, rtol, atol in segments:
+        ref = scipy_solve_ivp(lambda t, y: rhs(t, y.tolist()), span,
+                              np.array(y0), method="DOP853",
+                              rtol=rtol, atol=atol)
+        assert ref.success
+        got = dynamics.solve_ivp(rhs, span, y0, rtol, atol)
+        assert got.nfev == ref.nfev
+        assert got.t == ref.t[-1] == span[1]
+        for mine, theirs in zip(got.y, ref.y[:, -1].tolist()):
+            assert abs(mine - theirs) <= 1e-9 * max(abs(theirs), 1.0)
+
+
+def test_solve_ivp_fails_where_scipys_step_underflows():
+    """y' = y^2 from 1 blows up at t = 1: both integrators stop there."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    def blow_up(t, y):
+        return tuple(v * v for v in y)
+
+    ref = scipy_solve_ivp(lambda t, y: blow_up(t, y.tolist()), (0.0, 2.0),
+                          np.ones(6), method="DOP853", rtol=1e-9, atol=1e-9)
+    assert ref.status == -1
+    with pytest.raises(StiffnessError) as exc:
+        dynamics.solve_ivp(blow_up, (0.0, 2.0), [1.0] * 6, 1e-9, 1e-9)
+    assert str(exc.value) == f"integration failed: {ref.message}"
+    assert math.isclose(exc.value.diagnostics["t_reached"], ref.t[-1],
+                        rel_tol=1e-12)
+
+
+_BAD_BUDGETS = """
+import json
+from neoms.dynamics import ORIGIN, relax_to_steady
+from neoms.errors import ParameterError
+from neoms.model import eps_for_power
+from neoms.presets import get_preset
+cfg = get_preset("fig2").config()
+fig2 = cfg.derive()
+said = []
+for name in ("checkpoint", "t_max"):
+    for value in (0.0, -1.0, float("nan"), float("inf")):
+        try:
+            relax_to_steady(ORIGIN, fig2, cfg.drives,
+                            eps_for_power(fig2, 2e-9), **{name: value})
+        except ParameterError as exc:
+            said.append(str(exc))
+print(json.dumps(said))
+"""
+
+
+def test_relax_rejects_bad_checkpoint_and_t_max(subprocess_env):
+    # in a subprocess with a timeout: a zero, negative or NaN checkpoint
+    # used to integrate without end, and the test must fail, not hang
+    proc = subprocess.run([sys.executable, "-c", _BAD_BUDGETS],
+                          env=subprocess_env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        f"{name}: must be finite and > 0, got {value}"
+        for name in ("checkpoint", "t_max")
+        for value in ("0.0", "-1.0", "nan", "inf")]

@@ -7,8 +7,8 @@ The files under tests/golden/ were written by
 plus one `python3 -m neoms <argv> --out tests/golden/<name>` per entry of
 CLI_GOLDENS below.  The JSON files use the slope rule, which writes the
 eigen margin as null, so none of them depends on the LAPACK build.
-`dynamics` output is left out: the last bits of the adaptive integrator
-depend on the scipy build.
+`dynamics` output is left out: the integrator's step sizes go through the
+C library's `pow`, whose last bit can differ between platforms.
 """
 
 import importlib.util
