@@ -8,7 +8,9 @@ invocation in INVOCATIONS runs as `python -m neoms ...` with that tree's
 below.  For each invocation whose exit code, stdout or stderr differs, one
 line names it and one line per differing stream says how: the line counts
 and, when only numbers moved, how many and the largest relative gap between
-them.  The exit status is 0 when nothing differs and 1 otherwise.
+them.  An invocation still running after TIMEOUT_S seconds is stopped and
+its exit code reads "timeout".  The exit status is 0 when nothing differs
+and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ drive_power = 9 mW
 """
 
 CONFIGS = {"clean": CLEAN_CONF, "sub": SUB_THRESHOLD_CONF}
+TIMEOUT_S = 120
 PANELS = ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c",
           "fig6d", "fig7", "fig8a", "fig8b", "fig8c", "fig8d")
 FORMATS = (["--format", "csv"], ["--format", "json"])
@@ -110,12 +113,15 @@ NL = "\n"
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
-def run(tree: str, argv: list[str], cwd: str) -> tuple[int, str, str]:
+def run(tree: str, argv: list[str], cwd: str) -> tuple[int | str, str, str]:
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree),
                                                    "src"))
-    proc = subprocess.run([sys.executable, "-m", "neoms", *argv], cwd=cwd,
-                          env=env, capture_output=True, text=True,
-                          timeout=600)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "neoms", *argv],
+                              cwd=cwd, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", "", ""
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -185,13 +185,14 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
               atol: float) -> IvpResult:
     """Integrate y' = fun(t, y) for six floats forward over t_span.
 
-    DOP853 with the step-size controller of scipy.integrate's DOP853, so the
-    steps taken and the RHS calls counted are scipy's: one call at the
-    start, one more to choose the first step, twelve per attempted step.
-    The last step is clipped to end on t_span[1].  Raises StiffnessError
-    when the step the error control asks for falls below ten float spacings
-    of t.
+    Calls fun once at the start, once more to choose the first step and
+    twelve times per attempted step.  The last step is clipped to end on
+    t_span[1].  Raises StiffnessError when the step the error control asks
+    for falls below ten float spacings of t.
     """
+    # The first-step rule, error norm, step controller and step floor are
+    # those of scipy.integrate's DOP853, so this takes scipy's steps and
+    # counts scipy's RHS calls; tests/test_dynamics.py checks both.
     t, t_end = float(t_span[0]), float(t_span[1])
     y = [float(v) for v in y0]
     f = fun(t, y)
