@@ -331,12 +331,15 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     def derivative_norm(t, y):
         return math.sqrt(sum(d * d for d in rhs(t, y)))
 
-    t = initial.t
+    # The equations are autonomous, so the clock starts at 0 whatever
+    # initial.t is: a late start then neither stalls (t + checkpoint == t)
+    # nor coarsens the step floor, which scales with t.
+    t = 0.0
     y = initial.to_quadratures().tolist()
     streak = 0
     fine = False
-    while t < initial.t + t_max:
-        t_next = min(t + checkpoint, initial.t + t_max)
+    while t < t_max:
+        t_next = min(t + checkpoint, t_max)
         rt = 1e-12 if fine else RTOL
         sol = solve_ivp(rhs, (t, t_next), y, rtol=rt, atol=rt * amp)
         t, y = sol.t, sol.y
@@ -353,12 +356,12 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     else:
         raise ConvergenceError(
             "did not settle within the time budget",
-            last_state=MeanFieldState.from_quadratures(y, t=t),
+            last_state=MeanFieldState.from_quadratures(y, t=initial.t + t),
             diagnostics={"t_max": t_max,
                          "derivative_norm": derivative_norm(t, y),
                          "threshold": strict})
 
-    state = MeanFieldState.from_quadratures(y, t=t)
+    state = MeanFieldState.from_quadratures(y)
     x = state.photon_number
     if roots.roots:
         root, rel = _nearest_root(x, roots.roots)

@@ -317,3 +317,32 @@ def test_relax_rejects_bad_checkpoint_and_t_max(subprocess_env):
         f"{name}: must be finite and > 0, got {value}"
         for name in ("checkpoint", "t_max")
         for value in ("0.0", "-1.0", "nan", "inf")]
+
+
+_LATE_STARTS = """
+import json
+from neoms.dynamics import MeanFieldState, relax_to_steady
+from neoms.model import eps_for_power
+from neoms.presets import get_preset
+cfg = get_preset("fig2").config()
+fig2 = cfg.derive()
+settled = []
+for t0 in (0.0, 1e11, 1e20):
+    f = relax_to_steady(MeanFieldState(0j, 0j, 0j, t=t0), fig2, cfg.drives,
+                        eps_for_power(fig2, 2e-9))
+    settled.append([v.hex() for v in (f.photon_number, f.c_s.real, f.c_s.imag,
+                                      f.b_1s.real, f.b_2s.real)])
+print(json.dumps(settled))
+"""
+
+
+def test_relaxation_does_not_depend_on_the_start_time(subprocess_env):
+    # in a subprocess with a timeout: from t = 1e11 each checkpoint used to
+    # add nothing to t, so the relaxation never ended, and from t = 1e20 it
+    # refused at once without integrating
+    proc = subprocess.run([sys.executable, "-c", _LATE_STARTS],
+                          env=subprocess_env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    first, *later = json.loads(proc.stdout)
+    assert later == [first, first]
