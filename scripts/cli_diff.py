@@ -58,7 +58,25 @@ g0 = 2pi*5 kHz
 drive_power = 9 mW
 """
 
-CONFIGS = {"clean": CLEAN_CONF, "sub": SUB_THRESHOLD_CONF}
+# The fig2 preset with a vary key and no values: its snapshot must parse back.
+VARY_CONF = """\
+cavity_length = 0.25 m
+wavelength = 1064 nm
+mass1 = 145 ng
+mass2 = 145 ng
+omega1 = 2pi*947 kHz
+omega2 = 2pi*947 kHz
+gamma1 = 2pi*140 kHz
+gamma2 = 2pi*140 kHz
+kappa = 2pi*215 kHz
+delta_c_over_kappa = 3.6
+drive_power = 9 mW
+g0 = 2pi*5 kHz
+gc = 0 rad/s
+vary = g0
+"""
+
+CONFIGS = {"clean": CLEAN_CONF, "sub": SUB_THRESHOLD_CONF, "vary": VARY_CONF}
 TIMEOUT_S = 120
 PANELS = ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c",
           "fig6d", "fig7", "fig8a", "fig8b", "fig8c", "fig8d")
@@ -71,7 +89,9 @@ USAGE_ERRORS = [
     ["no-such-command"],
 ]
 
-# {clean} and {sub} stand for the paths of the configs above.
+# {clean}, {sub} and {vary} stand for the paths of the configs above.  A
+# relative path is taken from the temporary directory, which has no
+# `missing` subdirectory.
 INVOCATIONS = (
     [["fig", p, *f] for p in PANELS for f in FORMATS]
     + [[cmd, "--preset", p, *f, *c]
@@ -82,6 +102,7 @@ INVOCATIONS = (
     + [["dynamics", "--preset", "fig2", "--power", "2e-9", *f]
        for f in FORMATS]
     + [["dynamics", "--config", "{clean}"],
+       ["curve", "--config", "{vary}", "--points", "5"],
        ["hysteresis", "--config", "{clean}", "--mode", "dynamic",
         "--points", "21"],
        # refusals and failures: exit 3 and exit 4
@@ -98,6 +119,7 @@ INVOCATIONS = (
        ["hysteresis", "--config", "{sub}", "--mode", "dynamic",
         "--dwell-factor", "-1"],
        ["window", "--config", "missing.conf"],
+       ["window", "--preset", "fig2", "--out", "missing/x.csv"],
        ["family", "--preset", "fig6a", "--vary", "phi1",
         "--values", "inf rad", "--points", "3"],
        ["curve", "--preset", "fig2", "--pmin", "nan", "--pmax", "1",

@@ -21,9 +21,9 @@ def bisect_threshold(params, drives, convention, tol_kappa=1e-9):
     kappa = params.kappa
 
     def exists(delta_c):
-        d = derive(replace(params, delta_c=delta_c), drives)
+        d = derive(replace(params, delta_c=delta_c), drives, convention)
         s = susceptibilities(d, drives)
-        c = cubic_coefficients(d, s, d.eps_l, convention)
+        c = cubic_coefficients(d, s, d.eps_l)
         return critical_points(c).exists
 
     lo, hi = 0.05 * kappa, 4.0 * kappa
@@ -51,18 +51,18 @@ def main():
     print(f"{'delta_c/kappa':>14} {'half-kappa':>12} {'kappa':>12}")
     for i in range(args.steps):
         ratio = 0.5 + 2.0 * i / (args.steps - 1)
-        d = derive(replace(params, delta_c=ratio * kappa), drives)
         row = []
         for conv in LinewidthConvention:
-            win = bistability_window(d, drives, convention=conv)
-            row.append("bistable" if win.exists else "-")
+            d = derive(replace(params, delta_c=ratio * kappa), drives, conv)
+            row.append("bistable" if bistability_window(d, drives).exists
+                       else "-")
         print(f"{ratio:>14.4f} {row[0]:>12} {row[1]:>12}")
 
     print()
     for conv in LinewidthConvention:
-        d = derive(params, drives)
+        d = derive(params, drives, conv)
         s = susceptibilities(d, drives)
-        analytic = threshold_detuning(d, s, conv)
+        analytic = threshold_detuning(d, s)
         bisected = bisect_threshold(params, drives, conv)
         print(f"{conv.value:>12}: analytic {analytic.delta_c / kappa:.9f} "
               f"kappa ({analytic.in_kappa_units:.9f} before tone shift), "

@@ -18,8 +18,8 @@ from .errors import (ConfigError, ConsistencyError, ConvergenceError,
                      SingularDenominatorError, StiffnessError)
 from .model import (CODATA, CoulombSpec, DerivedParams, DriveSpec,
                     LinewidthConvention, PhysicalConstants, SystemParams,
-                    amplitude_decay, canonical_phase, derive, drive_amplitude,
-                    eps_for_power, power_for_eps_sq, validate)
+                    canonical_phase, derive, drive_amplitude, eps_for_power,
+                    power_for_eps_sq, validate)
 from .presets import PRESETS, Preset, get_preset
 from .stability import (Classification, Method, StabilityReport, classify,
                         classify_batch, jacobian)

@@ -48,10 +48,6 @@ class CurvePoint:
     branches: tuple[BranchSolution, ...]      # ascending photon number
     error: str | None = None
 
-    @property
-    def multiplicity(self) -> int:
-        return len(self.branches)
-
 
 @dataclass(frozen=True)
 class BistabilityCurve:
@@ -60,15 +56,6 @@ class BistabilityCurve:
     points: tuple[CurvePoint, ...]
     method: Method
     convention: LinewidthConvention
-
-    def powers(self) -> tuple[float, ...]:
-        return tuple(p.power for p in self.points)
-
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(p.multiplicity for p in self.points)
-
-    def bistable_powers(self) -> tuple[float, ...]:
-        return tuple(p.power for p in self.points if p.multiplicity == 3)
 
 
 @dataclass(frozen=True)
@@ -125,16 +112,24 @@ class HysteresisTrace:
         return bool(self.up_jump_powers) and bool(self.down_jump_powers)
 
 
+def _check_convention(derived: DerivedParams,
+                      convention: LinewidthConvention | None) -> None:
+    # perfbench still passes one positionally; it may only repeat derive's
+    if convention not in (None, derived.convention):
+        raise ParameterError("convention", f"must be the derived rates' "
+                             f"{derived.convention.value!r}")
+
+
 def bistability_window(derived: DerivedParams, drives: DriveSpec,
-                       convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
+                       convention: LinewidthConvention | None = None,
                        ) -> BistabilityWindow:
     """Closed-form fold powers for the given operating point."""
+    _check_convention(derived, convention)
     susc = susceptibilities(derived, drives)
     # the folds do not depend on the drive strength, only on the curve shape
-    coeffs = cubic_coefficients(derived, susc, eps_l=0.0,
-                                convention=convention)
+    coeffs = cubic_coefficients(derived, susc, eps_l=0.0)
     crit = critical_points(coeffs)
-    thr = threshold_detuning(derived, susc, convention)
+    thr = threshold_detuning(derived, susc)
     if not crit.exists:
         return BistabilityWindow(exists=False, reason=crit.reason,
                                  power_up=None, power_down=None,
@@ -185,46 +180,45 @@ def auto_power_grid(window: BistabilityWindow, n: int = 201,
 
 
 def solve_point(derived: DerivedParams, drives: DriveSpec, power: float,
-                method: Method = Method.EIGEN,
-                convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-                ) -> CurvePoint:
+                method: Method = Method.EIGEN) -> CurvePoint:
     """All steady branches at one power, classified."""
-    return power_sweep(derived, drives, [power], method, convention).points[0]
+    return power_sweep(derived, drives, [power], method).points[0]
 
 
 def power_sweep(derived: DerivedParams, drives: DriveSpec,
                 powers, method: Method = Method.EIGEN,
-                convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
+                convention: LinewidthConvention | None = None,
                 ) -> BistabilityCurve:
     """Solve and classify every root over a power grid, in grid order.
 
     Root-solve failures are recorded on the offending point rather than
     aborting the sweep.  All roots are classified in one batch.
     """
+    _check_convention(derived, convention)
     susc = susceptibilities(derived, drives)
     solved = []     # (power, eps, error, fields per root) in grid order
     states = []     # (fields, all roots at that power) for every root
     for p in powers:
         p = float(p)
         eps = eps_for_power(derived, p)
-        coeffs = cubic_coefficients(derived, susc, eps, convention)
+        coeffs = cubic_coefficients(derived, susc, eps)
         try:
             roots = solve_photon_roots(coeffs)
         except ResidualError as exc:
             solved.append((p, eps, str(exc), ()))
             continue
-        fields = [steady_fields(x, derived, susc, drives, eps_l=eps,
-                                convention=convention) for x in roots.roots]
+        fields = [steady_fields(x, derived, susc, drives, eps_l=eps)
+                  for x in roots.roots]
         solved.append((p, eps, None, fields))
         states += [(f, roots.roots) for f in fields]
-    reports = iter(classify_batch(states, derived, method, convention))
+    reports = iter(classify_batch(states, derived, method))
     points = tuple(CurvePoint(
         power=p, eps_sq=eps * eps, error=error,
         branches=tuple(BranchSolution(f.photon_number, f, next(reports))
                        for f in fields))
         for p, eps, error, fields in solved)
     return BistabilityCurve(points=points, method=method,
-                            convention=convention)
+                            convention=derived.convention)
 
 
 _JUMP_LOG_MARGIN = math.log(1.5)
@@ -304,9 +298,6 @@ class FamilyResult:
     members: tuple[FamilyMember, ...]
     powers: tuple[float, ...]       # shared grid across members
 
-    def windows(self) -> tuple[BistabilityWindow, ...]:
-        return tuple(m.window for m in self.members)
-
 
 def _apply_family_value(params: SystemParams, drives: DriveSpec, vary: str,
                         value: float) -> tuple[SystemParams, DriveSpec]:
@@ -330,9 +321,10 @@ def family_sweep(params: SystemParams, drives: DriveSpec, vary: str,
                  ) -> FamilyResult:
     """Sweep one parameter and solve every member on a shared power grid.
 
-    The grid, unless given, spans half the smallest downward fold power to
-    twice the largest upward fold power over the bistable members; with no
-    bistable member explicit bounds are required.
+    Each member is derived under `convention`.  The grid, unless given,
+    spans half the smallest downward fold power to twice the largest upward
+    fold power over the bistable members; with no bistable member explicit
+    bounds are required.
     """
     if vary not in FAMILY_KEYS:
         raise ValueError(f"vary must be one of {FAMILY_KEYS}, got {vary!r}")
@@ -342,9 +334,9 @@ def family_sweep(params: SystemParams, drives: DriveSpec, vary: str,
     prepared = []
     for v in vals:
         p_v, d_v = _apply_family_value(params, drives, vary, v)
-        derived_v = derive(p_v, d_v)
+        derived_v = derive(p_v, d_v, convention)
         prepared.append((v, derived_v, d_v,
-                         bistability_window(derived_v, d_v, convention)))
+                         bistability_window(derived_v, d_v)))
     if pmin is None or pmax is None:
         bistable = [w for (_, _, _, w) in prepared if w.exists]
         if not bistable:
@@ -357,7 +349,7 @@ def family_sweep(params: SystemParams, drives: DriveSpec, vary: str,
     powers = _power_grid(pmin, pmax, n_points)
     members = []
     for v, derived_v, d_v, win in prepared:
-        curve = power_sweep(derived_v, d_v, powers, method, convention)
+        curve = power_sweep(derived_v, d_v, powers, method)
         members.append(FamilyMember(value=v, derived=derived_v, drives=d_v,
                                     window=win, curve=curve))
     return FamilyResult(vary=vary, values=vals, members=tuple(members),

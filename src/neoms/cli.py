@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration problems (including argparse usage
-errors), 3 when an operation required a bistability window the operating
-point does not have, 4 numerical failures.
+errors and an --out file that cannot be written), 3 when an operation
+required a bistability window the operating point does not have, 4
+numerical failures.
 """
 
 from __future__ import annotations
@@ -107,27 +108,29 @@ def _emit(args, result: _Result) -> None:
         text = output.dumps_json(result.to_json(*result.data, snap, notes))
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {args.out}: {exc}") from None
 
 
 def _grid(cfg: RunConfig, args):
     """(derived, power grid) for sweep commands."""
     derived = cfg.derive()
-    window = bistability_window(derived, cfg.drives, cfg.convention)
+    window = bistability_window(derived, cfg.drives)
     return derived, auto_power_grid(window, args.points, args.pmin, args.pmax)
 
 
 def _cmd_curve(args, cfg: RunConfig) -> _Result:
     derived, grid = _grid(cfg, args)
-    curve = power_sweep(derived, cfg.drives, grid, _method(args),
-                        cfg.convention)
+    curve = power_sweep(derived, cfg.drives, grid, _method(args))
     return _Result(cfg, (curve,), output.curve_to_csv,
                    functools.partial(output.curve_to_dict, kind=args.kind))
 
 
 def _cmd_window(args, cfg: RunConfig) -> _Result:
-    window = bistability_window(cfg.derive(), cfg.drives, cfg.convention)
+    window = bistability_window(cfg.derive(), cfg.drives)
     refusal = (None if window.exists
                else f"no bistability window: {window.reason}")
     return _Result(cfg, (window,), output.window_to_csv, output.window_json,
@@ -137,7 +140,7 @@ def _cmd_window(args, cfg: RunConfig) -> _Result:
 def _cmd_threshold(args, cfg: RunConfig) -> _Result:
     derived = cfg.derive()
     susc = susceptibilities(derived, cfg.drives)
-    thr = threshold_detuning(derived, susc, cfg.convention)
+    thr = threshold_detuning(derived, susc)
     return _Result(cfg, (thr, derived.kappa), output.threshold_to_csv,
                    output.threshold_to_dict)
 
@@ -152,15 +155,13 @@ def _cmd_hysteresis(args, cfg: RunConfig) -> _Result:
                                              f"got {factor!r}")
     derived, grid = _grid(cfg, args)
     if args.mode == "algebraic":
-        curve = power_sweep(derived, cfg.drives, grid, _method(args),
-                            cfg.convention)
+        curve = power_sweep(derived, cfg.drives, grid, _method(args))
         trace = hysteresis_from_curve(curve)
     else:
         from .dynamics import hysteresis_loop
         slow = min(derived.kappa, derived.gamma1, derived.gamma2)
         trace = hysteresis_loop(derived, cfg.drives, grid,
-                                dwell=factor / slow,
-                                convention=cfg.convention)
+                                dwell=factor / slow)
     return _Result(cfg, (trace,), output.trace_to_csv, output.trace_to_dict)
 
 
@@ -196,8 +197,7 @@ def _cmd_dynamics(args, cfg: RunConfig) -> _Result:
     derived = cfg.derive()
     power = args.power if args.power is not None else cfg.params.drive_power
     eps = eps_for_power(derived, power)
-    fields = relax_to_steady(ORIGIN, derived, cfg.drives, eps,
-                             convention=cfg.convention)
+    fields = relax_to_steady(ORIGIN, derived, cfg.drives, eps)
     return _Result(cfg, (fields, power), output.fields_to_csv,
                    output.fields_to_dict)
 

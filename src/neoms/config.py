@@ -122,7 +122,7 @@ class RunConfig:
     values: tuple[float, ...] | None = None
 
     def derive(self) -> DerivedParams:
-        return derive(self.params, self.drives)
+        return derive(self.params, self.drives, self.convention)
 
     def snapshot(self) -> str:
         """Canonical SI re-serialization; parses back to the same config."""
@@ -161,11 +161,12 @@ class RunConfig:
             lines.append(f"dwell_factor = {self.dwell_factor!r}")
         if self.vary is not None:
             lines.append(f"vary = {self.vary}")
-            unit = _CANONICAL_UNIT.get(KEY_DIMENSIONS[self.vary])
-            entries = ", ".join(
-                f"{v!r} {unit}" if unit else repr(v)
-                for v in (self.values or ()))
-            lines.append(f"values = {entries}")
+            # `values = ` with nothing after it would not parse back
+            if self.values is not None:
+                unit = _CANONICAL_UNIT.get(KEY_DIMENSIONS[self.vary])
+                entries = ", ".join(f"{v!r} {unit}" if unit else repr(v)
+                                    for v in self.values)
+                lines.append(f"values = {entries}")
         return "\n".join(lines) + "\n"
 
 

@@ -16,8 +16,7 @@ import numpy as np
 from .bifurcation import HysteresisTrace, jump_powers
 from .errors import (ConsistencyError, ConvergenceError, ParameterError,
                      StiffnessError)
-from .model import (DerivedParams, DriveSpec, LinewidthConvention,
-                    amplitude_decay, eps_for_power)
+from .model import DerivedParams, DriveSpec, eps_for_power
 from .steady_state import (SteadyStateFields, cubic_coefficients,
                            solve_photon_roots, susceptibilities)
 
@@ -238,9 +237,8 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
     return IvpResult(t, y, nfev)
 
 
-def _make_rhs(derived: DerivedParams, drives: DriveSpec, eps_l: float,
-              convention: LinewidthConvention):
-    kh = amplitude_decay(derived.kappa, convention)
+def _make_rhs(derived: DerivedParams, drives: DriveSpec, eps_l: float):
+    kh = derived.kh
     dc = derived.delta_c
     g0, gc = derived.g0, derived.gc
     w1, w2 = derived.omega1, derived.omega2
@@ -268,13 +266,12 @@ def _make_rhs(derived: DerivedParams, drives: DriveSpec, eps_l: float,
 
 
 def time_derivative(state: MeanFieldState, derived: DerivedParams,
-                    drives: DriveSpec, eps_l: float | None = None,
-                    convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-                    ) -> MeanFieldState:
+                    drives: DriveSpec,
+                    eps_l: float | None = None) -> MeanFieldState:
     """Instantaneous d(state)/dt, returned in the same container."""
     if eps_l is None:
         eps_l = derived.eps_l
-    rhs = _make_rhs(derived, drives, eps_l, convention)
+    rhs = _make_rhs(derived, drives, eps_l)
     dy = rhs(state.t, state.to_quadratures().tolist())
     return MeanFieldState.from_quadratures(dy, t=state.t)
 
@@ -287,9 +284,7 @@ def _nearest_root(x: float, roots: tuple[float, ...]) -> tuple[float, float]:
 def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
                     drives: DriveSpec, eps_l: float | None = None,
                     checkpoint: float | None = None,
-                    t_max: float | None = None,
-                    convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-                    ) -> SteadyStateFields:
+                    t_max: float | None = None) -> SteadyStateFields:
     """Integrate until the derivative norm stays below threshold.
 
     Settled means ||d(state)/dt|| < SETTLE_TOL * max(eps_l, kappa) at
@@ -317,14 +312,14 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
         if not (math.isfinite(value) and value > 0.0):
             raise ParameterError(name,
                                  f"must be finite and > 0, got {value!r}")
-    rhs = _make_rhs(derived, drives, eps_l, convention)
+    rhs = _make_rhs(derived, drives, eps_l)
     norm_scale = max(eps_l, derived.kappa)
     strict = SETTLE_TOL * norm_scale
     loose = 1e4 * strict
 
     # absolute tolerance keyed to the largest root amplitude at this drive
     susc = susceptibilities(derived, drives)
-    coeffs = cubic_coefficients(derived, susc, eps_l, convention)
+    coeffs = cubic_coefficients(derived, susc, eps_l)
     roots = solve_photon_roots(coeffs)
     amp = math.sqrt(max(roots.roots[-1], 1.0)) if roots.roots else 1.0
 
@@ -379,7 +374,6 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
 
 def _ramp(powers: tuple[float, ...], dwell: float, derived: DerivedParams,
           drives: DriveSpec, initial: MeanFieldState,
-          convention: LinewidthConvention,
           ) -> tuple[tuple[tuple[float, float], ...], MeanFieldState]:
     """Relax at each power in order, starting each step where the last ended."""
     state = initial
@@ -389,8 +383,7 @@ def _ramp(powers: tuple[float, ...], dwell: float, derived: DerivedParams,
         try:
             fields = relax_to_steady(state, derived, drives, eps,
                                      checkpoint=dwell / 4.0,
-                                     t_max=400.0 * dwell,
-                                     convention=convention)
+                                     t_max=400.0 * dwell)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"ramp step at {p!r} W did not settle; the occupied branch "
@@ -404,9 +397,8 @@ def _ramp(powers: tuple[float, ...], dwell: float, derived: DerivedParams,
 
 
 def hysteresis_loop(derived: DerivedParams, drives: DriveSpec,
-                    powers: tuple[float, ...], dwell: float | None = None,
-                    convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-                    ) -> HysteresisTrace:
+                    powers: tuple[float, ...],
+                    dwell: float | None = None) -> HysteresisTrace:
     """Full quasi-static loop: ramp up, then back down from the settled top.
 
     Each power is held for at least `dwell` seconds, by default ten times
@@ -423,7 +415,7 @@ def hysteresis_loop(derived: DerivedParams, drives: DriveSpec,
         dwell = 10.0 / min(derived.kappa, derived.gamma1, derived.gamma2)
     if not (math.isfinite(dwell) and dwell > 0.0):
         raise ParameterError("dwell", f"must be finite and > 0, got {dwell!r}")
-    up, top = _ramp(ps, dwell, derived, drives, ORIGIN, convention)
-    down, _ = _ramp(ps[::-1], dwell, derived, drives, top, convention)
+    up, top = _ramp(ps, dwell, derived, drives, ORIGIN)
+    down, _ = _ramp(ps[::-1], dwell, derived, drives, top)
     return HysteresisTrace(up=up, down=down, up_jump_powers=jump_powers(up),
                            down_jump_powers=jump_powers(down))

@@ -45,13 +45,6 @@ class LinewidthConvention(str, Enum):
     FULL_KAPPA = "kappa"
 
 
-def amplitude_decay(kappa: float, convention: LinewidthConvention) -> float:
-    """Cavity field decay rate under the chosen convention."""
-    if convention == LinewidthConvention.FULL_KAPPA:
-        return kappa
-    return 0.5 * kappa
-
-
 def canonical_phase(phi: float) -> float:
     """Map a phase to [0, 2*pi) using exact float remainder arithmetic."""
     r = math.fmod(phi, TWO_PI)
@@ -223,6 +216,7 @@ class DerivedParams:
     bare frequency pull omega_c / L in rad/(s m); g0 the single-photon
     optomechanical rate; gc the mirror-mirror rate; eps_l the drive amplitude
     in 1/s.  gc_per_area is populated only for geometric Coulomb input.
+    `convention` fixes the cavity amplitude decay `kh` for the whole run.
     """
 
     omega_c: float
@@ -235,6 +229,14 @@ class DerivedParams:
     x_zpf1: float
     x_zpf2: float
     system: SystemParams
+    convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA
+
+    @property
+    def kh(self) -> float:
+        """Cavity amplitude decay: kappa/2, or kappa under FULL_KAPPA."""
+        if self.convention == LinewidthConvention.FULL_KAPPA:
+            return self.kappa
+        return 0.5 * self.kappa
 
     # pass-throughs used constantly downstream
     @property
@@ -269,7 +271,8 @@ def drive_amplitude(kappa: float, power: float, omega: float) -> float:
     return math.sqrt(2.0 * kappa * power / (CODATA.hbar * omega))
 
 
-def derive(params: SystemParams, drives: DriveSpec | None = None
+def derive(params: SystemParams, drives: DriveSpec | None = None,
+           convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
            ) -> DerivedParams:
     """Resolve every derived quantity, rejecting invalid inputs.
 
@@ -302,7 +305,8 @@ def derive(params: SystemParams, drives: DriveSpec | None = None
 
     return DerivedParams(omega_c=omega_c, omega_l=omega_l, g_per_len=g_per_len,
                          g0=g0, gc=gc, gc_per_area=gc_per_area, eps_l=eps_l,
-                         x_zpf1=xz1, x_zpf2=xz2, system=params)
+                         x_zpf1=xz1, x_zpf2=xz2, system=params,
+                         convention=convention)
 
 
 def eps_for_power(derived: DerivedParams, power: float) -> float:

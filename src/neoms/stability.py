@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EigenvalueError
-from .model import DerivedParams, LinewidthConvention, amplitude_decay
+from .model import DerivedParams
 from .steady_state import SteadyStateFields
 
 
@@ -35,11 +35,9 @@ class Method(str, Enum):
 EIGEN_TOL_KAPPA = 1e-9
 
 
-def jacobians(fields, derived: DerivedParams,
-              convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-              ) -> np.ndarray:
+def jacobians(fields, derived: DerivedParams) -> np.ndarray:
     """(n, 6, 6) real Jacobians at a sequence of n steady operating points."""
-    kh = amplitude_decay(derived.kappa, convention)
+    kh = derived.kh
     g0, gc = derived.g0, derived.gc
     w1, w2 = derived.omega1, derived.omega2
     h1, h2 = 0.5 * derived.gamma1, 0.5 * derived.gamma2
@@ -60,11 +58,9 @@ def jacobians(fields, derived: DerivedParams,
     return np.ascontiguousarray(flat.T).reshape(len(det), 6, 6)
 
 
-def jacobian(fields: SteadyStateFields, derived: DerivedParams,
-             convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-             ) -> np.ndarray:
+def jacobian(fields: SteadyStateFields, derived: DerivedParams) -> np.ndarray:
     """6x6 real Jacobian at a steady operating point."""
-    return jacobians([fields], derived, convention)[0]
+    return jacobians([fields], derived)[0]
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,7 @@ def _check_eigvals(jac: np.ndarray) -> None:
 
 
 def classify_batch(states, derived: DerivedParams,
-                   method: Method = Method.EIGEN,
-                   convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-                   ) -> list[StabilityReport]:
+                   method: Method = Method.EIGEN) -> list[StabilityReport]:
     """Classify steady states given as (fields, all_roots) pairs, in order.
 
     The slope rule needs each state's full ascending root set of the same
@@ -113,7 +107,7 @@ def classify_batch(states, derived: DerivedParams,
             raise ValueError("slope rule requires the full root set")
         return [StabilityReport(_slope_rule(f.photon_number, tuple(roots)),
                                 method, (), math.nan) for f, roots in states]
-    jacs = jacobians([f for f, _ in states], derived, convention)
+    jacs = jacobians([f for f, _ in states], derived)
     try:
         eig = np.linalg.eigvals(jacs)
     except np.linalg.LinAlgError:
@@ -130,9 +124,6 @@ def classify_batch(states, derived: DerivedParams,
 
 def classify(fields: SteadyStateFields, derived: DerivedParams,
              method: Method = Method.EIGEN,
-             all_roots: tuple[float, ...] | None = None,
-             convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-             ) -> StabilityReport:
+             all_roots: tuple[float, ...] | None = None) -> StabilityReport:
     """Classify one steady state: `classify_batch` of one."""
-    return classify_batch([(fields, all_roots)], derived, method,
-                          convention)[0]
+    return classify_batch([(fields, all_roots)], derived, method)[0]

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (ConsistencyError, NumericalError, ResidualError,
                      SingularDenominatorError)
-from .model import (DerivedParams, DriveSpec, LinewidthConvention,
-                    amplitude_decay)
+from .model import DerivedParams, DriveSpec, LinewidthConvention
 
 RESIDUAL_CONTRACT = 1e-9          # |cubic(x)| / max(|a4|, 1) for every root
 
@@ -84,17 +83,12 @@ class CubicCoefficients:
     delta_tilde: float       # delta_c - g0 * Gamma
     kerr_slope: float        # chi = g0 * alpha1
     half_linewidth: float    # cavity amplitude decay used in a3
-    convention: LinewidthConvention
 
 
-def cubic_coefficients(
-    derived: DerivedParams,
-    susc: Susceptibilities,
-    eps_l: float,
-    convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-) -> CubicCoefficients:
+def cubic_coefficients(derived: DerivedParams, susc: Susceptibilities,
+                       eps_l: float) -> CubicCoefficients:
     """Expand eps_l^2 = x (kh^2 + (dt - chi x)^2) into polynomial form."""
-    kh = amplitude_decay(derived.kappa, convention)
+    kh = derived.kh
     chi = derived.g0 * susc.alpha1
     dt = derived.delta_c - derived.g0 * susc.offset
     return CubicCoefficients(
@@ -105,7 +99,6 @@ def cubic_coefficients(
         delta_tilde=dt,
         kerr_slope=chi,
         half_linewidth=kh,
-        convention=convention,
     )
 
 
@@ -306,7 +299,7 @@ def critical_points(coeffs: CubicCoefficients) -> CriticalPoints:
 
 @dataclass(frozen=True)
 class ThresholdDetuning:
-    """Detuning at which the folds first exist, under a convention."""
+    """Detuning at which the folds first exist, under the run's convention."""
 
     delta_tilde: float       # rad/s
     in_kappa_units: float
@@ -314,18 +307,14 @@ class ThresholdDetuning:
     convention: LinewidthConvention
 
 
-def threshold_detuning(
-    derived: DerivedParams,
-    susc: Susceptibilities,
-    convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
-) -> ThresholdDetuning:
+def threshold_detuning(derived: DerivedParams,
+                       susc: Susceptibilities) -> ThresholdDetuning:
     """Closed-form existence threshold sqrt(3) * (amplitude decay)."""
-    kh = amplitude_decay(derived.kappa, convention)
-    dt = math.sqrt(3.0) * kh
+    dt = math.sqrt(3.0) * derived.kh
     return ThresholdDetuning(delta_tilde=dt,
                              in_kappa_units=dt / derived.kappa,
                              delta_c=dt + derived.g0 * susc.offset,
-                             convention=convention)
+                             convention=derived.convention)
 
 
 @dataclass(frozen=True)
@@ -347,7 +336,6 @@ def steady_fields(
     susc: Susceptibilities,
     drives: DriveSpec,
     eps_l: float | None = None,
-    convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
 ) -> SteadyStateFields:
     """Reconstruct all steady fields from a photon-number root.
 
@@ -356,11 +344,10 @@ def steady_fields(
     """
     if eps_l is None:
         eps_l = derived.eps_l
-    kh = amplitude_decay(derived.kappa, convention)
     b1 = susc.beta1 * x + susc.tone1_term + susc.tone2_term
     b2 = (-1j * derived.gc * b1 + susc.tone2) / susc.d2
     det = derived.delta_c - derived.g0 * (susc.alpha1 * x + susc.offset)
-    c_s = eps_l / complex(kh, det)
+    c_s = eps_l / complex(derived.kh, det)
 
     xc = abs(c_s) ** 2
     if x == 0.0:

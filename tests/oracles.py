@@ -24,7 +24,7 @@ import mpmath as mp
 import numpy as np
 
 from neoms.errors import ConsistencyError, EigenvalueError
-from neoms.model import LinewidthConvention, amplitude_decay
+from neoms.model import LinewidthConvention
 from neoms.steady_state import SteadyStateFields, cubic_slope, cubic_value
 
 
@@ -202,12 +202,18 @@ def polish_root_reference(coeffs, x: float) -> float:
     return best_x
 
 
-def steady_fields_reference(x, derived, susc, drives, eps_l=None,
-                            convention=LinewidthConvention.HALF_KAPPA):
+def _kh(derived) -> float:
+    """kh from kappa and the convention, without reading `derived.kh`."""
+    if derived.convention is LinewidthConvention.FULL_KAPPA:
+        return derived.kappa
+    return 0.5 * derived.kappa
+
+
+def steady_fields_reference(x, derived, susc, drives, eps_l=None):
     """`steady_fields` recomputing its drive terms on every call."""
     if eps_l is None:
         eps_l = derived.eps_l
-    kh = amplitude_decay(derived.kappa, convention)
+    kh = _kh(derived)
     d2 = complex(0.5 * derived.gamma2, derived.omega2)
     phase1, phase2 = cmath.exp(-1j * drives.phi1), cmath.exp(-1j * drives.phi2)
     tone1, tone2 = drives.eps1 * phase1, drives.eps2 * phase2
@@ -238,9 +244,9 @@ def steady_fields_reference(x, derived, susc, drives, eps_l=None,
                              q_1s=q1, q_2s=q2, effective_detuning=det)
 
 
-def rhs_reference(derived, drives, eps_l, convention):
+def rhs_reference(derived, drives, eps_l):
     """The mean-field right-hand side with its arithmetic on numpy scalars."""
-    kh = amplitude_decay(derived.kappa, convention)
+    kh = _kh(derived)
     dc = derived.delta_c
     g0, gc = derived.g0, derived.gc
     w1, w2 = derived.omega1, derived.omega2

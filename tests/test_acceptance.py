@@ -40,12 +40,11 @@ from oracles import cubic_roots_extended, fold_powers_scan
 
 def _coeffs_for(params, drives=DriveSpec(), eps_l=None,
                 convention=LinewidthConvention.HALF_KAPPA):
-    derived = derive(params, drives)
+    derived = derive(params, drives, convention)
     susc = susceptibilities(derived, drives)
     if eps_l is None:
         eps_l = derived.eps_l
-    return derived, susc, cubic_coefficients(derived, susc, eps_l,
-                                             convention)
+    return derived, susc, cubic_coefficients(derived, susc, eps_l)
 
 
 def test_criterion_01_roots_residual_and_oracle():
@@ -98,9 +97,9 @@ def test_criterion_02_threshold_by_bisection():
             else:
                 lo = mid
         bisected = 0.5 * (lo + hi)
-        derived = derive(REFERENCE)
+        derived = derive(REFERENCE, None, convention)
         susc = susceptibilities(derived, DriveSpec())
-        analytic = threshold_detuning(derived, susc, convention)
+        analytic = threshold_detuning(derived, susc)
         err = abs(bisected - analytic.delta_c) / kappa
         assert err < 1e-6
         assert math.isclose(analytic.in_kappa_units, expect_units,
@@ -151,8 +150,7 @@ def test_criterion_04_fold_ratio_at_reference_detuning():
     from neoms.steady_state import CubicCoefficients
     coeffs = CubicCoefficients(a1=1.0, a2=-2.0 * dt, a3=kh * kh + dt * dt,
                                a4=0.0, delta_tilde=dt,
-                               kerr_slope=1.0, half_linewidth=kh,
-                               convention=LinewidthConvention.HALF_KAPPA)
+                               kerr_slope=1.0, half_linewidth=kh)
     crit = critical_points(coeffs)
     up, down = fold_powers_eps_sq(coeffs, crit)
     ratio = up / down
@@ -249,14 +247,14 @@ def test_criterion_07_parameter_trends_and_periodicity():
     fig3 = get_preset("fig3").config()
     fam = family_sweep(fig3.params, fig3.drives, fig3.vary, fig3.values,
                        n_points=5)
-    widths_g0 = [w.width for w in fam.windows()]
+    widths_g0 = [m.window.width for m in fam.members]
     assert widths_g0[0] > widths_g0[1] > widths_g0[2]
     # (b) stronger mirror-mirror coupling lowers both fold photon numbers
     fig4 = get_preset("fig4").config()
     fam4 = family_sweep(fig4.params, fig4.drives, fig4.vary, fig4.values,
                         n_points=5)
-    xm = [w.critical.x_c_minus for w in fam4.windows()]
-    xp = [w.critical.x_c_plus for w in fam4.windows()]
+    xm = [m.window.critical.x_c_minus for m in fam4.members]
+    xp = [m.window.critical.x_c_plus for m in fam4.members]
     assert xm[0] > xm[1] > xm[2] and xp[0] > xp[1] > xp[2]
     # (c) larger detuning widens the window
     fig5 = get_preset("fig5").config()
@@ -278,7 +276,7 @@ def test_criterion_07_parameter_trends_and_periodicity():
                                  **{name: getattr(drives, name) + 2 * math.pi})
         shifted = solve_point(derive(params, shifted_drives), shifted_drives,
                               p)
-        assert base.multiplicity == shifted.multiplicity
+        assert len(base.branches) == len(shifted.branches)
         for a, b in zip(base.branches, shifted.branches):
             assert math.isclose(a.photon_number, b.photon_number,
                                 rel_tol=1e-10)
@@ -299,7 +297,7 @@ def test_criterion_08_reference_scale_comparison():
     assert abs(win.fold_ratio - 8.06) < 0.01
     # S shape: three coexisting roots strictly inside the window
     p = math.sqrt(win.power_up * win.power_down)
-    assert solve_point(derived, cfg.drives, p).multiplicity == 3
+    assert len(solve_point(derived, cfg.drives, p).branches) == 3
     quoted_up = 7.6e-3
     ratio = quoted_up / win.power_up
     assert win.power_up < 1e-6   # the computed folds are at nanowatt scale
@@ -331,7 +329,8 @@ def test_criterion_09_mirror_bistability_inherits_exactly():
     curve = power_sweep(derived, drives, auto_power_grid(win, 101))
     rows = [(pt.power, i, b.fields.q_1s, b.fields.q_2s, b.stable)
             for pt in curve.points for i, b in enumerate(pt.branches)]
-    photon_bistable = set(curve.bistable_powers())
+    photon_bistable = {pt.power for pt in curve.points
+                       if len(pt.branches) == 3}
     mirror_counts = {}
     for power, _, _, _, _ in rows:
         mirror_counts[power] = mirror_counts.get(power, 0) + 1

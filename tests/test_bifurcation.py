@@ -12,8 +12,8 @@ from neoms.bifurcation import (FAMILY_KEYS, auto_power_grid,
                                bistability_window, family_sweep,
                                hysteresis_from_curve, is_branch_jump,
                                power_sweep, solve_point)
-from neoms.errors import NoBistabilityError
-from neoms.model import CoulombSpec, DriveSpec, derive
+from neoms.errors import NoBistabilityError, ParameterError
+from neoms.model import CoulombSpec, DriveSpec, LinewidthConvention, derive
 from neoms.stability import Method
 from draws import REFERENCE, TWO_PI, clean_system
 
@@ -35,16 +35,40 @@ def test_window_matches_multiplicity_pattern():
         assert pt.error is None
         inside = win.power_down < pt.power < win.power_up
         if inside:
-            assert pt.multiplicity == 3
+            assert len(pt.branches) == 3
         else:
             # points within one grid step of a fold may legitimately read 2
             near_fold = (abs(pt.power - win.power_down) <= powers[1] - powers[0]
                          or abs(pt.power - win.power_up) <= powers[1] - powers[0])
-            assert pt.multiplicity == 1 or near_fold
-    assert max(curve.multiplicities()) == 3
-    lo, hi = min(curve.bistable_powers()), max(curve.bistable_powers())
+            assert len(pt.branches) == 1 or near_fold
+    assert max(len(pt.branches) for pt in curve.points) == 3
+    bistable = [pt.power for pt in curve.points if len(pt.branches) == 3]
+    lo, hi = min(bistable), max(bistable)
     step = powers[1] - powers[0]
     assert win.power_down - step <= lo and hi <= win.power_up + step
+
+
+def test_window_and_sweep_accept_only_the_derived_convention(fig2_cfg):
+    """A convention passed to bistability_window or power_sweep must be the
+    one the rates were derived under; repeating it changes nothing."""
+    drives = fig2_cfg.drives
+    for conv, other in ((LinewidthConvention.HALF_KAPPA,
+                         LinewidthConvention.FULL_KAPPA),
+                        (LinewidthConvention.FULL_KAPPA,
+                         LinewidthConvention.HALF_KAPPA)):
+        derived = derive(fig2_cfg.params, drives, conv)
+        win = bistability_window(derived, drives)
+        grid = auto_power_grid(win, 11)
+        with pytest.raises(ParameterError, match="^convention: ") as exc:
+            bistability_window(derived, drives, other)
+        assert exc.value.field == "convention"
+        with pytest.raises(ParameterError, match="^convention: ") as exc:
+            power_sweep(derived, drives, grid, Method.EIGEN, other)
+        assert exc.value.field == "convention"
+        assert bistability_window(derived, drives, conv) == win
+        curve = power_sweep(derived, drives, grid, Method.EIGEN, conv)
+        assert curve == power_sweep(derived, drives, grid, Method.EIGEN)
+        assert curve.convention is conv
 
 
 def test_window_absent_below_threshold():
@@ -78,7 +102,7 @@ def test_auto_grid_explicit_bounds_override():
 def test_solve_point_zero_power():
     params, derived, drives, win = _clean()
     pt = solve_point(derived, drives, 0.0)
-    assert pt.multiplicity == 1
+    assert len(pt.branches) == 1
     assert pt.branches[0].photon_number == 0.0
     assert pt.branches[0].fields.c_s == 0.0
 
@@ -192,10 +216,10 @@ def test_family_shares_one_grid():
                        (derived.g0, 1.3 * derived.g0), n_points=41)
     assert len(fam.powers) == 41
     for m in fam.members:
-        assert m.curve.powers() == fam.powers
+        assert tuple(pt.power for pt in m.curve.points) == fam.powers
     # grid spans every member's window with the factor-2 margin
-    lo = 0.5 * min(w.power_down for w in fam.windows())
-    hi = 2.0 * max(w.power_up for w in fam.windows())
+    lo = 0.5 * min(m.window.power_down for m in fam.members)
+    hi = 2.0 * max(m.window.power_up for m in fam.members)
     assert math.isclose(fam.powers[0], lo, rel_tol=1e-12)
     assert math.isclose(fam.powers[-1], hi, rel_tol=1e-12)
 
@@ -216,15 +240,15 @@ def test_mirror_displacement_rows_inherit_multiplicity():
     curve = power_sweep(derived, drives, powers)
     rows = [(pt.power, i, b.fields.q_1s, b.fields.q_2s, b.stable)
             for pt in curve.points for i, b in enumerate(pt.branches)]
-    assert len(rows) == sum(curve.multiplicities())
+    assert len(rows) == sum(len(pt.branches) for pt in curve.points)
     by_power = {}
     for power, idx, q1, q2, stable in rows:
         by_power.setdefault(power, []).append((idx, q1, q2, stable))
     for pt in curve.points:
         entries = by_power[pt.power]
-        assert len(entries) == pt.multiplicity
+        assert len(entries) == len(pt.branches)
         # displacement bistability: distinct q1 per coexisting branch
-        if pt.multiplicity == 3:
+        if len(pt.branches) == 3:
             q1s = [e[1] for e in entries]
             assert len({round(q, 25) for q in q1s}) == 3
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 import neoms.dynamics
 from neoms.cli import build_parser, main
 from neoms.config import RunConfig
-from neoms.model import derive
-from neoms.bifurcation import bistability_window
+from neoms.model import LinewidthConvention, derive
+from neoms.bifurcation import bistability_window, family_sweep
+from neoms.output import family_to_csv
 from curve_csv import parse_curve_csv
 from neoms.presets import get_preset
 from draws import clean_system
@@ -196,6 +198,30 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["window", "--config", str(conf)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert main(["window", "--config", str(tmp_path / "missing.conf")]) == 2
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["window", "--preset", "fig2", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write output "
+                          f"{target}: "), err
+
+
+def test_family_sweep_convention_reaches_every_member(capsys):
+    """family_sweep derives each member under the convention it is given,
+    and writes the bytes that `family --convention kappa` prints."""
+    assert main(["family", "--preset", "fig5", "--convention", "kappa"]) == 0
+    printed = capsys.readouterr().out
+    cfg = replace(get_preset("fig5").config(),
+                  convention=LinewidthConvention.FULL_KAPPA)
+    fam = family_sweep(cfg.params, cfg.drives, cfg.vary, cfg.values,
+                       convention=LinewidthConvention.FULL_KAPPA)
+    assert {m.derived.convention for m in fam.members} == {
+        LinewidthConvention.FULL_KAPPA}
+    text = family_to_csv(fam, cfg.snapshot(),
+                         get_preset("fig5").assumptions)
+    assert text == printed
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

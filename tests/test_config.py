@@ -11,6 +11,7 @@ from neoms.config import (KEY_DIMENSIONS, RunConfig, load_config,
                           parse_config_text, parse_scalar_for_key)
 from neoms.errors import ConfigError
 from neoms.model import DriveSpec, LinewidthConvention
+from neoms.presets import get_preset
 from draws import REFERENCE, TWO_PI
 
 BASE = """\
@@ -198,14 +199,17 @@ def test_parse_scalar_for_key():
 
 
 def test_snapshot_round_trip():
-    text = BASE + ("eps1 = 2pi*100 kHz\nphi1 = 45 deg\n"
+    full = BASE + ("eps1 = 2pi*100 kHz\nphi1 = 45 deg\n"
                    "convention = kappa\ndwell_factor = 25\n"
                    "vary = phi1\nvalues = 45 deg, 90 deg\n")
-    cfg = parse_config_text(text)
-    snap = cfg.snapshot()
-    again = parse_config_text(snap)
-    assert again == cfg
-    assert again.snapshot() == snap
+    # a vary key without values, as `family --values` can supply them
+    vary_only = get_preset("fig2").text + "vary = g0\n"
+    for text in (full, vary_only):
+        cfg = parse_config_text(text)
+        snap = cfg.snapshot()
+        again = parse_config_text(snap)
+        assert again == cfg
+        assert again.snapshot() == snap
 
 
 def test_snapshot_round_trip_geometric():

@@ -11,7 +11,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neoms.model import LinewidthConvention
 from neoms.steady_state import (CubicCoefficients, critical_points,
                                 cubic_value, solve_photon_roots)
 from oracles import cubic_roots_extended
@@ -21,7 +20,7 @@ def make_coeffs(chi: float, dt: float, kh: float, eps: float) -> CubicCoefficien
     return CubicCoefficients(
         a1=chi * chi, a2=-2.0 * chi * dt, a3=kh * kh + dt * dt,
         a4=-(eps * eps), delta_tilde=dt, kerr_slope=chi,
-        half_linewidth=kh, convention=LinewidthConvention.HALF_KAPPA)
+        half_linewidth=kh)
 
 
 def test_three_distinct_roots_inside_window():

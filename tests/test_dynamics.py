@@ -85,15 +85,15 @@ def test_rhs_is_bit_identical_to_the_numpy_scalar_form(fig2_cfg,
     """The RHS unpacks its state to Python floats; every operation, and so
     every returned bit, is the one the numpy-scalar form computes."""
     rng = np.random.default_rng(1401)
-    systems = [(fig2_derived, fig2_cfg.drives, fig2_cfg.convention)]
+    systems = [(fig2_derived, fig2_cfg.drives)]
     conventions = list(LinewidthConvention)
     for i in range(50):
         params, drives = clean_system(rng, with_tones=i % 2 == 0)
-        systems.append((derive(params, drives), drives,
-                        conventions[i % len(conventions)]))
-    for derived, drives, conv in systems:
-        rhs = _make_rhs(derived, drives, derived.eps_l, conv)
-        ref = rhs_reference(derived, drives, derived.eps_l, conv)
+        systems.append((derive(params, drives,
+                               conventions[i % len(conventions)]), drives))
+    for derived, drives in systems:
+        rhs = _make_rhs(derived, drives, derived.eps_l)
+        ref = rhs_reference(derived, drives, derived.eps_l)
         for y in _quadratures(rng, 200):
             assert (np.array(rhs(0.0, y.tolist())).tobytes()
                     == ref(0.0, y).tobytes()), y
@@ -243,7 +243,7 @@ def _oracle_segments():
         cases.append((derived, drives, eps_sq))
     for derived, drives, eps_sq in cases:
         eps = math.sqrt(eps_sq)
-        rhs = _make_rhs(derived, drives, eps, LinewidthConvention.HALF_KAPPA)
+        rhs = _make_rhs(derived, drives, eps)
         coeffs = cubic_coefficients(derived, susceptibilities(derived, drives),
                                     eps)
         amp = math.sqrt(max(solve_photon_roots(coeffs).roots[-1], 1.0))

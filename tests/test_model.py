@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from neoms.errors import ParameterError
 from neoms.model import (CODATA, CoulombSpec, DriveSpec, LinewidthConvention,
-                         SystemParams, amplitude_decay, canonical_phase,
+                         SystemParams, canonical_phase,
                          derive, drive_amplitude, eps_for_power,
                          power_for_eps_sq, validate, zero_point_length)
 from draws import REFERENCE, TWO_PI
@@ -79,8 +79,13 @@ def test_power_amplitude_round_trip():
 
 
 def test_amplitude_decay_conventions():
-    assert amplitude_decay(10.0, LinewidthConvention.HALF_KAPPA) == 5.0
-    assert amplitude_decay(10.0, LinewidthConvention.FULL_KAPPA) == 10.0
+    p = REFERENCE
+    assert derive(p).kh == 0.5 * p.kappa
+    assert derive(p, None, LinewidthConvention.FULL_KAPPA).kh == p.kappa
+    # kh follows the convention, so a replaced convention cannot go stale
+    half = replace(derive(p, None, LinewidthConvention.FULL_KAPPA),
+                   convention=LinewidthConvention.HALF_KAPPA)
+    assert half.kh == 0.5 * p.kappa
 
 
 def test_canonical_phase_basics():

@@ -43,7 +43,7 @@ def test_curve_csv_shape_and_round_trip():
     assert CURVE_HEADER in lines
     comments, rows = parse_curve_csv(text)
     assert comments[0] == "context note"
-    assert len(rows) == sum(curve.multiplicities())
+    assert len(rows) == sum(len(pt.branches) for pt in curve.points)
     it = iter(rows)
     for pt in curve.points:
         for i, b in enumerate(pt.branches):

@@ -87,4 +87,4 @@ def test_every_family_preset_sweeps_bistable():
         cfg = get_preset(name).config()
         fam = family_sweep(cfg.params, cfg.drives, cfg.vary, cfg.values,
                            n_points=31)
-        assert all(w.exists for w in fam.windows()), name
+        assert all(m.window.exists for m in fam.members), name

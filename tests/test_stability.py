@@ -14,7 +14,7 @@ import pytest
 from neoms.bifurcation import (auto_power_grid, bistability_window,
                                power_sweep, solve_point)
 from neoms.errors import EigenvalueError
-from neoms.model import DriveSpec, LinewidthConvention, derive
+from neoms.model import DriveSpec, derive
 from neoms.presets import get_preset
 from neoms.stability import (EIGEN_TOL_KAPPA, Classification, Method,
                              classify, classify_batch, jacobian)
@@ -140,7 +140,7 @@ def test_wide_linewidth_upper_branch_disagreement(fig2_cfg, fig2_derived):
                          method=Method.EIGEN)
     pt_slope = solve_point(fig2_derived, fig2_cfg.drives, power,
                            method=Method.SLOPE_RULE)
-    assert pt_eig.multiplicity == pt_slope.multiplicity == 3
+    assert len(pt_eig.branches) == len(pt_slope.branches) == 3
     upper_eig = pt_eig.branches[-1]
     upper_slope = pt_slope.branches[-1]
     assert upper_slope.stable
@@ -164,23 +164,22 @@ def test_batched_classification_equals_per_root_eigvals():
     for name in ("fig2", "fig8a"):
         cfg = get_preset(name).config()
         derived = cfg.derive()
-        win = bistability_window(derived, cfg.drives, cfg.convention)
-        sweeps.append((derived, cfg.convention, power_sweep(
-            derived, cfg.drives, auto_power_grid(win, 201), Method.EIGEN,
-            cfg.convention)))
+        win = bistability_window(derived, cfg.drives)
+        sweeps.append((derived, power_sweep(
+            derived, cfg.drives, auto_power_grid(win, 201), Method.EIGEN)))
     rng = np.random.default_rng(1203)
     for i in range(50):
         params, drives = clean_system(rng, with_tones=i % 2 == 1)
         derived = derive(params, drives)
         win = bistability_window(derived, drives)
-        sweeps.append((derived, LinewidthConvention.HALF_KAPPA,
+        sweeps.append((derived,
                        power_sweep(derived, drives, auto_power_grid(win, 21))))
     checked = 0
-    for derived, conv, curve in sweeps:
+    for derived, curve in sweeps:
         tol = EIGEN_TOL_KAPPA * derived.kappa
         for pt in curve.points:
             for b in pt.branches:
-                eig = np.linalg.eigvals(jacobian(b.fields, derived, conv))
+                eig = np.linalg.eigvals(jacobian(b.fields, derived))
                 reals = sorted(float(v) for v in eig.real)
                 rep = b.stability
                 assert rep.eigenvalue_real_parts == tuple(reals)

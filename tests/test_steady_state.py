@@ -33,10 +33,10 @@ from oracles import (bistable_cubic_direct, cavity_field_direct,
                      steady_fields_reference)
 
 
-def _cubic(params, drives=DriveSpec(), convention=LinewidthConvention.HALF_KAPPA):
+def _cubic(params, drives=DriveSpec()):
     derived = derive(params, drives)
     return cubic_coefficients(derived, susceptibilities(derived, drives),
-                              derived.eps_l, convention)
+                              derived.eps_l)
 
 
 def test_alpha1_closed_form(fig2_derived):
@@ -128,10 +128,10 @@ def test_cubic_coefficients_direct_rebuild_with_tones():
 def test_full_kappa_convention_changes_only_linewidth(fig2_derived):
     drives = DriveSpec()
     susc = susceptibilities(fig2_derived, drives)
-    half = cubic_coefficients(fig2_derived, susc, fig2_derived.eps_l,
-                              LinewidthConvention.HALF_KAPPA)
-    full = cubic_coefficients(fig2_derived, susc, fig2_derived.eps_l,
-                              LinewidthConvention.FULL_KAPPA)
+    half = cubic_coefficients(fig2_derived, susc, fig2_derived.eps_l)
+    full_derived = derive(fig2_derived.system, drives,
+                          LinewidthConvention.FULL_KAPPA)
+    full = cubic_coefficients(full_derived, susc, full_derived.eps_l)
     assert full.half_linewidth == 2.0 * half.half_linewidth
     assert full.a1 == half.a1 and full.a2 == half.a2 and full.a4 == half.a4
     k = fig2_derived.kappa
@@ -199,8 +199,8 @@ def test_threshold_detuning_both_conventions(fig2_derived):
     assert math.isclose(thr.delta_tilde, 1169900.5899310703, rel_tol=1e-12)
     assert math.isclose(thr.in_kappa_units, math.sqrt(3.0) / 2.0,
                         rel_tol=1e-15)
-    full = threshold_detuning(fig2_derived, susc,
-                              LinewidthConvention.FULL_KAPPA)
+    full = threshold_detuning(derive(fig2_derived.system, DriveSpec(),
+                                     LinewidthConvention.FULL_KAPPA), susc)
     assert math.isclose(full.in_kappa_units, math.sqrt(3.0), rel_tol=1e-15)
 
 
@@ -286,51 +286,47 @@ def test_cubic_value_at_roots_is_small(fig2_derived):
 
 
 def _preset_members():
-    """(derived, drives, convention, default grid, window) of every curve
-    in the 13 presets, one per family member."""
+    """(derived, drives, default grid, window) of every curve in the 13
+    presets, one per family member."""
     for name in sorted(PRESETS):
         cfg = get_preset(name).config()
         if cfg.values is None:
             derived = cfg.derive()
-            win = bistability_window(derived, cfg.drives, cfg.convention)
-            yield (derived, cfg.drives, cfg.convention,
-                   auto_power_grid(win, 201), win)
+            win = bistability_window(derived, cfg.drives)
+            yield derived, cfg.drives, auto_power_grid(win, 201), win
             continue
         fam = family_sweep(cfg.params, cfg.drives, cfg.vary, cfg.values,
                            n_points=201, method=Method.SLOPE_RULE,
                            convention=cfg.convention)
         for m in fam.members:
-            yield m.derived, m.drives, cfg.convention, fam.powers, m.window
+            yield m.derived, m.drives, fam.powers, m.window
 
 
-def _coefficients(derived, drives, convention, eps):
+def _coefficients(derived, drives, eps):
     susc = susceptibilities(derived, drives)
-    return cubic_coefficients(derived, susc, eps, convention)
+    return cubic_coefficients(derived, susc, eps)
 
 
 def test_newton_cycle_exit_returns_the_uncut_polish():
     """The polish stops at its first repeated iterate; the float it returns,
     sign of zero included, is the one the 60-step loop returns."""
     cases = []          # (coefficients, seeds)
-    for derived, drives, conv, grid, win in _preset_members():
+    for derived, drives, grid, win in _preset_members():
         for p in grid:
-            c = _coefficients(derived, drives, conv,
-                              eps_for_power(derived, p))
+            c = _coefficients(derived, drives, eps_for_power(derived, p))
             cases.append((c, _real_cubic_roots(c.a1, c.a2, c.a3, c.a4)))
         if not win.exists:
             continue
         for fold in (win.power_up, win.power_down):
             for p in (fold * (1 - 1e-9), fold, fold * (1 + 1e-9)):
-                c = _coefficients(derived, drives, conv,
-                                  eps_for_power(derived, p))
+                c = _coefficients(derived, drives, eps_for_power(derived, p))
                 seeds = _real_cubic_roots(c.a1, c.a2, c.a3, c.a4)
                 cases.append((c, [math.nextafter(x, toward) for x in seeds
                                   for toward in (-math.inf, math.inf)]))
     rng = np.random.default_rng(1201)
     for _ in range(200):
         _, derived, drives, eps_sq, _ = clean_point(rng)
-        c = _coefficients(derived, drives, LinewidthConvention.HALF_KAPPA,
-                          math.sqrt(eps_sq))
+        c = _coefficients(derived, drives, math.sqrt(eps_sq))
         cases.append((c, _real_cubic_roots(c.a1, c.a2, c.a3, c.a4)))
     checked = 0
     for c, seeds in cases:
@@ -351,21 +347,19 @@ def test_hoisted_steady_fields_equal_the_per_root_form():
         except ConsistencyError as exc:
             return str(exc)
 
-    cases = []          # (derived, drives, convention, eps_l)
-    for derived, drives, conv, grid, _ in _preset_members():
-        cases += [(derived, drives, conv, eps_for_power(derived, p))
-                  for p in grid]
+    cases = []          # (derived, drives, eps_l)
+    for derived, drives, grid, _ in _preset_members():
+        cases += [(derived, drives, eps_for_power(derived, p)) for p in grid]
     rng = np.random.default_rng(1402)
     for _ in range(50):
         _, derived, drives, eps_sq, _ = clean_point(rng, with_tones=True)
-        cases.append((derived, drives, LinewidthConvention.HALF_KAPPA,
-                      math.sqrt(eps_sq)))
+        cases.append((derived, drives, math.sqrt(eps_sq)))
     checked = 0
-    for derived, drives, conv, eps in cases:
+    for derived, drives, eps in cases:
         susc = susceptibilities(derived, drives)
-        coeffs = cubic_coefficients(derived, susc, eps, conv)
+        coeffs = cubic_coefficients(derived, susc, eps)
         for x in solve_photon_roots(coeffs).roots:
-            args = (x, derived, susc, drives, eps, conv)
+            args = (x, derived, susc, drives, eps)
             assert outcome(steady_fields, *args) == \
                 outcome(steady_fields_reference, *args), (derived, x)
             checked += 1
