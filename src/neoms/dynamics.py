@@ -117,6 +117,53 @@ _E3 = tuple(b - d for b, d in zip(_B + (0.0,), (
     0.733846688281611857341361741547, 0.0, 0.0,
     0.220588235294117647058823529412e-1, 0.0)))
 
+
+def _step_source() -> str:
+    """Source of `_step(fun, t, h, y, f) -> (y_new, f_new, err5, err3)`.
+
+    One DOP853 step from the state y with derivative f at t: the eleven
+    further stages, the 8th-order state y_new, its derivative f_new, and the
+    5th- and 3rd-order error estimates, six components each.  Every stage
+    is written out on local floats.  Each sum starts at 0.0 and adds its
+    terms in stage order, as a running sum over the full tableau would;
+    terms with a zero coefficient are left out, which moves no bit of a
+    finite sum, since a sum that starts at +0.0 can only become -0.0 when
+    every term is -0.0.
+    """
+    comps = range(6)
+
+    def combine(coeffs, i):
+        return "0.0" + "".join(f" + {a!r} * k{j}_{i}"
+                               for j, a in enumerate(coeffs) if a != 0.0)
+
+    def stage(s):
+        return ", ".join(f"k{s}_{i}" for i in comps)
+
+    lines = ["def _step(fun, t, h, y, f):",
+             "    " + ", ".join(f"y{i}" for i in comps) + " = y",
+             f"    {stage(0)} = f"]
+    for s, (c, a) in enumerate(zip(_C[1:], _A), start=1):
+        y_s = ", ".join(f"y{i} + ({combine(a, i)}) * h" for i in comps)
+        lines.append(f"    {stage(s)} = fun(t + {c!r} * h, [{y_s}])")
+    y_new = ", ".join(f"y{i} + h * ({combine(_B, i)})" for i in comps)
+    lines += [f"    y_new = [{y_new}]",
+              "    f_new = fun(t + h, y_new)",
+              f"    {stage(len(_C))} = f_new",
+              "    return (y_new, f_new,",
+              "            (" + ", ".join(combine(_E5, i) for i in comps) + "),",
+              "            (" + ", ".join(combine(_E3, i) for i in comps) + "))"]
+    return "\n".join(lines) + "\n"
+
+
+def _build_step():
+    namespace: dict = {}
+    exec(compile(_step_source(), "<dop853 step>", "exec"), namespace)
+    return namespace["_step"]
+
+
+_step = _build_step()
+
+
 # Step-size control.
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -133,35 +180,12 @@ class IvpResult:
     nfev: int
 
 
-def _combine(coeffs, stages):
-    """sum_j coeffs[j] * stages[j] for a list of six-component stages."""
-    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
-    for a, (k0, k1, k2, k3, k4, k5) in zip(coeffs, stages):
-        s0 += a * k0
-        s1 += a * k1
-        s2 += a * k2
-        s3 += a * k3
-        s4 += a * k4
-        s5 += a * k5
-    return s0, s1, s2, s3, s4, s5
-
-
 def _scaled_squares(values, scale) -> float:
     return sum((v / s) ** 2 for v, s in zip(values, scale))
 
 
 def _rms(values, scale) -> float:
     return math.sqrt(_scaled_squares(values, scale) / len(scale))
-
-
-def _error_norm(stages, h_abs: float, scale) -> float:
-    """The 5th-order error estimate, damped where the 3rd-order one is larger
-    (Hairer, Norsett & Wanner, section II.10)."""
-    err5 = _scaled_squares(_combine(_E5, stages), scale)
-    err3 = _scaled_squares(_combine(_E3, stages), scale)
-    if err5 == 0.0 and err3 == 0.0:
-        return 0.0
-    return h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * len(scale))
 
 
 def _initial_step(fun, t, y, f, interval, rtol, atol) -> float:
@@ -187,7 +211,8 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
     Calls fun once at the start, once more to choose the first step and
     twelve times per attempted step.  The last step is clipped to end on
     t_span[1].  Raises StiffnessError when the step the error control asks
-    for falls below ten float spacings of t.
+    for falls below ten float spacings of t or is NaN, as a non-finite
+    state or tolerance makes it.
     """
     # The first-step rule, error norm, step controller and step floor are
     # those of scipy.integrate's DOP853, so this takes scipy's steps and
@@ -205,24 +230,26 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:
                 raise StiffnessError(
                     "integration failed: Required step size is less than "
                     "spacing between numbers.", {"t_reached": t})
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            stages = [f]
-            for c, a in zip(_C[1:], _A):
-                stages.append(fun(t + c * h, [v + d * h for v, d in
-                                              zip(y, _combine(a, stages))]))
-            y_new = [v + h * d for v, d in zip(y, _combine(_B, stages))]
-            f_new = fun(t + h, y_new)
-            stages.append(f_new)
+            y_new, f_new, e5, e3 = _step(fun, t, h, y, f)
             nfev += 12
             scale = [atol + max(abs(a), abs(b)) * rtol
                      for a, b in zip(y, y_new)]
-            error_norm = _error_norm(stages, h_abs, scale)
+            # the 5th-order error estimate, damped where the 3rd-order one
+            # is larger (Hairer, Norsett & Wanner, section II.10)
+            err5 = _scaled_squares(e5, scale)
+            err3 = _scaled_squares(e3, scale)
+            if err5 == 0.0 and err3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3)
+                                                      * len(scale))
             if error_norm < 1.0:
                 factor = (_MAX_FACTOR if error_norm == 0.0 else
                           min(_MAX_FACTOR,
@@ -299,7 +326,8 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     re-expressed as SteadyStateFields.  Raises ConvergenceError (carrying
     the last state) when t_max is exhausted, for example when the attractor
     is a limit cycle rather than a fixed point, and ParameterError (a
-    ValueError) unless checkpoint and t_max are finite and positive.
+    ValueError) unless checkpoint and t_max are finite and positive and
+    eps_l and every quadrature of initial are finite.
     """
     if eps_l is None:
         eps_l = derived.eps_l
@@ -312,6 +340,11 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
         if not (math.isfinite(value) and value > 0.0):
             raise ParameterError(name,
                                  f"must be finite and > 0, got {value!r}")
+    if not math.isfinite(eps_l):
+        raise ParameterError("eps_l", f"must be finite, got {eps_l!r}")
+    y = initial.to_quadratures().tolist()
+    if not all(math.isfinite(v) for v in y):
+        raise ParameterError("initial", f"must be finite, got {initial!r}")
     rhs = _make_rhs(derived, drives, eps_l)
     norm_scale = max(eps_l, derived.kappa)
     strict = SETTLE_TOL * norm_scale
@@ -330,7 +363,6 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     # initial.t is: a late start then neither stalls (t + checkpoint == t)
     # nor coarsens the step floor, which scales with t.
     t = 0.0
-    y = initial.to_quadratures().tolist()
     streak = 0
     fine = False
     while t < t_max:

@@ -276,13 +276,17 @@ def derive(params: SystemParams, drives: DriveSpec | None = None,
            ) -> DerivedParams:
     """Resolve every derived quantity, rejecting invalid inputs.
 
-    Raises ParameterError naming the first offending field.  The result is
+    Raises ParameterError naming the first offending field, or
+    "convention" unless convention is a LinewidthConvention.  The result is
     deterministic and frozen; calling derive twice on equal inputs yields
     equal snapshots.
     """
     for diag in validate(params):
         if diag.level == "error":
             raise ParameterError(diag.field, diag.message)
+    if not isinstance(convention, LinewidthConvention):
+        raise ParameterError("convention", "must be a LinewidthConvention, "
+                                           f"got {convention!r}")
     if drives is not None:
         for name in ("eps1", "eps2"):
             v = getattr(drives, name)

@@ -7,12 +7,13 @@ parabolic refinement, steady fields from a direct complex 2x2 solve of
 the zero-derivative conditions, and stability from the Routh array of the
 Jacobian's characteristic polynomial.
 
-Three references keep earlier forms of hot code, verbatim, to pin that a
+Four references keep earlier forms of hot code, verbatim, to pin that a
 faster form returns the same floats: `polish_root_reference` is the Newton
 polish before it learned to stop at a repeated iterate,
 `steady_fields_reference` the field reconstruction before its per-sweep
-constants moved into `Susceptibilities`, and `rhs_reference` the mean-field
-right-hand side when it still did its arithmetic on numpy scalars.
+constants moved into `Susceptibilities`, `rhs_reference` the mean-field
+right-hand side when it still did its arithmetic on numpy scalars, and
+`dop853_step_reference` the DOP853 step when it looped over the tableau.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from neoms.dynamics import _A, _B, _C, _E3, _E5
 from neoms.errors import ConsistencyError, EigenvalueError
 from neoms.model import LinewidthConvention
 from neoms.steady_state import SteadyStateFields, cubic_slope, cubic_value
@@ -278,3 +280,29 @@ def fields_hex(f: SteadyStateFields) -> tuple[str, ...]:
     return tuple(v.hex() for v in (
         f.photon_number, f.c_s.real, f.c_s.imag, f.b_1s.real, f.b_1s.imag,
         f.b_2s.real, f.b_2s.imag, f.q_1s, f.q_2s, f.effective_detuning))
+
+
+def _combine(coeffs, stages):
+    """sum_j coeffs[j] * stages[j] for a list of six-component stages."""
+    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
+    for a, (k0, k1, k2, k3, k4, k5) in zip(coeffs, stages):
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+        s3 += a * k3
+        s4 += a * k4
+        s5 += a * k5
+    return s0, s1, s2, s3, s4, s5
+
+
+def dop853_step_reference(fun, t, h, y, f):
+    """`dynamics._step` as a running sum over every tableau entry, zeros
+    included."""
+    stages = [f]
+    for c, a in zip(_C[1:], _A):
+        stages.append(fun(t + c * h, [v + d * h for v, d in
+                                      zip(y, _combine(a, stages))]))
+    y_new = [v + h * d for v, d in zip(y, _combine(_B, stages))]
+    f_new = fun(t + h, y_new)
+    stages.append(f_new)
+    return y_new, f_new, _combine(_E5, stages), _combine(_E3, stages)

@@ -25,7 +25,7 @@ from neoms.presets import get_preset
 from neoms.steady_state import (solve_photon_roots, steady_fields,
                                 susceptibilities, cubic_coefficients)
 from draws import REFERENCE, clean_point, clean_system
-from oracles import fields_hex, rhs_reference
+from oracles import dop853_step_reference, fields_hex, rhs_reference
 
 
 def test_state_quadrature_round_trip():
@@ -226,6 +226,68 @@ def test_tableau_is_scipys():
     assert list(dynamics._E5) == ref.E5.tolist()
 
 
+def _step_hex(out):
+    return [[v.hex() for v in part] for part in out]
+
+
+def _sign_of_zero_rhs(t, y):
+    """-0.0 where a component has its sign bit set, t elsewhere.  From a
+    -0.0 state every stage sum is of -0.0 terms only, and the sign that sum
+    takes decides the next stage's value; the t checks each stage's time."""
+    return tuple(-0.0 if math.copysign(1.0, v) < 0.0 else t for v in y)
+
+
+def test_step_is_bit_identical_to_the_stage_loop(fig2_cfg, fig2_derived):
+    """The straight-line step returns the floats of the running sums over the
+    full tableau, signs of zero included: random states and steps, all-zero
+    states and states with -0.0 entries, on fig2 and clean_system RHS, each
+    driven and undriven, and on _sign_of_zero_rhs."""
+    rng = np.random.default_rng(1801)
+    systems = [(fig2_derived, fig2_cfg.drives)]
+    for i in range(20):
+        params, drives = clean_system(rng, with_tones=i % 2 == 0)
+        systems.append((derive(params, drives), drives))
+    zeros = [np.zeros(6), np.full(6, -0.0)]
+    checked = 0
+    for derived, drives in systems:
+        rate = max(derived.kappa, derived.omega1, derived.omega2,
+                   derived.gamma1, derived.gamma2, abs(derived.delta_c))
+        for rhs in (_make_rhs(derived, drives, derived.eps_l),
+                    _make_rhs(derived, DriveSpec(), 0.0),
+                    _sign_of_zero_rhs):
+            for y in zeros + _quadratures(rng, 40):
+                y = y.tolist()
+                # at most one inverse rate, the nonlinear one included, so
+                # no stage overflows and every sum is finite
+                h = 10.0 ** rng.uniform(-3.0, 0.0) / (
+                    rate + 2.0 * derived.g0 * max(abs(v) for v in y))
+                t = float(rng.choice((0.0, 1e-3 * rng.uniform())))
+                f = rhs(t, y)
+                ref = dop853_step_reference(rhs, t, h, y, f)
+                assert all(math.isfinite(v) for part in ref for v in part)
+                assert (_step_hex(dynamics._step(rhs, t, h, y, f))
+                        == _step_hex(ref)), (y, t, h)
+                checked += 1
+    assert checked == 21 * 3 * 42
+
+
+def test_relaxation_unchanged_under_the_reference_step(monkeypatch):
+    """Ten relaxations of clean draws settle on the same bits whether the
+    integrator takes the straight-line step or the stage loop."""
+    def settle():
+        rng = np.random.default_rng(1802)
+        out = []
+        for _ in range(10):
+            _, derived, drives, eps_sq, _ = clean_point(rng)
+            out.append(fields_hex(relax_to_steady(
+                ORIGIN, derived, drives, eps_l=math.sqrt(eps_sq))))
+        return out
+
+    fast = settle()
+    monkeypatch.setattr(dynamics, "_step", dop853_step_reference)
+    assert settle() == fast
+
+
 def _oracle_segments():
     """(rhs, t_span, y0, rtol, atol): one checkpoint of relax_to_steady each.
 
@@ -317,6 +379,55 @@ def test_relax_rejects_bad_checkpoint_and_t_max(subprocess_env):
         f"{name}: must be finite and > 0, got {value}"
         for name in ("checkpoint", "t_max")
         for value in ("0.0", "-1.0", "nan", "inf")]
+
+
+_NON_FINITE = """
+import json
+from neoms import dynamics
+from neoms.dynamics import ORIGIN, MeanFieldState, relax_to_steady
+from neoms.errors import ParameterError, StiffnessError
+from neoms.model import eps_for_power
+from neoms.presets import get_preset
+cfg = get_preset("fig2").config()
+fig2 = cfg.derive()
+eps = eps_for_power(fig2, 2e-9)
+nan, inf = float("nan"), float("inf")
+said = []
+for y0, atol in (([nan] * 6, 1e-9), ([inf] * 6, 1e-9), ([0.0] * 6, nan)):
+    try:
+        dynamics.solve_ivp(lambda t, y: tuple(y), (0.0, 1.0), y0, 1e-9, atol)
+    except StiffnessError as exc:
+        said.append([str(exc), exc.diagnostics["t_reached"]])
+for start, eps_l in ((MeanFieldState(complex(nan, 0.0), 0j, 0j), eps),
+                     (MeanFieldState(0j, 0j, complex(0.0, -inf)), eps),
+                     (ORIGIN, nan), (ORIGIN, inf)):
+    try:
+        relax_to_steady(start, fig2, cfg.drives, eps_l)
+    except ParameterError as exc:
+        said.append([exc.field, str(exc)])
+print(json.dumps(said))
+"""
+
+
+def test_non_finite_start_or_drive_is_refused(subprocess_env):
+    # in a subprocess with a timeout: a NaN or infinite state, or a NaN
+    # tolerance (a NaN drive makes one), gave a NaN first step that the
+    # step floor never caught, so all but the infinite drive used to
+    # integrate without end; that one raised StiffnessError
+    proc = subprocess.run([sys.executable, "-c", _NON_FINITE],
+                          env=subprocess_env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    said = json.loads(proc.stdout)
+    stiff = ("integration failed: Required step size is less than spacing "
+             "between numbers.")
+    assert said[:3] == [[stiff, 0.0]] * 3
+    assert [field for field, _ in said[3:]] == [
+        "initial", "initial", "eps_l", "eps_l"]
+    assert said[3][1] == ("initial: must be finite, got MeanFieldState("
+                          "c=(nan+0j), b1=0j, b2=0j, t=0.0)")
+    assert [msg for _, msg in said[5:]] == [
+        "eps_l: must be finite, got nan", "eps_l: must be finite, got inf"]
 
 
 _LATE_STARTS = """

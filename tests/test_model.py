@@ -88,6 +88,17 @@ def test_amplitude_decay_conventions():
     assert half.kh == 0.5 * p.kappa
 
 
+def test_derive_rejects_a_convention_that_is_not_the_enum():
+    # a string, even a member's value, used to pass through: "bogus" gave
+    # kh = kappa/2 and stored the string, which the writers cannot print
+    for bad in ("bogus", "kappa", "half-kappa", None):
+        with pytest.raises(ParameterError) as exc:
+            derive(REFERENCE, None, bad)
+        assert exc.value.field == "convention"
+        assert str(exc.value) == ("convention: must be a LinewidthConvention, "
+                                  f"got {bad!r}")
+
+
 def test_canonical_phase_basics():
     assert canonical_phase(0.0) == 0.0
     assert canonical_phase(TWO_PI) == 0.0
