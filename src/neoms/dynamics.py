@@ -119,16 +119,19 @@ _E3 = tuple(b - d for b, d in zip(_B + (0.0,), (
 
 
 def _step_source() -> str:
-    """Source of `_step(fun, t, h, y, f) -> (y_new, f_new, err5, err3)`.
+    """Source of `_step(fun, t, h, y, f, rtol, atol) -> (y_new, f_new, err5,
+    err3)`.
 
     One DOP853 step from the state y with derivative f at t: the eleven
-    further stages, the 8th-order state y_new, its derivative f_new, and the
-    5th- and 3rd-order error estimates, six components each.  Every stage
-    is written out on local floats.  Each sum starts at 0.0 and adds its
-    terms in stage order, as a running sum over the full tableau would;
-    terms with a zero coefficient are left out, which moves no bit of a
-    finite sum, since a sum that starts at +0.0 can only become -0.0 when
-    every term is -0.0.
+    further stages, the 8th-order state y_new and its derivative f_new.
+    err5 and err3 are the sums of squares of the 5th- and 3rd-order error
+    estimates, each component divided by its scale atol + max(|y|, |y_new|)
+    * rtol.  Every stage is written out on local floats.  Each stage sum
+    starts at 0.0 and adds its terms in stage order, as a running sum over
+    the full tableau would; terms with a zero coefficient are left out,
+    which moves no bit of a finite sum, since a sum that starts at +0.0 can
+    only become -0.0 when every term is -0.0.  The squares are added left
+    to right, as _scaled_squares adds them.
     """
     comps = range(6)
 
@@ -139,7 +142,11 @@ def _step_source() -> str:
     def stage(s):
         return ", ".join(f"k{s}_{i}" for i in comps)
 
-    lines = ["def _step(fun, t, h, y, f):",
+    def squares(coeffs):
+        return " + ".join(f"(({combine(coeffs, i)}) / s{i}) ** 2"
+                          for i in comps)
+
+    lines = ["def _step(fun, t, h, y, f, rtol, atol):",
              "    " + ", ".join(f"y{i}" for i in comps) + " = y",
              f"    {stage(0)} = f"]
     for s, (c, a) in enumerate(zip(_C[1:], _A), start=1):
@@ -147,11 +154,14 @@ def _step_source() -> str:
         lines.append(f"    {stage(s)} = fun(t + {c!r} * h, [{y_s}])")
     y_new = ", ".join(f"y{i} + h * ({combine(_B, i)})" for i in comps)
     lines += [f"    y_new = [{y_new}]",
+              "    " + ", ".join(f"n{i}" for i in comps) + " = y_new",
               "    f_new = fun(t + h, y_new)",
-              f"    {stage(len(_C))} = f_new",
-              "    return (y_new, f_new,",
-              "            (" + ", ".join(combine(_E5, i) for i in comps) + "),",
-              "            (" + ", ".join(combine(_E3, i) for i in comps) + "))"]
+              f"    {stage(len(_C))} = f_new"]
+    lines += [f"    s{i} = atol + max(abs(y{i}), abs(n{i})) * rtol"
+              for i in comps]
+    lines += ["    return (y_new, f_new,",
+              f"            {squares(_E5)},",
+              f"            {squares(_E3)})"]
     return "\n".join(lines) + "\n"
 
 
@@ -173,15 +183,25 @@ _ERROR_EXPONENT = -1.0 / 8.0
 
 @dataclass(frozen=True)
 class IvpResult:
-    """End of an integration: its time, its state and the RHS calls it took."""
+    """End of an integration segment: its time t, its state y, the RHS calls
+    nfev it took, the derivative f = fun(t, y), and h_next, the step size the
+    controller proposed next (None when no step was taken).  Passed as the
+    start of the next segment, it continues the integration."""
 
     t: float
     y: list[float]
     nfev: int
+    f: tuple[float, ...]
+    h_next: float | None
 
 
 def _scaled_squares(values, scale) -> float:
-    return sum((v / s) ** 2 for v, s in zip(values, scale))
+    # added left to right, as _step adds its error terms; the builtin sum
+    # compensates float additions from Python 3.12 on
+    total = 0.0
+    for v, s in zip(values, scale):
+        total += (v / s) ** 2
+    return total
 
 
 def _rms(values, scale) -> float:
@@ -208,23 +228,43 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
               atol: float) -> IvpResult:
     """Integrate y' = fun(t, y) for six floats forward over t_span.
 
-    Calls fun once at the start, once more to choose the first step and
-    twelve times per attempted step.  The last step is clipped to end on
-    t_span[1].  Raises StiffnessError when the step the error control asks
-    for falls below ten float spacings of t or is NaN, as a non-finite
-    state or tolerance makes it.
+    y0 is six floats, or the IvpResult of a segment that ended at
+    t_span[0].  From six floats the integration starts fresh: it calls fun
+    once at the start and once more to choose the first step, as scipy's
+    DOP853 does, and takes scipy's steps.  From a result it continues with
+    that result's derivative and proposed step, and calls fun for neither;
+    if the tolerances tightened, the controller rejects and shrinks the
+    step by itself.  Each attempted step calls fun twelve times, and its
+    error norm comes from _step, which sums the scaled squares inline.  The
+    last step is clipped to end on t_span[1].
+
+    Raises ParameterError (a ValueError) unless both ends of t_span are
+    finite and t_span[1] >= t_span[0], and StiffnessError when the step the
+    error control asks for falls below ten float spacings of t or is NaN,
+    as a non-finite state or tolerance makes it.
     """
     # The first-step rule, error norm, step controller and step floor are
-    # those of scipy.integrate's DOP853, so this takes scipy's steps and
-    # counts scipy's RHS calls; tests/test_dynamics.py checks both.
+    # those of scipy.integrate's DOP853, so a fresh start takes scipy's
+    # steps and counts scipy's RHS calls; tests/test_dynamics.py checks both.
     t, t_end = float(t_span[0]), float(t_span[1])
-    y = [float(v) for v in y0]
-    f = fun(t, y)
-    nfev = 1
+    if not (math.isfinite(t) and math.isfinite(t_end) and t_end >= t):
+        raise ParameterError(
+            "t_span", f"must be finite and not decreasing, got {t_span!r}")
+    if isinstance(y0, IvpResult):
+        if y0.t != t:
+            raise ParameterError(
+                "t_span", "must start at the continued segment's end, "
+                          f"t = {y0.t!r}, got {t_span!r}")
+        y, f, h_abs, nfev = y0.y, y0.f, y0.h_next, 0
+    else:
+        y = [float(v) for v in y0]
+        f = fun(t, y)
+        h_abs, nfev = None, 1
     if t == t_end:
-        return IvpResult(t, y, nfev)
-    h_abs = _initial_step(fun, t, y, f, t_end - t, rtol, atol)
-    nfev += 1
+        return IvpResult(t, y, nfev, f, h_abs)
+    if h_abs is None:
+        h_abs = _initial_step(fun, t, y, f, t_end - t, rtol, atol)
+        nfev += 1
     while t < t_end:
         min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -237,19 +277,15 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, e5, e3 = _step(fun, t, h, y, f)
+            y_new, f_new, err5, err3 = _step(fun, t, h, y, f, rtol, atol)
             nfev += 12
-            scale = [atol + max(abs(a), abs(b)) * rtol
-                     for a, b in zip(y, y_new)]
             # the 5th-order error estimate, damped where the 3rd-order one
             # is larger (Hairer, Norsett & Wanner, section II.10)
-            err5 = _scaled_squares(e5, scale)
-            err3 = _scaled_squares(e3, scale)
             if err5 == 0.0 and err3 == 0.0:
                 error_norm = 0.0
             else:
                 error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3)
-                                                      * len(scale))
+                                                      * 6)
             if error_norm < 1.0:
                 factor = (_MAX_FACTOR if error_norm == 0.0 else
                           min(_MAX_FACTOR,
@@ -261,7 +297,7 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         t, y, f = t_new, y_new, f_new
-    return IvpResult(t, y, nfev)
+    return IvpResult(t, y, nfev, f, h_abs)
 
 
 def _make_rhs(derived: DerivedParams, drives: DriveSpec, eps_l: float):
@@ -323,11 +359,14 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
 
     The settled photon number must lie within ROOT_TOL (relative) of a
     cubic root for the same drive; the result is the settled state
-    re-expressed as SteadyStateFields.  Raises ConvergenceError (carrying
-    the last state) when t_max is exhausted, for example when the attractor
-    is a limit cycle rather than a fixed point, and ParameterError (a
-    ValueError) unless checkpoint and t_max are finite and positive and
-    eps_l and every quadrature of initial are finite.
+    re-expressed as SteadyStateFields.  Raises ConvergenceError when t_max
+    is exhausted, for example when the attractor is a limit cycle rather
+    than a fixed point; it carries the last state, and its diagnostics
+    give t_max, the simulated time reached (t_reached), the RHS calls of
+    all segments (nfev), the last derivative norm and the threshold.
+    Raises ParameterError (a ValueError) unless checkpoint and t_max are
+    finite and positive and eps_l and every quadrature of initial are
+    finite.
     """
     if eps_l is None:
         eps_l = derived.eps_l
@@ -356,21 +395,24 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     roots = solve_photon_roots(coeffs)
     amp = math.sqrt(max(roots.roots[-1], 1.0)) if roots.roots else 1.0
 
-    def derivative_norm(t, y):
-        return math.sqrt(sum(d * d for d in rhs(t, y)))
-
     # The equations are autonomous, so the clock starts at 0 whatever
     # initial.t is: a late start then neither stalls (t + checkpoint == t)
-    # nor coarsens the step floor, which scales with t.
+    # nor coarsens the step floor, which scales with t.  Each segment
+    # continues the last one, across the switch to the tight tolerance too,
+    # and the derivative it carries at its end is the one the settle test
+    # reads.
     t = 0.0
+    sol = y
+    nfev = 0
     streak = 0
     fine = False
     while t < t_max:
         t_next = min(t + checkpoint, t_max)
         rt = 1e-12 if fine else RTOL
-        sol = solve_ivp(rhs, (t, t_next), y, rtol=rt, atol=rt * amp)
-        t, y = sol.t, sol.y
-        norm = derivative_norm(t, y)
+        sol = solve_ivp(rhs, (t, t_next), sol, rtol=rt, atol=rt * amp)
+        t = sol.t
+        nfev += sol.nfev
+        norm = math.sqrt(sum(d * d for d in sol.f))
         if fine and norm < strict:
             streak += 1
             if streak >= SETTLED_CHECKPOINTS:
@@ -383,12 +425,12 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     else:
         raise ConvergenceError(
             "did not settle within the time budget",
-            last_state=MeanFieldState.from_quadratures(y, t=initial.t + t),
-            diagnostics={"t_max": t_max,
-                         "derivative_norm": derivative_norm(t, y),
-                         "threshold": strict})
+            last_state=MeanFieldState.from_quadratures(sol.y,
+                                                       t=initial.t + t),
+            diagnostics={"t_max": t_max, "t_reached": t, "nfev": nfev,
+                         "derivative_norm": norm, "threshold": strict})
 
-    state = MeanFieldState.from_quadratures(y)
+    state = MeanFieldState.from_quadratures(sol.y)
     x = state.photon_number
     if roots.roots:
         root, rel = _nearest_root(x, roots.roots)

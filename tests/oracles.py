@@ -14,6 +14,9 @@ polish before it learned to stop at a repeated iterate,
 constants moved into `Susceptibilities`, `rhs_reference` the mean-field
 right-hand side when it still did its arithmetic on numpy scalars, and
 `dop853_step_reference` the DOP853 step when it looped over the tableau.
+A fifth, `relax_restarting_reference`, is the relaxation loop before its
+segments continued one another; it pins where a relaxation settles, not
+its bits.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ import math
 import mpmath as mp
 import numpy as np
 
-from neoms.dynamics import _A, _B, _C, _E3, _E5
+from neoms.dynamics import (_A, _B, _C, _E3, _E5, RTOL, SETTLE_TOL,
+                            SETTLED_CHECKPOINTS, _make_rhs, solve_ivp)
 from neoms.errors import ConsistencyError, EigenvalueError
 from neoms.model import LinewidthConvention
-from neoms.steady_state import SteadyStateFields, cubic_slope, cubic_value
+from neoms.steady_state import (SteadyStateFields, cubic_coefficients,
+                                cubic_slope, cubic_value,
+                                solve_photon_roots, susceptibilities)
 
 
 def cubic_roots_extended(a: float, b: float, c: float, d: float,
@@ -306,3 +312,34 @@ def dop853_step_reference(fun, t, h, y, f):
     f_new = fun(t + h, y_new)
     stages.append(f_new)
     return y_new, f_new, _combine(_E5, stages), _combine(_E3, stages)
+
+
+def relax_restarting_reference(initial, derived, drives, eps_l):
+    """`dynamics.relax_to_steady` at its default checkpoint and t_max, as it
+    was when every checkpoint started `solve_ivp` afresh from the last state
+    and the settle test called the RHS.  Returns the settled quadratures and
+    the RHS calls of all segments, the settle tests' calls not counted."""
+    slow = min(derived.kappa, derived.gamma1, derived.gamma2)
+    checkpoint, t_max = 1.0 / slow, 1000.0 / slow
+    rhs = _make_rhs(derived, drives, eps_l)
+    strict = SETTLE_TOL * max(eps_l, derived.kappa)
+    roots = solve_photon_roots(cubic_coefficients(
+        derived, susceptibilities(derived, drives), eps_l)).roots
+    amp = math.sqrt(max(roots[-1], 1.0)) if roots else 1.0
+    y = initial.to_quadratures().tolist()
+    t, nfev, streak, fine = 0.0, 0, 0, False
+    while t < t_max:
+        rt = 1e-12 if fine else RTOL
+        sol = solve_ivp(rhs, (t, min(t + checkpoint, t_max)), y, rt, rt * amp)
+        t, y = sol.t, sol.y
+        nfev += sol.nfev
+        norm = math.sqrt(sum(d * d for d in rhs(t, y)))
+        if fine and norm < strict:
+            streak += 1
+            if streak >= SETTLED_CHECKPOINTS:
+                return y, nfev
+        elif not fine and norm < 1e4 * strict:
+            fine, streak = True, 0
+        else:
+            streak = 0
+    raise AssertionError(f"did not settle within t_max = {t_max!r}")

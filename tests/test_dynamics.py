@@ -25,7 +25,8 @@ from neoms.presets import get_preset
 from neoms.steady_state import (solve_photon_roots, steady_fields,
                                 susceptibilities, cubic_coefficients)
 from draws import REFERENCE, clean_point, clean_system
-from oracles import dop853_step_reference, fields_hex, rhs_reference
+from oracles import (dop853_step_reference, fields_hex,
+                     relax_restarting_reference, rhs_reference)
 
 
 def test_state_quadrature_round_trip():
@@ -237,9 +238,18 @@ def _sign_of_zero_rhs(t, y):
     return tuple(-0.0 if math.copysign(1.0, v) < 0.0 else t for v in y)
 
 
+def _fused_reference(fun, t, h, y, f, rtol, atol):
+    """The stage loop, then the error sums _step fuses into itself."""
+    y_new, f_new, e5, e3 = dop853_step_reference(fun, t, h, y, f)
+    scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+    return (y_new, f_new, dynamics._scaled_squares(e5, scale),
+            dynamics._scaled_squares(e3, scale))
+
+
 def test_step_is_bit_identical_to_the_stage_loop(fig2_cfg, fig2_derived):
     """The straight-line step returns the floats of the running sums over the
-    full tableau, signs of zero included: random states and steps, all-zero
+    full tableau, signs of zero included, and the sums of the scaled squares
+    of their error estimates: random states, steps and tolerances, all-zero
     states and states with -0.0 entries, on fig2 and clean_system RHS, each
     driven and undriven, and on _sign_of_zero_rhs."""
     rng = np.random.default_rng(1801)
@@ -262,13 +272,29 @@ def test_step_is_bit_identical_to_the_stage_loop(fig2_cfg, fig2_derived):
                 h = 10.0 ** rng.uniform(-3.0, 0.0) / (
                     rate + 2.0 * derived.g0 * max(abs(v) for v in y))
                 t = float(rng.choice((0.0, 1e-3 * rng.uniform())))
+                rtol = 10.0 ** rng.uniform(-13.0, -6.0)
+                atol = rtol * 10.0 ** rng.uniform(-2.0, 4.0)
                 f = rhs(t, y)
                 ref = dop853_step_reference(rhs, t, h, y, f)
                 assert all(math.isfinite(v) for part in ref for v in part)
-                assert (_step_hex(dynamics._step(rhs, t, h, y, f))
-                        == _step_hex(ref)), (y, t, h)
+                got = dynamics._step(rhs, t, h, y, f, rtol, atol)
+                assert _step_hex(got[:2]) == _step_hex(ref[:2]), (y, t, h)
+                fused = _fused_reference(rhs, t, h, y, f, rtol, atol)[2:]
+                assert all(math.isfinite(v) for v in fused)
+                assert ([v.hex() for v in got[2:]]
+                        == [v.hex() for v in fused]), (y, t, h, rtol, atol)
                 checked += 1
     assert checked == 21 * 3 * 42
+
+
+def test_scaled_squares_add_left_to_right():
+    """The builtin sum compensates from Python 3.12 on; _scaled_squares must
+    not, so that it keeps the fused sums' bits on every version."""
+    # each 1e-16 square is below half a spacing of 1.0, so adding them one
+    # at a time leaves 1.0; a compensated sum gives 1.0 plus two spacings
+    values = [1.0] + [1e-8] * 5
+    assert math.fsum(v * v for v in values) == 1.0 + 2.0 * 2.0 ** -52
+    assert dynamics._scaled_squares(values, [1.0] * 6) == 1.0
 
 
 def test_relaxation_unchanged_under_the_reference_step(monkeypatch):
@@ -284,7 +310,7 @@ def test_relaxation_unchanged_under_the_reference_step(monkeypatch):
         return out
 
     fast = settle()
-    monkeypatch.setattr(dynamics, "_step", dop853_step_reference)
+    monkeypatch.setattr(dynamics, "_step", _fused_reference)
     assert settle() == fast
 
 
@@ -331,21 +357,181 @@ def test_solve_ivp_takes_scipys_steps():
             assert abs(mine - theirs) <= 1e-9 * max(abs(theirs), 1.0)
 
 
-def test_solve_ivp_fails_where_scipys_step_underflows():
+_BLOW_UP = """
+import json
+import numpy as np
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from neoms import dynamics
+from neoms.errors import StiffnessError
+
+def blow_up(t, y):
+    return tuple(v * v for v in y)
+
+ref = scipy_solve_ivp(lambda t, y: blow_up(t, y.tolist()), (0.0, 2.0),
+                      np.ones(6), method="DOP853", rtol=1e-9, atol=1e-9)
+try:
+    dynamics.solve_ivp(blow_up, (0.0, 2.0), [1.0] * 6, 1e-9, 1e-9)
+    said = None
+except StiffnessError as exc:
+    said = [str(exc), exc.diagnostics["t_reached"]]
+print(json.dumps([ref.status, ref.message, float(ref.t[-1]), said]))
+"""
+
+
+def test_solve_ivp_fails_where_scipys_step_underflows(subprocess_env):
     """y' = y^2 from 1 blows up at t = 1: both integrators stop there."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    # in a subprocess with a timeout, since the test has no bound of its
+    # own: an integrator that misses the blow-up could step on for minutes
+    proc = subprocess.run([sys.executable, "-c", _BLOW_UP],
+                          env=subprocess_env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    status, message, t_stop, said = json.loads(proc.stdout)
+    assert status == -1
+    assert said is not None
+    assert said[0] == f"integration failed: {message}"
+    assert math.isclose(said[1], t_stop, rel_tol=1e-12)
 
-    def blow_up(t, y):
-        return tuple(v * v for v in y)
 
-    ref = scipy_solve_ivp(lambda t, y: blow_up(t, y.tolist()), (0.0, 2.0),
-                          np.ones(6), method="DOP853", rtol=1e-9, atol=1e-9)
-    assert ref.status == -1
-    with pytest.raises(StiffnessError) as exc:
-        dynamics.solve_ivp(blow_up, (0.0, 2.0), [1.0] * 6, 1e-9, 1e-9)
-    assert str(exc.value) == f"integration failed: {ref.message}"
-    assert math.isclose(exc.value.diagnostics["t_reached"], ref.t[-1],
-                        rel_tol=1e-12)
+_BAD_SPANS = """
+import json
+from neoms import dynamics
+from neoms.errors import ParameterError
+nan, inf = float("nan"), float("inf")
+said = []
+for span in ((1.0, 0.0), (0.0, nan), (nan, 1.0), (0.0, inf), (-inf, 0.0)):
+    try:
+        dynamics.solve_ivp(lambda t, y: tuple(y), span, [1.0] * 6, 1e-9, 1e-9)
+    except ParameterError as exc:
+        said.append([exc.field, str(exc)])
+done = dynamics.solve_ivp(lambda t, y: tuple(y), (0.0, 1.0), [1.0] * 6,
+                          1e-9, 1e-9)
+try:
+    dynamics.solve_ivp(lambda t, y: tuple(y), (2.0, 3.0), done, 1e-9, 1e-9)
+except ParameterError as exc:
+    said.append([exc.field, str(exc)])
+print(json.dumps(said))
+"""
+
+
+def test_solve_ivp_refuses_a_bad_t_span(subprocess_env):
+    # in a subprocess with a timeout: (0, inf) used to integrate without
+    # end, and a reversed or NaN span returned the start state unmoved
+    proc = subprocess.run([sys.executable, "-c", _BAD_SPANS],
+                          env=subprocess_env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    said = json.loads(proc.stdout)
+    assert [field for field, _ in said] == ["t_span"] * 6
+    assert [msg for _, msg in said[:5]] == [
+        f"t_span: must be finite and not decreasing, got {span}"
+        for span in ("(1.0, 0.0)", "(0.0, nan)", "(nan, 1.0)", "(0.0, inf)",
+                     "(-inf, 0.0)")]
+    assert said[5][1] == ("t_span: must start at the continued segment's "
+                          "end, t = 1.0, got (2.0, 3.0)")
+
+
+def test_continued_segment_makes_no_start_up_call(fig2_cfg, fig2_derived):
+    """A segment given the last one's result calls the RHS only in its
+    steps, twelve times each, and picks up where the last one stopped."""
+    rhs = _make_rhs(fig2_derived, fig2_cfg.drives,
+                    eps_for_power(fig2_derived, 2e-9))
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    step = 1.0 / fig2_derived.kappa
+    first = dynamics.solve_ivp(counted, (0.0, step), [0.0] * 6, 1e-9, 1e-7)
+    assert len(calls) == first.nfev and first.nfev % 12 == 2
+    assert first.f == rhs(first.t, first.y)
+    assert first.h_next > 0.0
+    same = dynamics.solve_ivp(counted, (step, step), first, 1e-9, 1e-7)
+    assert same == replace(first, nfev=0)
+    del calls[:]
+    later = dynamics.solve_ivp(counted, (step, 2.0 * step), first,
+                               1e-12, 1e-10)
+    assert len(calls) == later.nfev and later.nfev % 12 == 0
+    # the first attempt is the step first proposed, clipped to the segment
+    h = min(step + first.h_next, 2.0 * step) - step
+    assert calls[0] == step + dynamics._C[1] * h
+    assert later.t == 2.0 * step and later.f == rhs(later.t, later.y)
+
+
+def _counting_solve_ivp(monkeypatch):
+    """Count the RHS calls of every solve_ivp segment relax_to_steady runs."""
+    seen = []
+    inner = dynamics.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = inner(*args, **kwargs)
+        seen.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    return seen
+
+
+def _settle_cases():
+    """(start, derived, drives, eps_l): 30 clean_point draws, each from
+    vacuum and from 1 % above the middle and upper roots' cavity fields,
+    and fig2 from vacuum at 1 and 2 nW."""
+    rng = np.random.default_rng(1901)
+    for i in range(30):
+        _, derived, drives, eps_sq, roots = clean_point(
+            rng, with_tones=i % 2 == 0)
+        eps = math.sqrt(eps_sq)
+        susc = susceptibilities(derived, drives)
+        yield ORIGIN, derived, drives, eps
+        for x in roots.roots[1:]:
+            f = steady_fields(x, derived, susc, drives, eps_l=eps)
+            yield (MeanFieldState(c=f.c_s * 1.01, b1=f.b_1s, b2=f.b_2s),
+                   derived, drives, eps)
+    cfg = get_preset("fig2").config()
+    fig2 = derive(cfg.params, cfg.drives)
+    for power in (1e-9, 2e-9):
+        yield ORIGIN, fig2, cfg.drives, eps_for_power(fig2, power)
+
+
+def test_continued_relaxation_settles_where_restarts_do(monkeypatch):
+    """Relaxing through continued segments lands on the root the
+    restart-per-checkpoint loop lands on, within 1e-9, with no more RHS
+    calls in its segments."""
+    seen = _counting_solve_ivp(monkeypatch)
+    cases = list(_settle_cases())
+    assert len(cases) == 30 * 3 + 2
+    for start, derived, drives, eps in cases:
+        y, ref_nfev = relax_restarting_reference(start, derived, drives, eps)
+        del seen[:]
+        got = relax_to_steady(start, derived, drives, eps_l=eps)
+        ref_x = y[0] * y[0] + y[1] * y[1]
+        roots = solve_photon_roots(cubic_coefficients(
+            derived, susceptibilities(derived, drives), eps)).roots
+        nearest = [min(range(len(roots)), key=lambda i: abs(roots[i] - x))
+                   for x in (got.photon_number, ref_x)]
+        assert nearest[0] == nearest[1]
+        assert math.isclose(got.photon_number, ref_x, rel_tol=1e-9)
+        assert sum(seen) <= ref_nfev
+
+
+def test_unsettled_relaxation_reports_its_work(monkeypatch, fig2_cfg,
+                                               fig2_derived):
+    """On fig2's limit cycle the error names the simulated time reached and
+    the RHS calls of all its segments."""
+    seen = _counting_solve_ivp(monkeypatch)
+    eps = eps_for_power(fig2_derived, 1.2e-8)
+    slow = min(fig2_derived.kappa, fig2_derived.gamma1, fig2_derived.gamma2)
+    t_max = 12.5 / slow
+    with pytest.raises(ConvergenceError) as exc:
+        relax_to_steady(ORIGIN, fig2_derived, fig2_cfg.drives, eps_l=eps,
+                        t_max=t_max)
+    diag = exc.value.diagnostics
+    assert str(exc.value) == "did not settle within the time budget"
+    assert diag["t_reached"] == diag["t_max"] == t_max
+    assert len(seen) == 13
+    assert diag["nfev"] == sum(seen) > 0
+    assert diag["derivative_norm"] > diag["threshold"]
 
 
 _BAD_BUDGETS = """
