@@ -18,12 +18,12 @@ from .errors import NoBistabilityError, ParameterError, ResidualError
 from .model import (DerivedParams, DriveSpec, LinewidthConvention,
                     SystemParams, derive, eps_for_power, power_for_eps_sq)
 from .stability import (Classification, Method, StabilityReport,
-                        classify_batch)
+                        stability_columns)
 from .steady_state import (CriticalPoints, SteadyStateFields,
                            ThresholdDetuning, critical_points,
                            cubic_coefficients, fold_powers_eps_sq,
-                           solve_photon_roots, steady_fields,
-                           susceptibilities, threshold_detuning)
+                           photon_roots, steady_columns, susceptibilities,
+                           threshold_detuning)
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,52 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class BistabilityCurve:
-    """Steady-state response over a power grid."""
+    """Steady-state response over a power grid, stored as columns.
 
-    points: tuple[CurvePoint, ...]
+    Point k of the grid has power[k], eps_sq[k] and error[k] (None unless
+    its roots failed to solve); its branches are the rows branch_rows[k] of
+    the per-root columns, in ascending photon number.  An unsolved point
+    has no rows.  The per-root columns hold the photon number, mirror
+    displacements, effective detuning, the fields c_s, b_1s and b_2s, the
+    classification (stable), its margin (-max Re(eig), nan for the slope
+    rule) and the ascending eigenvalue real parts (empty for the slope
+    rule).  `points` builds the same data as objects on each access.
+    """
+
+    power: tuple[float, ...]                  # W
+    eps_sq: tuple[float, ...]                 # (rad/s)^2
+    error: tuple[str | None, ...]
+    branch_rows: tuple[range, ...]
+    photon_number: tuple[float, ...]
+    q_1s: tuple[float, ...]                   # m
+    q_2s: tuple[float, ...]                   # m
+    effective_detuning: tuple[float, ...]     # rad/s
+    c_s: tuple[complex, ...]
+    b_1s: tuple[complex, ...]
+    b_2s: tuple[complex, ...]
+    stable: tuple[bool, ...]
+    margin: tuple[float, ...]
+    eigenvalue_real_parts: tuple[tuple[float, ...], ...]
     method: Method
     convention: LinewidthConvention
+
+    @property
+    def points(self) -> tuple[CurvePoint, ...]:
+        """Every grid point as a CurvePoint, built from the columns."""
+        method = self.method
+        stable, unstable = Classification.STABLE, Classification.UNSTABLE
+        branches = [
+            BranchSolution(x, SteadyStateFields(x, c, b1, b2, q1, q2, det),
+                           StabilityReport(stable if s else unstable, method,
+                                           parts, margin))
+            for x, c, b1, b2, q1, q2, det, s, margin, parts in zip(
+                self.photon_number, self.c_s, self.b_1s, self.b_2s,
+                self.q_1s, self.q_2s, self.effective_detuning, self.stable,
+                self.margin, self.eigenvalue_real_parts)]
+        return tuple(
+            CurvePoint(p, e, tuple(branches[rows.start:rows.stop]), error)
+            for p, e, rows, error in zip(self.power, self.eps_sq,
+                                         self.branch_rows, self.error))
 
 
 @dataclass(frozen=True)
@@ -192,33 +233,44 @@ def power_sweep(derived: DerivedParams, drives: DriveSpec,
     """Solve and classify every root over a power grid, in grid order.
 
     Root-solve failures are recorded on the offending point rather than
-    aborting the sweep.  All roots are classified in one batch.
+    aborting the sweep.  Only a4 = -eps^2 of the cubic changes from point
+    to point; the fields of all roots are then built, and all roots
+    classified, in one batch each.
     """
     _check_convention(derived, convention)
     susc = susceptibilities(derived, drives)
-    solved = []     # (power, eps, error, fields per root) in grid order
-    states = []     # (fields, all roots at that power) for every root
+    shape = cubic_coefficients(derived, susc, eps_l=0.0)
+    a1, a2, a3 = shape.a1, shape.a2, shape.a3
+    power, eps_sq, error, branch_rows = [], [], [], []
+    xs, eps_of, roots_of = [], [], []     # per root
     for p in powers:
         p = float(p)
         eps = eps_for_power(derived, p)
-        coeffs = cubic_coefficients(derived, susc, eps)
+        e2 = eps * eps
         try:
-            roots = solve_photon_roots(coeffs)
+            roots, _ = photon_roots(a1, a2, a3, -e2)
+            err = None
         except ResidualError as exc:
-            solved.append((p, eps, str(exc), ()))
-            continue
-        fields = [steady_fields(x, derived, susc, drives, eps_l=eps)
-                  for x in roots.roots]
-        solved.append((p, eps, None, fields))
-        states += [(f, roots.roots) for f in fields]
-    reports = iter(classify_batch(states, derived, method))
-    points = tuple(CurvePoint(
-        power=p, eps_sq=eps * eps, error=error,
-        branches=tuple(BranchSolution(f.photon_number, f, next(reports))
-                       for f in fields))
-        for p, eps, error, fields in solved)
-    return BistabilityCurve(points=points, method=method,
-                            convention=derived.convention)
+            roots, err = (), str(exc)
+        power.append(p)
+        eps_sq.append(e2)
+        error.append(err)
+        branch_rows.append(range(len(xs), len(xs) + len(roots)))
+        xs += roots
+        eps_of += [eps] * len(roots)
+        roots_of += [roots] * len(roots)
+    c_s, b_1s, b_2s, q_1s, q_2s, det = steady_columns(xs, eps_of, derived,
+                                                      susc)
+    stable, margin, parts = stability_columns(xs, det, c_s, roots_of,
+                                              derived, method)
+    return BistabilityCurve(
+        power=tuple(power), eps_sq=tuple(eps_sq), error=tuple(error),
+        branch_rows=tuple(branch_rows), photon_number=tuple(xs),
+        q_1s=tuple(q_1s), q_2s=tuple(q_2s), effective_detuning=tuple(det),
+        c_s=tuple(c_s), b_1s=tuple(b_1s), b_2s=tuple(b_2s),
+        stable=tuple(stable), margin=tuple(margin),
+        eigenvalue_real_parts=tuple(parts), method=method,
+        convention=derived.convention)
 
 
 _JUMP_LOG_MARGIN = math.log(1.5)
@@ -246,21 +298,22 @@ def jump_powers(seq: tuple[tuple[float, float], ...]) -> tuple[float, ...]:
                  if is_branch_jump(p_prev, x_prev, p, x))
 
 
-def _follow(points: list[CurvePoint]) -> tuple[tuple[float, float], ...]:
-    """Trace the occupied branch through an ordered point list."""
+def _follow(curve: BistabilityCurve,
+            order) -> tuple[tuple[float, float], ...]:
+    """Trace the occupied branch through the points in `order`."""
+    xs, stable = curve.photon_number, curve.stable
     seq: list[tuple[float, float]] = []
-    for pt in points:
-        if pt.error is not None or not pt.branches:
+    for k in order:
+        rows = curve.branch_rows[k]
+        if not rows:      # an unsolved point, or one without roots
             continue
-        stable = [b for b in pt.branches if b.stable]
-        pool = stable if stable else list(pt.branches)
+        pool = [i for i in rows if stable[i]] or rows
         if not seq:
-            pick = min(pool, key=lambda b: b.photon_number)
+            pick = min(pool, key=xs.__getitem__)
         else:
             px = seq[-1][1]
-            pick = min(pool, key=lambda b: (abs(b.photon_number - px),
-                                            b.photon_number))
-        seq.append((pt.power, pick.photon_number))
+            pick = min(pool, key=lambda i: (abs(xs[i] - px), xs[i]))
+        seq.append((curve.power[k], xs[pick]))
     return tuple(seq)
 
 
@@ -271,8 +324,8 @@ def hysteresis_from_curve(curve: BistabilityCurve) -> HysteresisTrace:
     nearest the previous state (ties to the lower one); downward pass is the
     same in reverse.  Points that failed to solve are skipped.
     """
-    ordered = sorted(curve.points, key=lambda p: p.power)
-    up, down = _follow(ordered), _follow(ordered[::-1])
+    ordered = sorted(range(len(curve.power)), key=curve.power.__getitem__)
+    up, down = _follow(curve, ordered), _follow(curve, ordered[::-1])
     return HysteresisTrace(up=up, down=down, up_jump_powers=jump_powers(up),
                            down_jump_powers=jump_powers(down))
 

@@ -100,47 +100,55 @@ def _write_json(obj, pad: str, out: list[str]) -> None:
 # ---------------------------------------------------------------- curves
 
 def _curve_rows(curve: BistabilityCurve, prefix: str = "") -> list[str]:
+    """One CSV row per root, in grid order, from the curve's columns."""
+    x = map(float.__repr__, curve.photon_number)
+    q1 = map(float.__repr__, curve.q_1s)
+    q2 = map(float.__repr__, curve.q_2s)
+    stable = map(_b, curve.stable)
     rows = []
-    for pt in curve.points:
-        for i, b in enumerate(pt.branches):
-            rows.append(prefix + ",".join([
-                _f(pt.power), str(i), _f(b.photon_number), _b(b.stable),
-                _f(b.fields.q_1s), _f(b.fields.q_2s)]))
+    for power, branch_rows in zip(curve.power, curve.branch_rows):
+        head = f"{prefix}{_f(power)},"
+        rows += [f"{head}{i},{next(x)},{next(stable)},{next(q1)},{next(q2)}"
+                 for i in range(len(branch_rows))]
     return rows
 
 
 def curve_to_csv(curve: BistabilityCurve, snapshot: str,
                  comments: tuple[str, ...] = ()) -> str:
     lines = _preamble(snapshot, comments)
-    errors = [pt for pt in curve.points if pt.error is not None]
-    for pt in errors:
-        lines.append(f"# unsolved point at power_W = {_f(pt.power)}: "
-                     f"{pt.error}")
+    for power, error in zip(curve.power, curve.error):
+        if error is not None:
+            lines.append(f"# unsolved point at power_W = {_f(power)}: "
+                         f"{error}")
     lines.append(CURVE_HEADER)
     lines += _curve_rows(curve)
     return "\n".join(lines) + "\n"
 
 
-def _branch_dict(b) -> dict:
-    return {
-        "photon_number": b.photon_number,
-        "stable": b.stable,
-        "stability_margin": _none_if_nan(b.stability.margin),
-        "q1_m": b.fields.q_1s,
-        "q2_m": b.fields.q_2s,
-        "effective_detuning_rad_s": b.fields.effective_detuning,
-    }
-
-
 def _points(curve: BistabilityCurve) -> list[dict]:
+    """The JSON points of a curve, built from its columns."""
+    branches = [
+        {
+            "photon_number": x,
+            "stable": s,
+            "stability_margin": None if m != m else m,   # nan is not JSON
+            "q1_m": q1,
+            "q2_m": q2,
+            "effective_detuning_rad_s": det,
+        }
+        for x, s, m, q1, q2, det in zip(
+            curve.photon_number, curve.stable, curve.margin, curve.q_1s,
+            curve.q_2s, curve.effective_detuning)]
     return [
         {
-            "power_W": pt.power,
-            "eps_sq": pt.eps_sq,
-            "error": pt.error,
-            "branches": [_branch_dict(b) for b in pt.branches],
+            "power_W": p,
+            # an overflowing drive (eps^2 = inf) leaves its point unsolved
+            "eps_sq": e if math.isfinite(e) else None,
+            "error": error,
+            "branches": branches[rows.start:rows.stop],
         }
-        for pt in curve.points
+        for p, e, error, rows in zip(curve.power, curve.eps_sq, curve.error,
+                                     curve.branch_rows)
     ]
 
 

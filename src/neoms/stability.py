@@ -35,14 +35,15 @@ class Method(str, Enum):
 EIGEN_TOL_KAPPA = 1e-9
 
 
-def jacobians(fields, derived: DerivedParams) -> np.ndarray:
-    """(n, 6, 6) real Jacobians at a sequence of n steady operating points."""
+def jacobians(detuning, c_s, derived: DerivedParams) -> np.ndarray:
+    """(n, 6, 6) real Jacobians at n steady operating points, given by
+    their effective detunings and cavity fields."""
     kh = derived.kh
     g0, gc = derived.g0, derived.gc
     w1, w2 = derived.omega1, derived.omega2
     h1, h2 = 0.5 * derived.gamma1, 0.5 * derived.gamma2
-    det = np.array([f.effective_detuning for f in fields], dtype=float)
-    c_s = np.array([f.c_s for f in fields], dtype=complex)
+    det = np.array(detuning, dtype=float)
+    c_s = np.array(c_s, dtype=complex)
     cr, ci = c_s.real, c_s.imag
     rows = [
         [-kh,           det,      -2.0 * g0 * ci, 0.0,  0.0,  0.0],
@@ -60,7 +61,7 @@ def jacobians(fields, derived: DerivedParams) -> np.ndarray:
 
 def jacobian(fields: SteadyStateFields, derived: DerivedParams) -> np.ndarray:
     """6x6 real Jacobian at a steady operating point."""
-    return jacobians([fields], derived)[0]
+    return jacobians((fields.effective_detuning,), (fields.c_s,), derived)[0]
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,13 @@ class StabilityReport:
     margin: float                              # -max Re(eig); nan for slope rule
 
 
-def _slope_rule(x: float, all_roots: tuple[float, ...]) -> Classification:
+def _slope_rule(x: float, all_roots: tuple[float, ...]) -> bool:
+    """Whether x is stable: all but the middle root of three are."""
     if len(all_roots) == 3:
         mid = sorted(all_roots)[1]
         near = min(all_roots, key=lambda r: abs(r - x))
-        if near == mid:
-            return Classification.UNSTABLE
-    return Classification.STABLE
+        return near != mid
+    return True
 
 
 def _check_eigvals(jac: np.ndarray) -> None:
@@ -93,33 +94,54 @@ def _check_eigvals(jac: np.ndarray) -> None:
                               {"condition": cond, "jacobian": jac}) from exc
 
 
-def classify_batch(states, derived: DerivedParams,
-                   method: Method = Method.EIGEN) -> list[StabilityReport]:
-    """Classify steady states given as (fields, all_roots) pairs, in order.
+def stability_columns(photon_number, detuning, c_s, all_roots,
+                      derived: DerivedParams, method: Method = Method.EIGEN):
+    """Classify n steady states given as columns, in order.
 
-    The slope rule needs each state's full ascending root set of the same
-    cubic; the eigen method needs only the fields and makes one eigvals
-    call for the whole batch.  If that call fails, the EigenvalueError is
-    the one of the first state whose own Jacobian fails.
+    Returns the lists (stable, margin, eigenvalue real parts), one entry
+    per state.  The slope rule reads each state's photon number and its
+    cubic's full root set, `all_roots[i]`; its margin is nan and its real
+    parts are empty.  The eigen method reads the effective detunings and
+    cavity fields and makes one eigvals call for the whole batch; each
+    state's real parts come ascending, as a tuple.  If that call fails,
+    the EigenvalueError is the one of the first state whose own Jacobian
+    fails.
     """
+    n = len(photon_number)
     if method == Method.SLOPE_RULE:
-        if any(roots is None for _, roots in states):
+        if any(roots is None for roots in all_roots):
             raise ValueError("slope rule requires the full root set")
-        return [StabilityReport(_slope_rule(f.photon_number, tuple(roots)),
-                                method, (), math.nan) for f, roots in states]
-    jacs = jacobians([f for f, _ in states], derived)
+        return ([_slope_rule(x, tuple(roots))
+                 for x, roots in zip(photon_number, all_roots)],
+                [math.nan] * n, [()] * n)
+    jacs = jacobians(detuning, c_s, derived)
     try:
         eig = np.linalg.eigvals(jacs)
     except np.linalg.LinAlgError:
         for jac in jacs:
             _check_eigvals(jac)
         raise
-    tol = EIGEN_TOL_KAPPA * derived.kappa
     # a stable sort keeps ties in LAPACK's order, as sorted() did per root
-    rows = np.sort(eig.real, axis=1, kind="stable").tolist()
-    return [StabilityReport(Classification.STABLE if r[-1] < -tol
-                            else Classification.UNSTABLE, method, tuple(r),
-                            -r[-1]) for r in rows]
+    parts = np.sort(eig.real, axis=1, kind="stable")
+    top = parts[:, -1]
+    tol = EIGEN_TOL_KAPPA * derived.kappa
+    return ((top < -tol).tolist(), (-top).tolist(),
+            list(map(tuple, parts.tolist())))
+
+
+def classify_batch(states, derived: DerivedParams,
+                   method: Method = Method.EIGEN) -> list[StabilityReport]:
+    """Classify steady states given as (fields, all_roots) pairs, in order:
+    `stability_columns` of their fields, as StabilityReports.  The slope
+    rule needs each state's full ascending root set of the same cubic."""
+    fields = [f for f, _ in states]
+    stable, margin, parts = stability_columns(
+        [f.photon_number for f in fields],
+        [f.effective_detuning for f in fields], [f.c_s for f in fields],
+        [roots for _, roots in states], derived, method)
+    return [StabilityReport(Classification.STABLE if s
+                            else Classification.UNSTABLE, method, r, m)
+            for s, m, r in zip(stable, margin, parts)]
 
 
 def classify(fields: SteadyStateFields, derived: DerivedParams,

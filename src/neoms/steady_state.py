@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (ConsistencyError, NumericalError, ResidualError,
                      SingularDenominatorError)
@@ -31,8 +32,8 @@ class Susceptibilities:
 
     beta1 maps photon number into b_1s, beta2 and beta3 map the two drive
     tones; alpha1 is the real projection of beta1 onto b_1s + conj(b_1s).
-    The rest are fixed per sweep and read by steady_fields in place of its
-    `drives`: mirror root d2, tone2 = eps2 e^{-i phi2}, beta3 eps1 e^{-i phi1},
+    The rest are fixed per sweep and read by steady_columns in place of the
+    drives: mirror root d2, tone2 = eps2 e^{-i phi2}, beta3 eps1 e^{-i phi1},
     beta2 tone2 and the static drive offset Gamma = alpha2 eps2 + alpha3 eps1,
     with alpha2/alpha3 the real projections of the two phased tone terms.
     """
@@ -111,7 +112,13 @@ def cubic_slope(coeffs: CubicCoefficients, x: float) -> float:
 
 
 def relative_residual(coeffs: CubicCoefficients, x: float) -> float:
-    return abs(cubic_value(coeffs, x)) / max(abs(coeffs.a4), 1.0)
+    return _relative_residual(coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4, x)
+
+
+def _relative_residual(a1: float, a2: float, a3: float, a4: float,
+                       x: float) -> float:
+    """|cubic(x)| / max(|a4|, 1), the quantity the residual contract bounds."""
+    return abs(((a1 * x + a2) * x + a3) * x + a4) / max(abs(a4), 1.0)
 
 
 def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
@@ -169,21 +176,26 @@ def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
     return [t - shift]
 
 
-def _polish_root(coeffs: CubicCoefficients, x: float) -> float:
-    """Newton-polish a root; near folds fall back to the slope extremum."""
-    f = cubic_value(coeffs, x)
+def _polish_root(a1: float, a2: float, a3: float, a4: float,
+                 x: float) -> tuple[float, float]:
+    """Newton-polish a root of a1 x^3 + a2 x^2 + a3 x + a4.
+
+    Returns the best iterate and its |cubic| value.
+    """
+    f = ((a1 * x + a2) * x + a3) * x + a4
     best_x, best_f = x, abs(f)
     scale = max(abs(x), 1.0)
     seen = set()
     for _ in range(60):
-        fp = cubic_slope(coeffs, x)
+        fp = (3.0 * a1 * x + 2.0 * a2) * x + a3
         if fp == 0.0:
             break
         step = f / fp
         if abs(step) > 0.5 * scale:   # diverging; keep the best seen
             break
         x -= step
-        f = cubic_value(coeffs, x)   # the next pass's step reuses it
+        # the next pass's step reuses it
+        f = ((a1 * x + a2) * x + a3) * x + a4
         if abs(f) < best_f:
             best_x, best_f = x, abs(f)
         # relative to x itself: tiny roots need steps far below 1 ulp of 1.0
@@ -193,14 +205,14 @@ def _polish_root(coeffs: CubicCoefficients, x: float) -> float:
         if x in seen:
             break
         seen.add(x)
-    return best_x
+    return best_x, best_f
 
 
-def _polish_fold(coeffs: CubicCoefficients, x: float) -> float:
+def _polish_fold(a1: float, a2: float, a3: float, x: float) -> float:
     """Newton on the cubic slope, locating the extremum near a double root."""
     for _ in range(60):
-        fp = cubic_slope(coeffs, x)
-        fpp = 6.0 * coeffs.a1 * x + 2.0 * coeffs.a2
+        fp = (3.0 * a1 * x + 2.0 * a2) * x + a3
+        fpp = 6.0 * a1 * x + 2.0 * a2
         if fpp == 0.0:
             break
         step = fp / fpp
@@ -221,49 +233,61 @@ class PhotonRoots:
         return len(self.roots)
 
 
-def solve_photon_roots(coeffs: CubicCoefficients) -> PhotonRoots:
-    """All physical roots, each meeting the residual contract.
+def photon_roots(a1: float, a2: float, a3: float,
+                 a4: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(roots, relative residuals) of a1 x^3 + a2 x^2 + a3 x + a4 = 0.
 
-    Generic parameters give 1 or 3 roots; exact folds give 2.  Raises
-    ResidualError with the worst offender if polishing cannot meet the
-    contract.
+    The roots are the nonnegative real ones, ascending, each meeting the
+    residual contract.  Generic parameters give 1 or 3 roots; exact folds
+    give 2.  Raises ResidualError with the worst offender if polishing
+    cannot meet the contract; a NaN residual never meets it.
     """
-    raw = _real_cubic_roots(coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4)
-    polished = []
-    for x in raw:
-        y = _polish_root(coeffs, x)
-        if (ry := relative_residual(coeffs, y)) > RESIDUAL_CONTRACT:
+    scale = max(abs(a4), 1.0)
+    polished = []       # (root, its residual)
+    for x in _real_cubic_roots(a1, a2, a3, a4):
+        y, fy = _polish_root(a1, a2, a3, a4, x)
+        ry = fy / scale
+        if not ry <= RESIDUAL_CONTRACT:
             # stalled on a flat near-fold pair: retarget the extremum
-            z = _polish_fold(coeffs, y)
-            if relative_residual(coeffs, z) < ry:
-                y = z
-        polished.append(y)
+            z = _polish_fold(a1, a2, a3, y)
+            if (rz := _relative_residual(a1, a2, a3, a4, z)) < ry:
+                y, ry = z, rz
+        polished.append((y, ry))
 
-    polished.sort()
-    merged: list[float] = []
-    for x in polished:
-        if merged and abs(x - merged[-1]) <= 1e-9 * max(abs(x), abs(merged[-1]), 1.0):
-            continue
-        merged.append(x)
+    polished.sort(key=itemgetter(0))
+    merged = polished[:1]
+    for x, r in polished[1:]:
+        last = merged[-1][0]
+        if not abs(x - last) <= 1e-9 * max(abs(x), abs(last), 1.0):
+            merged.append((x, r))
 
-    scale = max((abs(r) for r in merged), default=1.0)
-    result = []
-    for x in merged:
+    # merged is ascending, so its largest |x| is at one of its ends
+    top = max(abs(merged[0][0]), abs(merged[-1][0])) if merged else 1.0
+    roots, residuals, met = [], [], True
+    for x, r in merged:
         if x < 0.0:
-            if abs(x) <= 1e-12 * scale:
-                x = 0.0
-            else:
+            if not abs(x) <= 1e-12 * top:
                 continue   # negative roots are unphysical (x = |c|^2)
-        result.append(x)
+            x, r = 0.0, _relative_residual(a1, a2, a3, a4, 0.0)
+        roots.append(x)
+        residuals.append(r)
+        met = met and r <= RESIDUAL_CONTRACT
 
-    residuals = tuple(relative_residual(coeffs, x) for x in result)
-    worst = max(residuals, default=0.0)
-    if worst > RESIDUAL_CONTRACT:
+    if not met:
+        worst = (math.nan if any(map(math.isnan, residuals))
+                 else max(residuals))
         raise ResidualError(
             "root residual contract violated",
-            {"worst_residual": worst, "roots": tuple(result),
-             "coefficients": (coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4)})
-    return PhotonRoots(roots=tuple(result), residuals=residuals)
+            {"worst_residual": worst, "roots": tuple(roots),
+             "coefficients": (a1, a2, a3, a4)})
+    return tuple(roots), tuple(residuals)
+
+
+def solve_photon_roots(coeffs: CubicCoefficients) -> PhotonRoots:
+    """All physical roots of one cubic: `photon_roots` of its coefficients."""
+    roots, residuals = photon_roots(coeffs.a1, coeffs.a2, coeffs.a3,
+                                    coeffs.a4)
+    return PhotonRoots(roots=roots, residuals=residuals)
 
 
 @dataclass(frozen=True)
@@ -330,6 +354,51 @@ class SteadyStateFields:
     effective_detuning: float  # rad/s
 
 
+def steady_columns(xs, eps, derived: DerivedParams, susc: Susceptibilities):
+    """Steady fields of photon-number roots, as columns.
+
+    `xs` are roots and `eps[i]` the drive amplitude at which xs[i] solves
+    the cubic.  Returns the lists (c_s, b_1s, b_2s, q_1s, q_2s, effective
+    detuning), one entry per root.  Cross-checks |c_s|^2 against each x to
+    1e-9 relative; a violation means that x does not solve the cubic for
+    its drive.
+    """
+    beta1, tone1_term = susc.beta1, susc.tone1_term
+    tone2_term, tone2, d2 = susc.tone2_term, susc.tone2, susc.d2
+    delta_c, g0, alpha1, offset = (derived.delta_c, derived.g0, susc.alpha1,
+                                   susc.offset)
+    kh = derived.kh
+    # x_zpf * 2.0 * re(b) and -1j * gc * b1 associate left to right, so
+    # taking the constant products out of the loop keeps every bit
+    gc_term = -1j * derived.gc
+    zpf1, zpf2 = derived.x_zpf1 * 2.0, derived.x_zpf2 * 2.0
+    cs, b1s, b2s, q1s, q2s, dets = [], [], [], [], [], []
+    for x, eps_l in zip(xs, eps):
+        b1 = beta1 * x + tone1_term + tone2_term
+        b2 = (gc_term * b1 + tone2) / d2
+        det = delta_c - g0 * (alpha1 * x + offset)
+        c_s = eps_l / complex(kh, det)
+
+        xc = abs(c_s) ** 2
+        if x == 0.0:
+            if xc != 0.0:
+                raise ConsistencyError("nonzero field at zero photon number",
+                                       {"photon_number": x, "field_sq": xc})
+        elif abs(xc - x) > 1e-9 * x:
+            raise ConsistencyError(
+                "cavity field inconsistent with photon-number root",
+                {"photon_number": x, "field_sq": xc,
+                 "relative": abs(xc - x) / x})
+
+        cs.append(c_s)
+        b1s.append(b1)
+        b2s.append(b2)
+        q1s.append(zpf1 * b1.real)
+        q2s.append(zpf2 * b2.real)
+        dets.append(det)
+    return cs, b1s, b2s, q1s, q2s, dets
+
+
 def steady_fields(
     x: float,
     derived: DerivedParams,
@@ -337,31 +406,12 @@ def steady_fields(
     drives: DriveSpec,
     eps_l: float | None = None,
 ) -> SteadyStateFields:
-    """Reconstruct all steady fields from a photon-number root.
-
-    Cross-checks |c_s|^2 against x to 1e-9 relative; a violation means the
-    supplied x does not solve the cubic for this drive.
-    """
+    """Reconstruct all steady fields from one photon-number root:
+    `steady_columns` of one.  `eps_l` defaults to the derived drive."""
     if eps_l is None:
         eps_l = derived.eps_l
-    b1 = susc.beta1 * x + susc.tone1_term + susc.tone2_term
-    b2 = (-1j * derived.gc * b1 + susc.tone2) / susc.d2
-    det = derived.delta_c - derived.g0 * (susc.alpha1 * x + susc.offset)
-    c_s = eps_l / complex(derived.kh, det)
-
-    xc = abs(c_s) ** 2
-    if x == 0.0:
-        if xc != 0.0:
-            raise ConsistencyError("nonzero field at zero photon number",
-                                   {"photon_number": x, "field_sq": xc})
-    elif abs(xc - x) > 1e-9 * x:
-        raise ConsistencyError(
-            "cavity field inconsistent with photon-number root",
-            {"photon_number": x, "field_sq": xc,
-             "relative": abs(xc - x) / x})
-
-    q1 = derived.x_zpf1 * 2.0 * b1.real
-    q2 = derived.x_zpf2 * 2.0 * b2.real
+    (c_s,), (b1,), (b2,), (q1,), (q2,), (det,) = steady_columns(
+        (x,), (eps_l,), derived, susc)
     return SteadyStateFields(photon_number=x, c_s=c_s, b_1s=b1, b_2s=b2,
                              q_1s=q1, q_2s=q2, effective_detuning=det)
 

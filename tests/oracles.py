@@ -16,7 +16,9 @@ right-hand side when it still did its arithmetic on numpy scalars, and
 `dop853_step_reference` the DOP853 step when it looped over the tableau.
 A fifth, `relax_restarting_reference`, is the relaxation loop before its
 segments continued one another; it pins where a relaxation settles, not
-its bits.
+its bits.  A sixth, `power_sweep_reference`, is the sweep when it built
+one cubic, one root set and one field object per point and root, before
+curves kept their roots as columns.
 """
 
 from __future__ import annotations
@@ -27,13 +29,16 @@ import math
 import mpmath as mp
 import numpy as np
 
+from neoms.bifurcation import BranchSolution, CurvePoint
 from neoms.dynamics import (_A, _B, _C, _E3, _E5, RTOL, SETTLE_TOL,
                             SETTLED_CHECKPOINTS, _make_rhs, solve_ivp)
-from neoms.errors import ConsistencyError, EigenvalueError
-from neoms.model import LinewidthConvention
+from neoms.errors import ConsistencyError, EigenvalueError, ResidualError
+from neoms.model import LinewidthConvention, eps_for_power
+from neoms.stability import Method, classify_batch
 from neoms.steady_state import (SteadyStateFields, cubic_coefficients,
                                 cubic_slope, cubic_value,
-                                solve_photon_roots, susceptibilities)
+                                solve_photon_roots, steady_fields,
+                                susceptibilities)
 
 
 def cubic_roots_extended(a: float, b: float, c: float, d: float,
@@ -343,3 +348,31 @@ def relax_restarting_reference(initial, derived, drives, eps_l):
         else:
             streak = 0
     raise AssertionError(f"did not settle within t_max = {t_max!r}")
+
+
+def power_sweep_reference(derived, drives, powers, method=Method.EIGEN):
+    """`bifurcation.power_sweep` as a per-point loop over objects:
+    cubic_coefficients, solve_photon_roots and steady_fields for each
+    point, then classify_batch over every root.  Returns the CurvePoints."""
+    susc = susceptibilities(derived, drives)
+    solved = []     # (power, eps, error, fields per root) in grid order
+    states = []     # (fields, all roots at that power) for every root
+    for p in powers:
+        p = float(p)
+        eps = eps_for_power(derived, p)
+        coeffs = cubic_coefficients(derived, susc, eps)
+        try:
+            roots = solve_photon_roots(coeffs)
+        except ResidualError as exc:
+            solved.append((p, eps, str(exc), ()))
+            continue
+        fields = [steady_fields(x, derived, susc, drives, eps_l=eps)
+                  for x in roots.roots]
+        solved.append((p, eps, None, fields))
+        states += [(f, roots.roots) for f in fields]
+    reports = iter(classify_batch(states, derived, method))
+    return tuple(CurvePoint(
+        power=p, eps_sq=eps * eps, error=error,
+        branches=tuple(BranchSolution(f.photon_number, f, next(reports))
+                       for f in fields))
+        for p, eps, error, fields in solved)

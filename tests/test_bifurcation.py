@@ -14,8 +14,10 @@ from neoms.bifurcation import (FAMILY_KEYS, auto_power_grid,
                                power_sweep, solve_point)
 from neoms.errors import NoBistabilityError, ParameterError
 from neoms.model import CoulombSpec, DriveSpec, LinewidthConvention, derive
-from neoms.stability import Method
+from neoms.presets import PRESETS, get_preset
+from neoms.stability import Classification, Method
 from draws import REFERENCE, TWO_PI, clean_system
+from oracles import fields_hex, power_sweep_reference
 
 
 def _clean(seed=101, min_dt=2.5):
@@ -265,3 +267,111 @@ def test_lower_branch_spread_sees_phase_push():
     assert max(abs(a - b) for a, b in zip(low0, low1)) > 0.0
     assert FAMILY_KEYS == ("g0", "gc", "delta_c", "eps1", "eps2",
                            "phi1", "phi2")
+
+
+def _point_hex(pt):
+    """Every field of a CurvePoint, each float as float.hex."""
+    return (pt.power.hex(), pt.eps_sq.hex(), pt.error, tuple(
+        (b.photon_number.hex(), fields_hex(b.fields), b.stable,
+         b.stability.classification, b.stability.method,
+         b.stability.margin.hex(),
+         tuple(r.hex() for r in b.stability.eigenvalue_real_parts))
+        for b in pt.branches))
+
+
+def _columns_hex(curve):
+    """`_point_hex` of every point, read from the curve's columns."""
+    def z(c):
+        return c.real.hex(), c.imag.hex()
+
+    stable = Classification.STABLE
+    unstable = Classification.UNSTABLE
+    return tuple(
+        (curve.power[k].hex(), curve.eps_sq[k].hex(), curve.error[k], tuple(
+            (curve.photon_number[i].hex(),
+             (curve.photon_number[i].hex(), *z(curve.c_s[i]),
+              *z(curve.b_1s[i]), *z(curve.b_2s[i]), curve.q_1s[i].hex(),
+              curve.q_2s[i].hex(), curve.effective_detuning[i].hex()),
+             curve.stable[i], stable if curve.stable[i] else unstable,
+             curve.method, curve.margin[i].hex(),
+             tuple(r.hex() for r in curve.eigenvalue_real_parts[i]))
+            for i in rows))
+        for k, rows in enumerate(curve.branch_rows))
+
+
+def _assert_matches_reference(curve, derived, drives, powers):
+    want = tuple(_point_hex(pt) for pt in power_sweep_reference(
+        derived, drives, powers, curve.method))
+    assert _columns_hex(curve) == want
+    assert tuple(_point_hex(pt) for pt in curve.points) == want
+    for column in (curve.power, curve.eps_sq, curve.photon_number,
+                   curve.q_1s, curve.q_2s, curve.effective_detuning,
+                   curve.margin):
+        assert all(type(v) is float for v in column)
+    assert all(type(v) is bool for v in curve.stable)
+    assert all(type(v) is complex for v in curve.c_s + curve.b_1s
+               + curve.b_2s)
+    return sum(len(rows) for rows in curve.branch_rows)
+
+
+def test_columns_equal_the_per_point_reference():
+    """Every column of a sweep, and every field of its `points` view, is
+    bit for bit what the per-point object loop builds: on every preset's
+    and family member's default grid, the dense fig2 and fig8a grids and
+    seeded draws with tones, for both methods and both conventions."""
+    roots = 0
+    for name in sorted(PRESETS):
+        cfg = get_preset(name).config()
+        for n in (201, 2001) if name in ("fig2", "fig8a") else (201,):
+            if cfg.values is None:
+                derived = cfg.derive()
+                grid = auto_power_grid(bistability_window(derived,
+                                                          cfg.drives), n)
+            else:
+                grid = family_sweep(cfg.params, cfg.drives, cfg.vary,
+                                    cfg.values, n_points=n,
+                                    method=Method.SLOPE_RULE,
+                                    convention=cfg.convention).powers
+            for conv in LinewidthConvention:
+                for method in Method:
+                    if cfg.values is None:
+                        derived = derive(cfg.params, cfg.drives, conv)
+                        curve = power_sweep(derived, cfg.drives, grid,
+                                            method)
+                        roots += _assert_matches_reference(
+                            curve, derived, cfg.drives, grid)
+                        continue
+                    fam = family_sweep(cfg.params, cfg.drives, cfg.vary,
+                                       cfg.values, n_points=n, method=method,
+                                       convention=conv, pmin=grid[0],
+                                       pmax=grid[-1])
+                    assert fam.powers == grid
+                    for m in fam.members:
+                        roots += _assert_matches_reference(
+                            m.curve, m.derived, m.drives, grid)
+    rng = np.random.default_rng(2011)
+    for _ in range(20):
+        params, drives = clean_system(rng, with_tones=True)
+        derived = derive(params, drives)
+        grid = auto_power_grid(bistability_window(derived, drives), 201)
+        for method in Method:
+            roots += _assert_matches_reference(
+                power_sweep(derived, drives, grid, method), derived, drives,
+                grid)
+    assert roots > 80_000
+
+
+def test_points_view_shares_the_column_objects():
+    """`points` is built from the columns without copying their floats."""
+    params, derived, drives, win = _clean()
+    curve = power_sweep(derived, drives, auto_power_grid(win, n=21))
+    flat = [b for pt in curve.points for b in pt.branches]
+    assert len(flat) == len(curve.photon_number)
+    for i, b in enumerate(flat):
+        assert b.photon_number is curve.photon_number[i]
+        assert b.fields.photon_number is curve.photon_number[i]
+        assert b.fields.c_s is curve.c_s[i]
+        assert b.stability.eigenvalue_real_parts is \
+            curve.eigenvalue_real_parts[i]
+    assert hash(curve) == hash(power_sweep(derived, drives,
+                                           auto_power_grid(win, n=21)))

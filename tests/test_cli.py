@@ -63,6 +63,25 @@ def test_curve_json_kind(capsys):
     assert len(doc["points"]) == 11
 
 
+def test_overflowing_power_is_an_unsolved_point(capsys):
+    """A power whose drive amplitude overflows is recorded as unsolved; it
+    does not abort the sweep with an eigenvalue failure (exit 4)."""
+    argv = ["curve", "--preset", "fig2", "--pmin", "1e-9", "--pmax",
+            "1e300", "--points", "3"]
+    msg = "root residual contract violated"
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if ln.startswith("# unsolved")] \
+        == [f"# unsolved point at power_W = {p}: {msg}"
+            for p in ("5e+299", "1e+300")]
+    assert main(argv + ["--format", "json"]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert len(points[0]["branches"]) == 3
+    # eps^2 overflowed too: JSON has no inf, so it reads null
+    assert [(p["eps_sq"], p["error"], p["branches"]) for p in points[1:]] \
+        == [(None, msg, [])] * 2
+
+
 def test_mirror_kind_and_slope_method(capsys):
     assert main(["mirror", "--preset", "fig8a", "--points", "11",
                  "--format", "json", "--method", "slope"]) == 0

@@ -78,6 +78,38 @@ def test_curve_json_layout():
     assert payload.endswith("\n")
 
 
+def test_unsolved_points_reach_every_reader(fig2_cfg):
+    """fig2 at 1e150-1e200 W: each such point records its ResidualError,
+    has no branches, is listed as unsolved in the CSV preamble and the JSON
+    and is skipped by the algebraic hysteresis trace."""
+    derived = fig2_cfg.derive()
+    solved = (1e-9, 2e-9, 3e-9, 4e-9)
+    unsolved = (1e150, 1e175, 1e200)
+    grid = solved[:3] + unsolved + solved[3:]
+    curve = power_sweep(derived, fig2_cfg.drives, grid)
+    msg = "root residual contract violated"
+    points = curve.points
+    assert [(pt.power, pt.error, pt.branches) for pt in points
+            if pt.error is not None] == [(p, msg, ()) for p in unsolved]
+    assert all(pt.branches for pt in points if pt.error is None)
+
+    snap = fig2_cfg.snapshot()
+    text = curve_to_csv(curve, snap)
+    assert [ln for ln in text.splitlines() if ln.startswith("# unsolved")] \
+        == [f"# unsolved point at power_W = {p!r}: {msg}" for p in unsolved]
+    _, rows = parse_curve_csv(text)
+    assert sorted({r["power_W"] for r in rows}) == list(solved)
+
+    doc = json.loads(dumps_json(curve_to_dict(curve, snap)))
+    assert [(p["power_W"], p["error"], p["branches"]) for p in doc["points"]
+            if p["error"] is not None] == [(p, msg, []) for p in unsolved]
+    assert all(p["branches"] for p in doc["points"] if p["error"] is None)
+
+    trace = hysteresis_from_curve(curve)
+    assert [p for p, _ in trace.up] == list(solved)
+    assert [p for p, _ in trace.down] == list(solved[::-1])
+
+
 def test_window_serialization_including_absent():
     params, derived, drives, win, curve, snap = _setup()
     doc = window_to_dict(win)

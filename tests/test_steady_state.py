@@ -14,7 +14,7 @@ import pytest
 
 from neoms.bifurcation import (_apply_family_value, auto_power_grid,
                                bistability_window, family_sweep)
-from neoms.errors import ConsistencyError, NumericalError
+from neoms.errors import ConsistencyError, NumericalError, ResidualError
 from neoms.model import (DriveSpec, LinewidthConvention, derive,
                          eps_for_power, power_for_eps_sq)
 from neoms.presets import PRESETS, get_preset
@@ -163,6 +163,17 @@ def test_roots_ascending_with_residual_contract():
         assert all(res <= 1e-9 for res in roots.residuals)
         for x in roots.roots:
             assert relative_residual(coeffs, x) <= 1e-9
+
+
+def test_nan_residual_fails_the_contract(fig2_derived):
+    """At 1e300 W the drive amplitude overflows to inf, and so does the one
+    seed root; its residual is NaN, which must not meet the contract."""
+    eps = eps_for_power(fig2_derived, 1e300)
+    assert eps == math.inf
+    coeffs = _coefficients(fig2_derived, DriveSpec(), eps)
+    with pytest.raises(ResidualError) as exc:
+        solve_photon_roots(coeffs)
+    assert math.isnan(exc.value.diagnostics["worst_residual"])
 
 
 def test_critical_points_extended_precision(fig2_derived):
@@ -331,8 +342,9 @@ def test_newton_cycle_exit_returns_the_uncut_polish():
     checked = 0
     for c, seeds in cases:
         for x in seeds:
-            assert _polish_root(c, x).hex() == \
-                polish_root_reference(c, x).hex(), (c, x)
+            y, fy = _polish_root(c.a1, c.a2, c.a3, c.a4, x)
+            assert y.hex() == polish_root_reference(c, x).hex(), (c, x)
+            assert fy == abs(cubic_value(c, y)), (c, x)
             checked += 1
     assert checked > 10000
 
