@@ -9,7 +9,9 @@ Neither format embeds timestamps, so equal inputs give equal bytes.
 from __future__ import annotations
 
 import math
+from itertools import chain, filterfalse, islice
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .bifurcation import (BistabilityCurve, BistabilityWindow, FamilyResult,
                           HysteresisTrace)
@@ -19,6 +21,7 @@ CURVE_HEADER = "power_W,branch_index,photon_number,stable,q1_m,q2_m"
 FAMILY_HEADER = "value," + CURVE_HEADER
 HYSTERESIS_HEADER = "direction,power_W,photon_number"
 KEYVALUE_HEADER = "key,value"
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _f(x: float) -> str:
@@ -52,49 +55,74 @@ def _none_if_nan(x: float | None) -> float | None:
 
 def dumps_json(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` plus a
-    newline, written directly: `indent` sends json to its slower pure-Python
-    encoder.  Unlike json, a key that is not a str raises TypeError."""
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    out.append("\n")   # joined once: a copy for the newline would add a peak
-    return "".join(out)
+    newline, refusing what json refuses and any key that is not a str.
+    Built a column at a time: a key's values across a list's records, or
+    the items of all lists at one depth, are checked and rendered together,
+    and each record is one `%` of its keys' template."""
+    spec, (text,) = _render([obj], "\n")
+    return (spec + "\n") % (text,)
 
 
-def _write_json(obj, pad: str, out: list[str]) -> None:
-    # json's order of tests; bools before ints, float.__repr__ for np.float64
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True or obj is False:
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"float {obj!r} is not JSON compliant")
-        out.append(float.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
-        # one separator string per container, not per item: peak memory
-        inner = pad + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in obj:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = comma
-        out.append(pad + "]" if obj else "[]")
-    elif isinstance(obj, dict):
-        inner = pad + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out += (sep, _quote(key), ": ")
-            _write_json(obj[key], inner, out)
-            sep = comma
-        out.append(pad + "}" if obj else "{}")
-    else:
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+def _render(col: list, pad: str) -> tuple[str, list]:
+    """(spec, items): `spec % item` is the text of each value of `col`, and
+    `pad` starts its nested lines.  A failing column is retried value by
+    value, so the error raised is json's: that of the first bad value."""
+    try:
+        return _column(col, pad)
+    except (TypeError, ValueError):
+        for value in col:
+            _column([value], pad)
+        raise
+
+
+def _column(col: list, pad: str) -> tuple[str, list]:
+    types = set(map(type, col))
+    if len(types) != 1:
+        return _split(col, map(type, col), pad)
+    (t,) = types
+    if issubclass(t, str):      # json's order of tests: bool before int
+        return "%s", list(map(_quote, col))
+    if t is bool or t is type(None):
+        return "%s", list(map(_LITERALS.__getitem__, col))
+    if issubclass(t, int):
+        return "%s", list(map(int.__repr__, col))
+    if issubclass(t, float):
+        for bad in filterfalse(math.isfinite, col):
+            raise ValueError(f"float {bad!r} is not JSON compliant")
+        if t is float:          # exact floats go to %r as they are
+            return "%r", col
+        return "%s", list(map(float.__repr__, col))   # %r of np.float64 is not
+    inner, comma = pad + "  ", "," + pad + "  "
+    if issubclass(t, (list, tuple)):
+        spec, items = _render([*chain.from_iterable(col)], inner)
+        forms = {n: f"[{inner}{comma.join([spec] * n)}{pad}]" if n else "[]"
+                 for n in set(map(len, col))}
+        rest = iter(items)
+        return "%s", [forms[n] % tuple(islice(rest, n)) for n in map(len, col)]
+    if not issubclass(t, dict):
+        raise TypeError(f"{t.__name__} is not JSON serializable")
+    if len(set(map(tuple, col))) > 1:
+        return _split(col, map(tuple, col), pad)
+    specs, cols = [], []
+    for key in sorted(col[0]):      # a key that is not a str: TypeError
+        spec, items = _render([*map(itemgetter(key), col)], inner)
+        specs.append(_quote(key).replace("%", "%%") + ": " + spec)
+        cols.append(items)
+    form = f"{{{inner}{comma.join(specs)}{pad}}}" if specs else "{}"
+    return "%s", [*map(form.__mod__, zip(*cols))] or [form] * len(col)
+
+
+def _split(col: list, kinds, pad: str) -> tuple[str, list]:
+    """Render `col` in groups of one kind (type or key set), each a column."""
+    groups: dict = {}
+    for i, kind in enumerate(kinds):
+        groups.setdefault(kind, []).append(i)
+    out = [""] * len(col)
+    for rows in groups.values():
+        spec, items = _render([col[i] for i in rows], pad)
+        for i, item in zip(rows, items):
+            out[i] = spec % (item,)
+    return "%s", out
 
 
 # ---------------------------------------------------------------- curves

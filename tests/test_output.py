@@ -13,6 +13,7 @@ from neoms.bifurcation import (BistabilityWindow, auto_power_grid,
                                bistability_window, family_sweep,
                                hysteresis_from_curve, power_sweep)
 from neoms.model import derive
+from neoms.presets import PRESETS, get_preset
 from neoms.stability import Classification, Method
 from neoms.output import (CURVE_HEADER, FAMILY_HEADER, HYSTERESIS_HEADER,
                           curve_to_csv, curve_to_dict, dumps_json,
@@ -203,22 +204,62 @@ def _stdlib_json(doc) -> str:
 _TEXT = st.text(st.characters(codec="utf-8")
                 | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'
                                   '\u00e9\u2028\U0001f600'))
-_LEAVES = (st.none() | st.booleans() | st.integers()
-           | st.floats(allow_nan=False, allow_infinity=False)
-           | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
-           | _TEXT)
-_DOCS = st.recursive(
-    _LEAVES,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(_TEXT, inner, max_size=4)),
-    max_leaves=40)
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]))
+_ENUMS = st.sampled_from([*Classification, *Method])
+_LEAVES = (st.none() | st.booleans() | st.integers() | _FLOATS
+           | _FLOATS.map(np.float64) | _TEXT | _ENUMS)
+# keys that would break a %-template if written into it unescaped
+_KEYS = _TEXT | st.sampled_from(["%", "%s", "%r", "%%", "%(x)s", "a%"])
+# what one key holds across a list of records: mixed types on purpose
+_COLUMNS = [_FLOATS, _FLOATS | st.none(), st.booleans() | st.integers(),
+            _FLOATS | _FLOATS.map(np.float64), _TEXT | st.none() | _ENUMS,
+            st.lists(_FLOATS, max_size=3)]
+
+
+@st.composite
+def _records(draw, inner, columns):
+    """2 to 6 dicts with one key set, each key drawing from one of `columns`
+    or from `inner`, so that lists of records nest."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
+    kinds = st.sampled_from([*columns, inner])
+    row = st.fixed_dictionaries({key: draw(kinds) for key in keys})
+    return draw(st.lists(row, min_size=2, max_size=6))
+
+
+def _docs(leaves, columns):
+    return st.recursive(
+        leaves,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(_KEYS, inner, max_size=4)
+                       | _records(inner, columns)),
+        max_leaves=40)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_DOCS)
+@given(_docs(_LEAVES, _COLUMNS))
 def test_dumps_json_equals_the_stdlib_encoder(doc):
     assert dumps_json(doc) == _stdlib_json(doc)
+
+
+def _refusal(encode, doc):
+    try:
+        encode(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+_BAD = st.sampled_from([math.nan, -math.inf, {1, 2}, np.int64(3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_docs(_LEAVES | _BAD, [kind | _BAD for kind in _COLUMNS]))
+def test_dumps_json_refuses_as_the_stdlib_encoder(doc):
+    """A document with several bad values raises json's error: that of the
+    first one in document order, though columns are rendered key by key."""
+    assert _refusal(dumps_json, doc) is _refusal(_stdlib_json, doc)
 
 
 def test_dumps_json_explicit_cases():
@@ -229,8 +270,12 @@ def test_dumps_json_explicit_cases():
                                                           Method.SLOPE_RULE]},
                 {"b": True, "a": [1, False, None, 2 ** 70, -3]}):
         assert dumps_json(doc) == _stdlib_json(doc), doc
+    records = [{"x": 1.0, "y": [{"z": 2.0}]}, {"x": 3.0, "y": []},
+               {"x": 4.0, "y": [{"z": 5.0}, {"z": math.nan}]}]
     for bad in (math.nan, math.inf, -math.inf, np.float64("nan"),
-                {"x": [1.0, math.inf]}):
+                {"x": [1.0, math.inf]}, records,
+                # column "a" holds a set, but the nan comes first
+                [{"a": 1.0, "b": math.nan}, {"a": {1}, "b": 2.0}]):
         with pytest.raises(ValueError):
             _stdlib_json(bad)
         with pytest.raises(ValueError):
@@ -241,6 +286,45 @@ def test_dumps_json_explicit_cases():
         with pytest.raises(TypeError):
             dumps_json(bad)
     # json would write the int key as "1"; results only ever have str keys
-    for bad in ({1: "a"}, {"x": {2: 0}}):
+    for bad in ({1: "a"}, {"x": {2: 0}}, [{"a": 1.0}, {2: 1.0}],
+                [{"a": 1.0, "b": 2.0}, {"a": 3.0, 4: 5.0}]):
         with pytest.raises(TypeError):
             dumps_json(bad)
+
+
+def _fig_doc(name: str) -> dict:
+    """The document `neoms fig NAME --format json` writes."""
+    preset = get_preset(name)
+    cfg = preset.config()
+    if cfg.vary is not None:
+        fam = family_sweep(cfg.params, cfg.drives, cfg.vary, cfg.values,
+                           convention=cfg.convention)
+        return family_to_dict(fam, cfg.snapshot(), preset.assumptions)
+    derived = cfg.derive()
+    grid = auto_power_grid(bistability_window(derived, cfg.drives))
+    return curve_to_dict(power_sweep(derived, cfg.drives, grid),
+                         cfg.snapshot(), preset.assumptions)
+
+
+def _fig2_doc(kind: str) -> dict:
+    cfg = get_preset("fig2").config()
+    derived = cfg.derive()
+    window = bistability_window(derived, cfg.drives)
+    if kind == "unsolved":      # null eps_sq, error strings, no branches
+        grid = auto_power_grid(window, 3, 1e-9, 1e300)
+        return curve_to_dict(power_sweep(derived, cfg.drives, grid),
+                             cfg.snapshot())
+    grid = auto_power_grid(window)
+    curve = power_sweep(derived, cfg.drives, grid, Method.SLOPE_RULE)
+    if kind == "slope":         # every margin is null
+        return curve_to_dict(curve, cfg.snapshot())
+    return trace_to_dict(hysteresis_from_curve(curve), cfg.snapshot())
+
+
+@pytest.mark.parametrize("doc", [
+    *(pytest.param(name, id=name) for name in sorted(PRESETS)),
+    *(pytest.param(kind, id=f"fig2-{kind}")
+      for kind in ("slope", "trace", "unsolved"))])
+def test_dumps_json_equals_the_stdlib_encoder_on_results(doc):
+    doc = _fig_doc(doc) if doc in PRESETS else _fig2_doc(doc)
+    assert dumps_json(doc) == _stdlib_json(doc)
