@@ -197,6 +197,9 @@ def _cmd_dynamics(args, cfg: RunConfig) -> _Result:
     derived = cfg.derive()
     power = args.power if args.power is not None else cfg.params.drive_power
     eps = eps_for_power(derived, power)
+    if not math.isfinite(eps):
+        raise ParameterError("power", f"drive amplitude overflows at "
+                                      f"{power!r} W")
     fields = relax_to_steady(ORIGIN, derived, cfg.drives, eps)
     return _Result(cfg, (fields, power), output.fields_to_csv,
                    output.fields_to_dict)

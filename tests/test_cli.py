@@ -290,7 +290,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
               "--points", "3"], "pmin: must be finite, got nan\n"),
             (["hysteresis", "--preset", "fig2", "--pmin", "0",
               "--pmax", "inf", "--points", "3"],
-             "pmax: must be finite, got inf\n")):
+             "pmax: must be finite, got inf\n"),
+            # the power as typed, not the drive amplitude it overflows to
+            (["dynamics", "--preset", "fig2", "--power", "1e300"],
+             "power: drive amplitude overflows at 1e+300 W\n")):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and \
