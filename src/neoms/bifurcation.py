@@ -132,13 +132,15 @@ class HysteresisTrace:
 
     Jump powers are the first grid point after the response moved by more
     than half of its previous value, so they sit one grid spacing past the
-    underlying fold at worst.
+    underlying fold at worst.  Grid points that failed to solve are left
+    out of both passes and listed in `unsolved`, with their errors.
     """
 
     up: tuple[tuple[float, float], ...]      # (power, photon number)
     down: tuple[tuple[float, float], ...]
     up_jump_powers: tuple[float, ...]
     down_jump_powers: tuple[float, ...]
+    unsolved: tuple[tuple[float, str], ...] = ()    # (power, error)
 
     @property
     def up_jump(self) -> float | None:
@@ -322,12 +324,16 @@ def hysteresis_from_curve(curve: BistabilityCurve) -> HysteresisTrace:
 
     Upward pass starts on the lowest branch and keeps the stable branch
     nearest the previous state (ties to the lower one); downward pass is the
-    same in reverse.  Points that failed to solve are skipped.
+    same in reverse.  Points that failed to solve are skipped, and listed
+    as unsolved in grid order.
     """
     ordered = sorted(range(len(curve.power)), key=curve.power.__getitem__)
     up, down = _follow(curve, ordered), _follow(curve, ordered[::-1])
+    unsolved = tuple((p, e) for p, e in zip(curve.power, curve.error)
+                     if e is not None)
     return HysteresisTrace(up=up, down=down, up_jump_powers=jump_powers(up),
-                           down_jump_powers=jump_powers(down))
+                           down_jump_powers=jump_powers(down),
+                           unsolved=unsolved)
 
 
 _PARAM_KEYS = ("g0", "gc", "delta_c")

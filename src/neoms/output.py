@@ -141,13 +141,16 @@ def _curve_rows(curve: BistabilityCurve, prefix: str = "") -> list[str]:
     return rows
 
 
+def _unsolved_lines(unsolved) -> list[str]:
+    return [f"# unsolved point at power_W = {_f(power)}: {error}"
+            for power, error in unsolved]
+
+
 def curve_to_csv(curve: BistabilityCurve, snapshot: str,
                  comments: tuple[str, ...] = ()) -> str:
     lines = _preamble(snapshot, comments)
-    for power, error in zip(curve.power, curve.error):
-        if error is not None:
-            lines.append(f"# unsolved point at power_W = {_f(power)}: "
-                         f"{error}")
+    lines += _unsolved_lines((p, e) for p, e in zip(curve.power, curve.error)
+                             if e is not None)
     lines.append(CURVE_HEADER)
     lines += _curve_rows(curve)
     return "\n".join(lines) + "\n"
@@ -303,6 +306,7 @@ def trace_to_csv(trace: HysteresisTrace, snapshot: str,
     downs = ", ".join(_f(p) for p in trace.down_jump_powers)
     lines.append(f"# up_jump_powers_W = [{ups}]")
     lines.append(f"# down_jump_powers_W = [{downs}]")
+    lines += _unsolved_lines(trace.unsolved)
     lines.append(HYSTERESIS_HEADER)
     for name, seq in (("up", trace.up), ("down", trace.down)):
         for power, x in seq:
@@ -317,6 +321,7 @@ def trace_to_dict(trace: HysteresisTrace, snapshot: str,
         "down": [[p, x] for p, x in trace.down],
         "up_jump_powers_W": list(trace.up_jump_powers),
         "down_jump_powers_W": list(trace.down_jump_powers),
+        "unsolved": [[p, error] for p, error in trace.unsolved],
     }, snapshot, comments)
 
 

@@ -150,6 +150,24 @@ def test_hysteresis_algebraic(capsys):
     assert doc["up"][0][1] < doc["up"][-1][1]
 
 
+def test_hysteresis_lists_unsolved_points_as_curve_does(capsys):
+    """An overflowing drive leaves grid points unsolved; `hysteresis` lists
+    them in both formats with the lines and pairs `curve` writes."""
+    grid = ["--preset", "fig2", "--pmin", "1e-9", "--pmax", "1e300",
+            "--points", "3"]
+    unsolved = [[5e299, "root residual contract violated"],
+                [1e300, "root residual contract violated"]]
+    listed = [f"# unsolved point at power_W = {p!r}: {e}" for p, e in unsolved]
+    for cmd in ("curve", "hysteresis"):
+        assert main([cmd, *grid]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("# unsolved")] == listed
+    assert main(["hysteresis", *grid, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["unsolved"] == unsolved
+    assert doc["up"] == doc["down"] == [[1e-9, doc["up"][0][1]]]
+
+
 def test_hysteresis_dynamic_on_clean_point(clean_conf, capsys):
     path, win = clean_conf
     assert main(["hysteresis", "--config", path, "--mode", "dynamic",
