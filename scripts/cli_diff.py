@@ -110,8 +110,11 @@ INVOCATIONS = (
        ["curve", "--config", "{sub}"],
        ["dynamics", "--preset", "fig2", "--power", "1.2e-8"],
        # a drive amplitude that overflows to inf: unsolved points, exit 0
-       ["curve", "--preset", "fig2", "--pmin", "1e-9", "--pmax", "1e300",
-        "--points", "3"],
+       *([cmd, "--preset", "fig2", "--pmin", "1e-9", "--pmax", "1e300",
+          "--points", "3", *f]
+         for cmd in ("curve", "hysteresis") for f in FORMATS),
+       # ... and refused as a single power, exit 2
+       ["dynamics", "--preset", "fig2", "--power", "1e300"],
        # usage errors and non-finite inputs: exit 2
        ["curve", "--preset", "fig2", "--points", "1"],
        ["curve", "--preset", "fig2", "--pmin", "1e-9", "--pmax", "1e-10"],
