@@ -89,9 +89,9 @@ def _column(col: list, pad: str) -> tuple[str, list]:
     if issubclass(t, float):
         for bad in filterfalse(math.isfinite, col):
             raise ValueError(f"float {bad!r} is not JSON compliant")
-        if t is float:          # exact floats go to %r as they are
+        if t is float:      # only for exact floats is %r float.__repr__
             return "%r", col
-        return "%s", list(map(float.__repr__, col))   # %r of np.float64 is not
+        return "%s", list(map(float.__repr__, col))
     inner, comma = pad + "  ", "," + pad + "  "
     if issubclass(t, (list, tuple)):
         spec, items = _render([*chain.from_iterable(col)], inner)

@@ -321,10 +321,10 @@ def _fig2_doc(kind: str) -> dict:
     return trace_to_dict(hysteresis_from_curve(curve), cfg.snapshot())
 
 
-@pytest.mark.parametrize("doc", [
+@pytest.mark.parametrize("name", [
     *(pytest.param(name, id=name) for name in sorted(PRESETS)),
     *(pytest.param(kind, id=f"fig2-{kind}")
       for kind in ("slope", "trace", "unsolved"))])
-def test_dumps_json_equals_the_stdlib_encoder_on_results(doc):
-    doc = _fig_doc(doc) if doc in PRESETS else _fig2_doc(doc)
+def test_dumps_json_equals_the_stdlib_encoder_on_results(name):
+    doc = _fig_doc(name) if name in PRESETS else _fig2_doc(name)
     assert dumps_json(doc) == _stdlib_json(doc)
