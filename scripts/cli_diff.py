@@ -101,6 +101,10 @@ INVOCATIONS = (
        for p in ("fig5", "fig6c") for f in FORMATS]
     + [["dynamics", "--preset", "fig2", "--power", "2e-9", *f]
        for f in FORMATS]
+    # the fused step on a Coulomb-coupled preset and on one driven by a
+    # mirror tone, both inside their windows, each settling in under 1 s
+    + [["dynamics", "--preset", p, "--power", "1e-9"]
+       for p in ("fig8a", "fig6a")]
     + [["dynamics", "--config", "{clean}"],
        ["curve", "--config", "{vary}", "--points", "5"],
        ["hysteresis", "--config", "{clean}", "--mode", "dynamic",
@@ -113,8 +117,12 @@ INVOCATIONS = (
        *([cmd, "--preset", "fig2", "--pmin", "1e-9", "--pmax", "1e300",
           "--points", "3", *f]
          for cmd in ("curve", "hysteresis") for f in FORMATS),
-       # ... and refused as a single power, exit 2
+       *(["family", "--preset", "fig3", "--pmin", "1e-9", "--pmax", "1e300",
+          "--points", "3", *f] for f in FORMATS),
+       # ... and refused as a single power, exit 2, as is a finite drive
+       # amplitude whose steady-state cubic overflows
        ["dynamics", "--preset", "fig2", "--power", "1e300"],
+       ["dynamics", "--preset", "fig2", "--power", "1e150"],
        # usage errors and non-finite inputs: exit 2
        ["curve", "--preset", "fig2", "--points", "1"],
        ["curve", "--preset", "fig2", "--pmin", "1e-9", "--pmax", "1e-10"],

@@ -21,7 +21,7 @@ from .bifurcation import (FAMILY_KEYS, auto_power_grid, bistability_window,
                           family_sweep, hysteresis_from_curve, power_sweep)
 from .config import RunConfig, load_config, parse_scalar_for_key
 from .errors import (ConfigError, NeomsError, NoBistabilityError,
-                     NumericalError, ParameterError)
+                     NumericalError, ParameterError, ResidualError)
 from .model import LinewidthConvention, eps_for_power
 from .presets import PRESETS, get_preset
 from .stability import Method
@@ -200,7 +200,14 @@ def _cmd_dynamics(args, cfg: RunConfig) -> _Result:
     if not math.isfinite(eps):
         raise ParameterError("power", f"drive amplitude overflows at "
                                       f"{power!r} W")
-    fields = relax_to_steady(ORIGIN, derived, cfg.drives, eps)
+    try:
+        fields = relax_to_steady(ORIGIN, derived, cfg.drives, eps)
+    except ResidualError as exc:
+        # a finite drive whose cubic overflows leaves a residual of inf or nan
+        if math.isfinite(exc.diagnostics.get("worst_residual", 0.0)):
+            raise
+        raise ParameterError("power", f"steady-state cubic overflows at "
+                                      f"{power!r} W") from exc
     return _Result(cfg, (fields, power), output.fields_to_csv,
                    output.fields_to_dict)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -118,60 +119,69 @@ _E3 = tuple(b - d for b, d in zip(_B + (0.0,), (
     0.220588235294117647058823529412e-1, 0.0)))
 
 
-def _step_source() -> str:
-    """Source of `_step(fun, t, h, y, f, rtol, atol) -> (y_new, f_new, err5,
-    err3)`.
+class System(NamedTuple):
+    """y' = F(y) on six floats, built by _system_factory: rhs(t, y) returns
+    F(y) as a tuple, whatever t, and step is the fused DOP853 step."""
 
-    One DOP853 step from the state y with derivative f at t: the eleven
-    further stages, the 8th-order state y_new and its derivative f_new.
-    err5 and err3 are the sums of squares of the 5th- and 3rd-order error
-    estimates, each component divided by its scale atol + max(|y|, |y_new|)
-    * rtol.  Every stage is written out on local floats.  Each stage sum
-    starts at 0.0 and adds its terms in stage order, as a running sum over
-    the full tableau would; terms with a zero coefficient are left out,
+    rhs: Callable[[float, list[float]], tuple[float, ...]]
+    step: Callable[..., tuple]
+
+
+def _system_factory(state, constants, lets, exprs):
+    """Compile `factory(*constants) -> System` for y' = exprs.
+
+    The arguments are Python source: `state` names the six components,
+    `constants` the values a system binds, and `lets` assignments that the
+    six derivatives `exprs` share; none may reuse a name of rhs or step
+    (t, y*, k*_*, s*, h, f, rtol, atol).  step(h, y, f, rtol, atol) -> (y_new,
+    f_new, err5, err3) is one DOP853 step of size h from y with derivative
+    f: the 8th-order state, its derivative, and the sums of squares of the
+    5th- and 3rd-order error estimates, each component divided by its scale
+    atol + max(|y|, |y_new|) * rtol.  Its twelve derivatives run the lets
+    and exprs inline on local floats: no call, no container, no stage time.
+
+    The operation order keeps the bits of rhs and of a running sum over the
+    full tableau (dop853_step_reference in tests/oracles.py): a stage's
+    state is y + (sum) * h and y_new is y + h * (sum); each sum starts at
+    0.0 and adds its terms in stage order, leaving out zero coefficients,
     which moves no bit of a finite sum, since a sum that starts at +0.0 can
-    only become -0.0 when every term is -0.0.  The squares are added left
-    to right, as _scaled_squares adds them.
+    only become -0.0 when every term is -0.0; the lets and exprs run as
+    written, as in rhs; and the scaled squares add left to right, as
+    _scaled_squares adds them.
     """
-    comps = range(6)
+    names = ", ".join(state)
 
     def combine(coeffs, i):
         return "0.0" + "".join(f" + {a!r} * k{j}_{i}"
                                for j, a in enumerate(coeffs) if a != 0.0)
 
-    def stage(s):
-        return ", ".join(f"k{s}_{i}" for i in comps)
-
     def squares(coeffs):
         return " + ".join(f"(({combine(coeffs, i)}) / s{i}) ** 2"
-                          for i in comps)
+                          for i in range(6))
 
-    lines = ["def _step(fun, t, h, y, f, rtol, atol):",
-             "    " + ", ".join(f"y{i}" for i in comps) + " = y",
-             f"    {stage(0)} = f"]
-    for s, (c, a) in enumerate(zip(_C[1:], _A), start=1):
-        y_s = ", ".join(f"y{i} + ({combine(a, i)}) * h" for i in comps)
-        lines.append(f"    {stage(s)} = fun(t + {c!r} * h, [{y_s}])")
-    y_new = ", ".join(f"y{i} + h * ({combine(_B, i)})" for i in comps)
-    lines += [f"    y_new = [{y_new}]",
-              "    " + ", ".join(f"n{i}" for i in comps) + " = y_new",
-              "    f_new = fun(t + h, y_new)",
-              f"    {stage(len(_C))} = f_new"]
-    lines += [f"    s{i} = atol + max(abs(y{i}), abs(n{i})) * rtol"
-              for i in comps]
-    lines += ["    return (y_new, f_new,",
-              f"            {squares(_E5)},",
-              f"            {squares(_E3)})"]
-    return "\n".join(lines) + "\n"
-
-
-def _build_step():
-    namespace: dict = {}
-    exec(compile(_step_source(), "<dop853 step>", "exec"), namespace)
-    return namespace["_step"]
-
-
-_step = _build_step()
+    step = [", ".join(f"y{i}" for i in range(6)) + " = y",
+            ", ".join(f"k0_{i}" for i in range(6)) + " = f"]
+    for s, a in enumerate(_A + (_B,), start=1):
+        step += [f"{x} = y{i} + ({combine(a, i)}) * h" if s <= len(_A) else
+                 f"{x} = y{i} + h * ({combine(a, i)})"
+                 for i, x in enumerate(state)]
+        step += [*lets, *(f"k{s}_{i} = {e}" for i, e in enumerate(exprs))]
+    step += [f"s{i} = atol + max(abs(y{i}), abs({x})) * rtol"
+             for i, x in enumerate(state)]
+    f_new = ", ".join(f"k{s}_{i}" for i in range(6))
+    step.append(f"return [{names}], ({f_new}), {squares(_E5)}, "
+                f"{squares(_E3)}")
+    source = "\n".join([f"def factory({', '.join(constants)}):",
+                        "    def rhs(t, y):",
+                        f"        {names} = y",
+                        *(f"        {line}" for line in lets),
+                        f"        return ({', '.join(exprs)},)",
+                        "    def step(h, y, f, rtol, atol):",
+                        *(f"        {line}" for line in step),
+                        "    return System(rhs, step)\n"])
+    namespace = {"System": System}
+    exec(compile(source, "<dop853 system>", "exec"), namespace)
+    return namespace["factory"]
 
 
 # Step-size control.
@@ -183,10 +193,10 @@ _ERROR_EXPONENT = -1.0 / 8.0
 
 @dataclass(frozen=True)
 class IvpResult:
-    """End of an integration segment: its time t, its state y, the RHS calls
-    nfev it took, the derivative f = fun(t, y), and h_next, the step size the
-    controller proposed next (None when no step was taken).  Passed as the
-    start of the next segment, it continues the integration."""
+    """End of an integration segment: its time t, its state y, the nfev RHS
+    evaluations it took, the derivative f = rhs(t, y), and h_next, the step
+    size the controller proposed next (None when no step was taken).  Passed as
+    the start of the next segment, it continues the integration."""
 
     t: float
     y: list[float]
@@ -196,8 +206,8 @@ class IvpResult:
 
 
 def _scaled_squares(values, scale) -> float:
-    # added left to right, as _step adds its error terms; the builtin sum
-    # compensates float additions from Python 3.12 on
+    # added left to right, as a system's step adds its error terms; the
+    # builtin sum compensates float additions from Python 3.12 on
     total = 0.0
     for v, s in zip(values, scale):
         total += (v / s) ** 2
@@ -208,14 +218,14 @@ def _rms(values, scale) -> float:
     return math.sqrt(_scaled_squares(values, scale) / len(scale))
 
 
-def _initial_step(fun, t, y, f, interval, rtol, atol) -> float:
+def _initial_step(rhs, t, y, f, interval, rtol, atol) -> float:
     """First step size by Hairer, Norsett & Wanner's rule (section II.4)."""
     scale = [atol + abs(v) * rtol for v in y]
     d0 = _rms(y, scale)
     d1 = _rms(f, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t + h0, [v + h0 * dv for v, dv in zip(y, f)])
+    f1 = rhs(t + h0, [v + h0 * dv for v, dv in zip(y, f)])
     d2 = _rms([b - a for a, b in zip(f, f1)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -224,19 +234,19 @@ def _initial_step(fun, t, y, f, interval, rtol, atol) -> float:
     return min(100.0 * h0, h1, interval)
 
 
-def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
+def solve_ivp(system: System, t_span: tuple[float, float], y0, rtol: float,
               atol: float) -> IvpResult:
-    """Integrate y' = fun(t, y) for six floats forward over t_span.
+    """Integrate y' = system.rhs(t, y) for six floats forward over t_span.
 
     y0 is six floats, or the IvpResult of a segment that ended at
-    t_span[0].  From six floats the integration starts fresh: it calls fun
+    t_span[0].  From six floats the integration starts fresh: it calls rhs
     once at the start and once more to choose the first step, as scipy's
     DOP853 does, and takes scipy's steps.  From a result it continues with
-    that result's derivative and proposed step, and calls fun for neither;
+    that result's derivative and proposed step, and calls rhs for neither;
     if the tolerances tightened, the controller rejects and shrinks the
-    step by itself.  Each attempted step calls fun twelve times, and its
-    error norm comes from _step, which sums the scaled squares inline.  The
-    last step is clipped to end on t_span[1].
+    step by itself.  Each attempted step is one call of system.step, which
+    evaluates the RHS twelve times inline and sums the scaled squares of
+    its error estimates.  The last step is clipped to end on t_span[1].
 
     Raises ParameterError (a ValueError) unless both ends of t_span are
     finite and t_span[1] >= t_span[0], and StiffnessError when the step the
@@ -246,6 +256,7 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
     # The first-step rule, error norm, step controller and step floor are
     # those of scipy.integrate's DOP853, so a fresh start takes scipy's
     # steps and counts scipy's RHS calls; tests/test_dynamics.py checks both.
+    rhs, step = system
     t, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t) and math.isfinite(t_end) and t_end >= t):
         raise ParameterError(
@@ -258,12 +269,12 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
         y, f, h_abs, nfev = y0.y, y0.f, y0.h_next, 0
     else:
         y = [float(v) for v in y0]
-        f = fun(t, y)
+        f = rhs(t, y)
         h_abs, nfev = None, 1
     if t == t_end:
         return IvpResult(t, y, nfev, f, h_abs)
     if h_abs is None:
-        h_abs = _initial_step(fun, t, y, f, t_end - t, rtol, atol)
+        h_abs = _initial_step(rhs, t, y, f, t_end - t, rtol, atol)
         nfev += 1
     while t < t_end:
         min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
@@ -277,7 +288,7 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, err5, err3 = _step(fun, t, h, y, f, rtol, atol)
+            y_new, f_new, err5, err3 = step(h, y, f, rtol, atol)
             nfev += 12
             # the 5th-order error estimate, damped where the 3rd-order one
             # is larger (Hairer, Norsett & Wanner, section II.10)
@@ -300,32 +311,31 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float,
     return IvpResult(t, y, nfev, f, h_abs)
 
 
-def _make_rhs(derived: DerivedParams, drives: DriveSpec, eps_l: float):
-    kh = derived.kh
-    dc = derived.delta_c
-    g0, gc = derived.g0, derived.gc
-    w1, w2 = derived.omega1, derived.omega2
-    h1, h2 = 0.5 * derived.gamma1, 0.5 * derived.gamma2
+# The mean-field equations in the quadratures c = cr + i ci and b_k = u_k +
+# i v_k, written once: the rhs and the fused step of every system are
+# generated from these lines, and _make_system binds their constants.
+_mean_field = _system_factory(
+    "cr ci u1 v1 u2 v2".split(),
+    "kh dc g0 gc w1 w2 h1 h2 f1r f1i f2r f2i el".split(),
+    ("det = dc - 2.0 * g0 * u1",),
+    ("det * ci - kh * cr + el",
+     "-det * cr - kh * ci",
+     "-h1 * u1 + w1 * v1 + gc * v2 + f1r",
+     "g0 * (cr * cr + ci * ci) - w1 * u1 - h1 * v1 - gc * u2 - f1i",
+     "-h2 * u2 + w2 * v2 + gc * v1 + f2r",
+     "-w2 * u2 - h2 * v2 - gc * u1 - f2i"))
+
+
+def _make_system(derived: DerivedParams, drives: DriveSpec,
+                 eps_l: float) -> System:
     # the tone phases are static, so each tone is a constant force
-    f1r = drives.eps1 * math.cos(drives.phi1)
-    f1i = drives.eps1 * math.sin(drives.phi1)
-    f2r = drives.eps2 * math.cos(drives.phi2)
-    f2i = drives.eps2 * math.sin(drives.phi2)
-    el = float(eps_l)
-
-    def rhs(t, y):
-        cr, ci, u1, v1, u2, v2 = y
-        det = dc - 2.0 * g0 * u1
-        return (
-            det * ci - kh * cr + el,
-            -det * cr - kh * ci,
-            -h1 * u1 + w1 * v1 + gc * v2 + f1r,
-            g0 * (cr * cr + ci * ci) - w1 * u1 - h1 * v1 - gc * u2 - f1i,
-            -h2 * u2 + w2 * v2 + gc * v1 + f2r,
-            -w2 * u2 - h2 * v2 - gc * u1 - f2i,
-        )
-
-    return rhs
+    return _mean_field(
+        kh=derived.kh, dc=derived.delta_c, g0=derived.g0, gc=derived.gc,
+        w1=derived.omega1, w2=derived.omega2, h1=0.5 * derived.gamma1,
+        h2=0.5 * derived.gamma2, f1r=drives.eps1 * math.cos(drives.phi1),
+        f1i=drives.eps1 * math.sin(drives.phi1),
+        f2r=drives.eps2 * math.cos(drives.phi2),
+        f2i=drives.eps2 * math.sin(drives.phi2), el=float(eps_l))
 
 
 def time_derivative(state: MeanFieldState, derived: DerivedParams,
@@ -334,7 +344,7 @@ def time_derivative(state: MeanFieldState, derived: DerivedParams,
     """Instantaneous d(state)/dt, returned in the same container."""
     if eps_l is None:
         eps_l = derived.eps_l
-    rhs = _make_rhs(derived, drives, eps_l)
+    rhs = _make_system(derived, drives, eps_l).rhs
     dy = rhs(state.t, state.to_quadratures().tolist())
     return MeanFieldState.from_quadratures(dy, t=state.t)
 
@@ -384,7 +394,7 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     y = initial.to_quadratures().tolist()
     if not all(math.isfinite(v) for v in y):
         raise ParameterError("initial", f"must be finite, got {initial!r}")
-    rhs = _make_rhs(derived, drives, eps_l)
+    system = _make_system(derived, drives, eps_l)
     norm_scale = max(eps_l, derived.kappa)
     strict = SETTLE_TOL * norm_scale
     loose = 1e4 * strict
@@ -409,7 +419,7 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     while t < t_max:
         t_next = min(t + checkpoint, t_max)
         rt = 1e-12 if fine else RTOL
-        sol = solve_ivp(rhs, (t, t_next), sol, rtol=rt, atol=rt * amp)
+        sol = solve_ivp(system, (t, t_next), sol, rtol=rt, atol=rt * amp)
         t = sol.t
         nfev += sol.nfev
         norm = math.sqrt(sum(d * d for d in sol.f))

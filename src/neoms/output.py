@@ -141,16 +141,16 @@ def _curve_rows(curve: BistabilityCurve, prefix: str = "") -> list[str]:
     return rows
 
 
-def _unsolved_lines(unsolved) -> list[str]:
-    return [f"# unsolved point at power_W = {_f(power)}: {error}"
-            for power, error in unsolved]
+def _unsolved_lines(points, at: str = "") -> list[str]:
+    """A comment for each (power, error) pair whose error is not None."""
+    return [f"# unsolved point at {at}power_W = {_f(power)}: {error}"
+            for power, error in points if error is not None]
 
 
 def curve_to_csv(curve: BistabilityCurve, snapshot: str,
                  comments: tuple[str, ...] = ()) -> str:
     lines = _preamble(snapshot, comments)
-    lines += _unsolved_lines((p, e) for p, e in zip(curve.power, curve.error)
-                             if e is not None)
+    lines += _unsolved_lines(zip(curve.power, curve.error))
     lines.append(CURVE_HEADER)
     lines += _curve_rows(curve)
     return "\n".join(lines) + "\n"
@@ -200,6 +200,9 @@ def family_to_csv(family: FamilyResult, snapshot: str,
     vary = f"# vary = {family.vary}"
     if vary not in lines:
         lines.append(vary)
+    for m in family.members:
+        lines += _unsolved_lines(zip(m.curve.power, m.curve.error),
+                                 f"{family.vary} = {_f(m.value)}, ")
     lines.append(FAMILY_HEADER)
     for m in family.members:
         lines += _curve_rows(m.curve, prefix=_f(m.value) + ",")

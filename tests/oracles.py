@@ -31,7 +31,7 @@ import numpy as np
 
 from neoms.bifurcation import BranchSolution, CurvePoint
 from neoms.dynamics import (_A, _B, _C, _E3, _E5, RTOL, SETTLE_TOL,
-                            SETTLED_CHECKPOINTS, _make_rhs, solve_ivp)
+                            SETTLED_CHECKPOINTS, _make_system, solve_ivp)
 from neoms.errors import ConsistencyError, EigenvalueError, ResidualError
 from neoms.model import LinewidthConvention, eps_for_power
 from neoms.stability import Method, classify_batch
@@ -307,8 +307,9 @@ def _combine(coeffs, stages):
 
 
 def dop853_step_reference(fun, t, h, y, f):
-    """`dynamics._step` as a running sum over every tableau entry, zeros
-    included."""
+    """A system's fused DOP853 step (`dynamics._system_factory`) as a
+    running sum over every tableau entry, zeros included, calling fun at
+    each stage's time."""
     stages = [f]
     for c, a in zip(_C[1:], _A):
         stages.append(fun(t + c * h, [v + d * h for v, d in
@@ -326,7 +327,7 @@ def relax_restarting_reference(initial, derived, drives, eps_l):
     the RHS calls of all segments, the settle tests' calls not counted."""
     slow = min(derived.kappa, derived.gamma1, derived.gamma2)
     checkpoint, t_max = 1.0 / slow, 1000.0 / slow
-    rhs = _make_rhs(derived, drives, eps_l)
+    system = _make_system(derived, drives, eps_l)
     strict = SETTLE_TOL * max(eps_l, derived.kappa)
     roots = solve_photon_roots(cubic_coefficients(
         derived, susceptibilities(derived, drives), eps_l)).roots
@@ -335,10 +336,11 @@ def relax_restarting_reference(initial, derived, drives, eps_l):
     t, nfev, streak, fine = 0.0, 0, 0, False
     while t < t_max:
         rt = 1e-12 if fine else RTOL
-        sol = solve_ivp(rhs, (t, min(t + checkpoint, t_max)), y, rt, rt * amp)
+        sol = solve_ivp(system, (t, min(t + checkpoint, t_max)), y, rt,
+                        rt * amp)
         t, y = sol.t, sol.y
         nfev += sol.nfev
-        norm = math.sqrt(sum(d * d for d in rhs(t, y)))
+        norm = math.sqrt(sum(d * d for d in system.rhs(t, y)))
         if fine and norm < strict:
             streak += 1
             if streak >= SETTLED_CHECKPOINTS:

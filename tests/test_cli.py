@@ -15,7 +15,7 @@ from neoms.cli import build_parser, main
 from neoms.config import RunConfig
 from neoms.model import LinewidthConvention, derive
 from neoms.bifurcation import bistability_window, family_sweep
-from neoms.output import family_to_csv
+from neoms.output import FAMILY_HEADER, family_to_csv
 from curve_csv import parse_curve_csv
 from neoms.presets import get_preset
 from draws import clean_system
@@ -168,6 +168,25 @@ def test_hysteresis_lists_unsolved_points_as_curve_does(capsys):
     assert doc["up"] == doc["down"] == [[1e-9, doc["up"][0][1]]]
 
 
+def test_family_lists_each_members_unsolved_points(capsys):
+    """An overflowing drive leaves each member's top grid points unsolved;
+    the family CSV lists them, each with its member's value, where the JSON
+    carries their errors."""
+    grid = ["--preset", "fig3", "--pmin", "1e-9", "--pmax", "1e300",
+            "--points", "3"]
+    assert main(["family", *grid, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    listed = [f"# unsolved point at g0 = {m['value']!r}, "
+              f"power_W = {pt['power_W']!r}: {pt['error']}"
+              for m in doc["members"] for pt in m["curve"]
+              if pt["error"] is not None]
+    assert len(listed) == 6
+    assert main(["family", *grid]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("# unsolved")] == listed
+    assert len(lines) == lines.index(FAMILY_HEADER) + 10
+
+
 def test_hysteresis_dynamic_on_clean_point(clean_conf, capsys):
     path, win = clean_conf
     assert main(["hysteresis", "--config", path, "--mode", "dynamic",
@@ -311,7 +330,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
              "pmax: must be finite, got inf\n"),
             # the power as typed, not the drive amplitude it overflows to
             (["dynamics", "--preset", "fig2", "--power", "1e300"],
-             "power: drive amplitude overflows at 1e+300 W\n")):
+             "power: drive amplitude overflows at 1e+300 W\n"),
+            # a finite drive amplitude whose steady-state cubic overflows
+            (["dynamics", "--preset", "fig2", "--power", "1e150"],
+             "power: steady-state cubic overflows at 1e+150 W\n")):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and \

@@ -17,7 +17,7 @@ import pytest
 from neoms import dynamics
 from neoms.bifurcation import bistability_window
 from neoms.errors import ConvergenceError, StiffnessError
-from neoms.dynamics import (ORIGIN, MeanFieldState, _make_rhs,
+from neoms.dynamics import (ORIGIN, MeanFieldState, _make_system,
                             hysteresis_loop, relax_to_steady, time_derivative)
 from neoms.model import (CoulombSpec, DriveSpec, LinewidthConvention, derive,
                          eps_for_power)
@@ -93,7 +93,7 @@ def test_rhs_is_bit_identical_to_the_numpy_scalar_form(fig2_cfg,
         systems.append((derive(params, drives,
                                conventions[i % len(conventions)]), drives))
     for derived, drives in systems:
-        rhs = _make_rhs(derived, drives, derived.eps_l)
+        rhs = _make_system(derived, drives, derived.eps_l).rhs
         ref = rhs_reference(derived, drives, derived.eps_l)
         for y in _quadratures(rng, 200):
             assert (np.array(rhs(0.0, y.tolist())).tobytes()
@@ -102,7 +102,8 @@ def test_rhs_is_bit_identical_to_the_numpy_scalar_form(fig2_cfg,
 
 def test_relaxation_unchanged_under_the_numpy_scalar_rhs(monkeypatch):
     """The first three relaxations of acceptance criterion 5 settle on the
-    same bits whichever form of the RHS the integrator calls."""
+    same bits under the fused step as under the stage loop on the
+    numpy-scalar form of the RHS."""
     def settle():
         rng = np.random.default_rng(1005)
         out = []
@@ -113,7 +114,8 @@ def test_relaxation_unchanged_under_the_numpy_scalar_rhs(monkeypatch):
         return out
 
     fast = settle()
-    monkeypatch.setattr(dynamics, "_make_rhs", rhs_reference)
+    monkeypatch.setattr(dynamics, "_make_system",
+                        lambda *args: _reference_system(rhs_reference(*args)))
     assert settle() == fast
 
 
@@ -231,27 +233,34 @@ def _step_hex(out):
     return [[v.hex() for v in part] for part in out]
 
 
-def _sign_of_zero_rhs(t, y):
-    """-0.0 where a component has its sign bit set, t elsewhere.  From a
-    -0.0 state every stage sum is of -0.0 terms only, and the sign that sum
-    takes decides the next stage's value; the t checks each stage's time."""
-    return tuple(-0.0 if math.copysign(1.0, v) < 0.0 else t for v in y)
+_X = tuple(f"x{i}" for i in range(6))
+
+# -0.0 where a component has its sign bit set, c elsewhere.  From a -0.0
+# state every stage sum is of -0.0 terms only, and the sign that sum takes
+# decides the next stage's value.
+_sign_of_zero = dynamics._system_factory(
+    _X, ("copysign", "c"), (),
+    tuple(f"-0.0 if copysign(1.0, {x}) < 0.0 else c" for x in _X))
 
 
-def _fused_reference(fun, t, h, y, f, rtol, atol):
-    """The stage loop, then the error sums _step fuses into itself."""
-    y_new, f_new, e5, e3 = dop853_step_reference(fun, t, h, y, f)
-    scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
-    return (y_new, f_new, dynamics._scaled_squares(e5, scale),
-            dynamics._scaled_squares(e3, scale))
+def _reference_system(rhs):
+    """A system whose step is the stage loop on rhs, followed by the error
+    sums the fused step adds inline."""
+    def step(h, y, f, rtol, atol):
+        y_new, f_new, e5, e3 = dop853_step_reference(rhs, 0.0, h, y, f)
+        scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+        return (y_new, f_new, dynamics._scaled_squares(e5, scale),
+                dynamics._scaled_squares(e3, scale))
+
+    return dynamics.System(rhs, step)
 
 
 def test_step_is_bit_identical_to_the_stage_loop(fig2_cfg, fig2_derived):
-    """The straight-line step returns the floats of the running sums over the
-    full tableau, signs of zero included, and the sums of the scaled squares
-    of their error estimates: random states, steps and tolerances, all-zero
-    states and states with -0.0 entries, on fig2 and clean_system RHS, each
-    driven and undriven, and on _sign_of_zero_rhs."""
+    """The fused step returns the floats of the running sums over the full
+    tableau on its system's rhs, signs of zero included, and the sums of the
+    scaled squares of their error estimates: random states, steps and
+    tolerances, all-zero states and states with -0.0 entries, on fig2 and
+    clean_system systems, each driven and undriven, and on _sign_of_zero."""
     rng = np.random.default_rng(1801)
     systems = [(fig2_derived, fig2_cfg.drives)]
     for i in range(20):
@@ -262,9 +271,10 @@ def test_step_is_bit_identical_to_the_stage_loop(fig2_cfg, fig2_derived):
     for derived, drives in systems:
         rate = max(derived.kappa, derived.omega1, derived.omega2,
                    derived.gamma1, derived.gamma2, abs(derived.delta_c))
-        for rhs in (_make_rhs(derived, drives, derived.eps_l),
-                    _make_rhs(derived, DriveSpec(), 0.0),
-                    _sign_of_zero_rhs):
+        for system_at in (
+                lambda t: _make_system(derived, drives, derived.eps_l),
+                lambda t: _make_system(derived, DriveSpec(), 0.0),
+                lambda t: _sign_of_zero(math.copysign, t)):
             for y in zeros + _quadratures(rng, 40):
                 y = y.tolist()
                 # at most one inverse rate, the nonlinear one included, so
@@ -274,12 +284,13 @@ def test_step_is_bit_identical_to_the_stage_loop(fig2_cfg, fig2_derived):
                 t = float(rng.choice((0.0, 1e-3 * rng.uniform())))
                 rtol = 10.0 ** rng.uniform(-13.0, -6.0)
                 atol = rtol * 10.0 ** rng.uniform(-2.0, 4.0)
+                rhs, step = system_at(t)
                 f = rhs(t, y)
                 ref = dop853_step_reference(rhs, t, h, y, f)
                 assert all(math.isfinite(v) for part in ref for v in part)
-                got = dynamics._step(rhs, t, h, y, f, rtol, atol)
+                got = step(h, y, f, rtol, atol)
                 assert _step_hex(got[:2]) == _step_hex(ref[:2]), (y, t, h)
-                fused = _fused_reference(rhs, t, h, y, f, rtol, atol)[2:]
+                fused = _reference_system(rhs).step(h, y, f, rtol, atol)[2:]
                 assert all(math.isfinite(v) for v in fused)
                 assert ([v.hex() for v in got[2:]]
                         == [v.hex() for v in fused]), (y, t, h, rtol, atol)
@@ -299,7 +310,7 @@ def test_scaled_squares_add_left_to_right():
 
 def test_relaxation_unchanged_under_the_reference_step(monkeypatch):
     """Ten relaxations of clean draws settle on the same bits whether the
-    integrator takes the straight-line step or the stage loop."""
+    integrator takes the fused step or the stage loop on the same rhs."""
     def settle():
         rng = np.random.default_rng(1802)
         out = []
@@ -310,12 +321,15 @@ def test_relaxation_unchanged_under_the_reference_step(monkeypatch):
         return out
 
     fast = settle()
-    monkeypatch.setattr(dynamics, "_step", _fused_reference)
+    make = dynamics._make_system
+    monkeypatch.setattr(dynamics, "_make_system",
+                        lambda *args: _reference_system(make(*args).rhs))
     assert settle() == fast
 
 
 def _oracle_segments():
-    """(rhs, t_span, y0, rtol, atol): one checkpoint of relax_to_steady each.
+    """(system, t_span, y0, rtol, atol): one checkpoint of relax_to_steady
+    each.
 
     fig2 at three powers (the last one a limit cycle) and 50 clean_point
     draws, each from vacuum at RTOL and from a random state at 1e-12.  The
@@ -331,26 +345,27 @@ def _oracle_segments():
         cases.append((derived, drives, eps_sq))
     for derived, drives, eps_sq in cases:
         eps = math.sqrt(eps_sq)
-        rhs = _make_rhs(derived, drives, eps)
+        system = _make_system(derived, drives, eps)
         coeffs = cubic_coefficients(derived, susceptibilities(derived, drives),
                                     eps)
         amp = math.sqrt(max(solve_photon_roots(coeffs).roots[-1], 1.0))
         step = 1.0 / min(derived.kappa, derived.gamma1, derived.gamma2)
-        yield rhs, (0.0, step), [0.0] * 6, dynamics.RTOL, dynamics.RTOL * amp
+        yield (system, (0.0, step), [0.0] * 6, dynamics.RTOL,
+               dynamics.RTOL * amp)
         start = (rng.normal(size=6) * amp).tolist()
-        yield rhs, (step, 2.0 * step), start, 1e-12, 1e-12 * amp
+        yield system, (step, 2.0 * step), start, 1e-12, 1e-12 * amp
 
 
 def test_solve_ivp_takes_scipys_steps():
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     segments = list(_oracle_segments())
     assert len(segments) >= 100
-    for rhs, span, y0, rtol, atol in segments:
-        ref = scipy_solve_ivp(lambda t, y: rhs(t, y.tolist()), span,
+    for system, span, y0, rtol, atol in segments:
+        ref = scipy_solve_ivp(lambda t, y: system.rhs(t, y.tolist()), span,
                               np.array(y0), method="DOP853",
                               rtol=rtol, atol=atol)
         assert ref.success
-        got = dynamics.solve_ivp(rhs, span, y0, rtol, atol)
+        got = dynamics.solve_ivp(system, span, y0, rtol, atol)
         assert got.nfev == ref.nfev
         assert got.t == ref.t[-1] == span[1]
         for mine, theirs in zip(got.y, ref.y[:, -1].tolist()):
@@ -364,10 +379,9 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from neoms import dynamics
 from neoms.errors import StiffnessError
 
-def blow_up(t, y):
-    return tuple(v * v for v in y)
-
-ref = scipy_solve_ivp(lambda t, y: blow_up(t, y.tolist()), (0.0, 2.0),
+x = tuple(f"x{i}" for i in range(6))
+blow_up = dynamics._system_factory(x, (), (), tuple(f"{v} * {v}" for v in x))()
+ref = scipy_solve_ivp(lambda t, y: blow_up.rhs(t, y.tolist()), (0.0, 2.0),
                       np.ones(6), method="DOP853", rtol=1e-9, atol=1e-9)
 try:
     dynamics.solve_ivp(blow_up, (0.0, 2.0), [1.0] * 6, 1e-9, 1e-9)
@@ -398,16 +412,17 @@ import json
 from neoms import dynamics
 from neoms.errors import ParameterError
 nan, inf = float("nan"), float("inf")
+x = tuple(f"x{i}" for i in range(6))
+identity = dynamics._system_factory(x, (), (), x)()
 said = []
 for span in ((1.0, 0.0), (0.0, nan), (nan, 1.0), (0.0, inf), (-inf, 0.0)):
     try:
-        dynamics.solve_ivp(lambda t, y: tuple(y), span, [1.0] * 6, 1e-9, 1e-9)
+        dynamics.solve_ivp(identity, span, [1.0] * 6, 1e-9, 1e-9)
     except ParameterError as exc:
         said.append([exc.field, str(exc)])
-done = dynamics.solve_ivp(lambda t, y: tuple(y), (0.0, 1.0), [1.0] * 6,
-                          1e-9, 1e-9)
+done = dynamics.solve_ivp(identity, (0.0, 1.0), [1.0] * 6, 1e-9, 1e-9)
 try:
-    dynamics.solve_ivp(lambda t, y: tuple(y), (2.0, 3.0), done, 1e-9, 1e-9)
+    dynamics.solve_ivp(identity, (2.0, 3.0), done, 1e-9, 1e-9)
 except ParameterError as exc:
     said.append([exc.field, str(exc)])
 print(json.dumps(said))
@@ -432,30 +447,35 @@ def test_solve_ivp_refuses_a_bad_t_span(subprocess_env):
 
 
 def test_continued_segment_makes_no_start_up_call(fig2_cfg, fig2_derived):
-    """A segment given the last one's result calls the RHS only in its
-    steps, twelve times each, and picks up where the last one stopped."""
-    rhs = _make_rhs(fig2_derived, fig2_cfg.drives,
-                    eps_for_power(fig2_derived, 2e-9))
-    calls = []
+    """A segment given the last one's result makes no rhs call, counts
+    twelve evaluations per attempted step, and picks up where the last one
+    stopped."""
+    rhs, fused = _make_system(fig2_derived, fig2_cfg.drives,
+                              eps_for_power(fig2_derived, 2e-9))
+    calls, steps = [], []
 
-    def counted(t, y):
+    def counted_rhs(t, y):
         calls.append(t)
         return rhs(t, y)
 
+    def counted_step(h, *args):
+        steps.append(h)
+        return fused(h, *args)
+
+    counted = dynamics.System(counted_rhs, counted_step)
     step = 1.0 / fig2_derived.kappa
     first = dynamics.solve_ivp(counted, (0.0, step), [0.0] * 6, 1e-9, 1e-7)
-    assert len(calls) == first.nfev and first.nfev % 12 == 2
+    assert len(calls) == 2 and first.nfev == 2 + 12 * len(steps)
     assert first.f == rhs(first.t, first.y)
     assert first.h_next > 0.0
     same = dynamics.solve_ivp(counted, (step, step), first, 1e-9, 1e-7)
     assert same == replace(first, nfev=0)
-    del calls[:]
+    del calls[:], steps[:]
     later = dynamics.solve_ivp(counted, (step, 2.0 * step), first,
                                1e-12, 1e-10)
-    assert len(calls) == later.nfev and later.nfev % 12 == 0
+    assert not calls and later.nfev == 12 * len(steps) > 0
     # the first attempt is the step first proposed, clipped to the segment
-    h = min(step + first.h_next, 2.0 * step) - step
-    assert calls[0] == step + dynamics._C[1] * h
+    assert steps[0] == min(step + first.h_next, 2.0 * step) - step
     assert later.t == 2.0 * step and later.f == rhs(later.t, later.y)
 
 
@@ -579,9 +599,11 @@ fig2 = cfg.derive()
 eps = eps_for_power(fig2, 2e-9)
 nan, inf = float("nan"), float("inf")
 said = []
+x = tuple(f"x{i}" for i in range(6))
+identity = dynamics._system_factory(x, (), (), x)()
 for y0, atol in (([nan] * 6, 1e-9), ([inf] * 6, 1e-9), ([0.0] * 6, nan)):
     try:
-        dynamics.solve_ivp(lambda t, y: tuple(y), (0.0, 1.0), y0, 1e-9, atol)
+        dynamics.solve_ivp(identity, (0.0, 1.0), y0, 1e-9, atol)
     except StiffnessError as exc:
         said.append([str(exc), exc.diagnostics["t_reached"]])
 for start, eps_l in ((MeanFieldState(complex(nan, 0.0), 0j, 0j), eps),
