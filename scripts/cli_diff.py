@@ -76,7 +76,29 @@ gc = 0 rad/s
 vary = g0
 """
 
-CONFIGS = {"clean": CLEAN_CONF, "sub": SUB_THRESHOLD_CONF, "vary": VARY_CONF}
+# fig2 with gc = 2pi*1 MHz, past gc = 2pi*949.6 kHz where the Kerr slope
+# changes sign: the window sits at negative detuning ...
+REVERSED_CONF = """\
+cavity_length = 0.25 m
+wavelength = 1064 nm
+mass1 = 145 ng
+mass2 = 145 ng
+omega1 = 2pi*947 kHz
+omega2 = 2pi*947 kHz
+gamma1 = 2pi*140 kHz
+gamma2 = 2pi*140 kHz
+kappa = 2pi*215 kHz
+delta_c_over_kappa = -3.6
+drive_power = 9 mW
+g0 = 2pi*5 kHz
+gc = 2pi*1 MHz
+"""
+
+# ... and the same config at +3.6 kappa is on the wrong side for one.
+WRONG_SIDE_CONF = REVERSED_CONF.replace("= -3.6", "= 3.6")
+
+CONFIGS = {"clean": CLEAN_CONF, "sub": SUB_THRESHOLD_CONF, "vary": VARY_CONF,
+           "reversed": REVERSED_CONF, "wrong_side": WRONG_SIDE_CONF}
 TIMEOUT_S = 120
 PANELS = ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c",
           "fig6d", "fig7", "fig8a", "fig8b", "fig8c", "fig8d")
@@ -89,7 +111,8 @@ USAGE_ERRORS = [
     ["no-such-command"],
 ]
 
-# {clean}, {sub} and {vary} stand for the paths of the configs above.  A
+# {clean}, {sub}, {vary}, {reversed} and {wrong_side} stand for the paths
+# of the configs above.  A
 # relative path is taken from the temporary directory, which has no
 # `missing` subdirectory.
 INVOCATIONS = (
@@ -113,6 +136,16 @@ INVOCATIONS = (
        ["window", "--config", "{sub}"],
        ["curve", "--config", "{sub}"],
        ["dynamics", "--preset", "fig2", "--power", "1.2e-8"],
+       # a reversed Kerr slope: the window, threshold and default grid at
+       # negative detuning, the refusal at positive detuning, and a gc
+       # family whose second member is past the sign change (its JSON
+       # holds each member's window)
+       ["window", "--config", "{reversed}"],
+       ["threshold", "--config", "{reversed}"],
+       ["curve", "--config", "{reversed}", "--points", "21"],
+       ["window", "--config", "{wrong_side}"],
+       ["family", "--preset", "fig4", "--values", "2pi*0.2 MHz,2pi*1 MHz",
+        "--format", "json"],
        # a drive amplitude that overflows to inf: unsolved points, exit 0
        *([cmd, "--preset", "fig2", "--pmin", "1e-9", "--pmax", "1e300",
           "--points", "3", *f]

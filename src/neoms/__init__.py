@@ -21,8 +21,7 @@ from .model import (CODATA, CoulombSpec, DerivedParams, DriveSpec,
                     canonical_phase, derive, drive_amplitude, eps_for_power,
                     power_for_eps_sq, validate)
 from .presets import PRESETS, Preset, get_preset
-from .stability import (Classification, Method, StabilityReport, classify,
-                        classify_batch, jacobian)
+from .stability import Method
 from .steady_state import (CriticalPoints, CubicCoefficients, PhotonRoots,
                            SteadyStateFields, Susceptibilities,
                            ThresholdDetuning, critical_points,

@@ -12,13 +12,10 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NoBistabilityError, ParameterError, ResidualError
 from .model import (DerivedParams, DriveSpec, LinewidthConvention,
                     SystemParams, derive, eps_for_power, power_for_eps_sq)
-from .stability import (Classification, Method, StabilityReport,
-                        stability_columns)
+from .stability import Method, stability_columns
 from .steady_state import (CriticalPoints, SteadyStateFields,
                            ThresholdDetuning, critical_points,
                            cubic_coefficients, fold_powers_eps_sq,
@@ -28,15 +25,13 @@ from .steady_state import (CriticalPoints, SteadyStateFields,
 
 @dataclass(frozen=True)
 class BranchSolution:
-    """One steady-state root with its operating point and classification."""
+    """One steady-state root, classified: a row of the per-root columns."""
 
     photon_number: float
     fields: SteadyStateFields
-    stability: StabilityReport
-
-    @property
-    def stable(self) -> bool:
-        return self.stability.classification is Classification.STABLE
+    stable: bool
+    margin: float                              # -max Re(eig); nan for slope
+    eigenvalue_real_parts: tuple[float, ...]   # ascending; empty for slope
 
 
 @dataclass(frozen=True)
@@ -83,12 +78,9 @@ class BistabilityCurve:
     @property
     def points(self) -> tuple[CurvePoint, ...]:
         """Every grid point as a CurvePoint, built from the columns."""
-        method = self.method
-        stable, unstable = Classification.STABLE, Classification.UNSTABLE
         branches = [
             BranchSolution(x, SteadyStateFields(x, c, b1, b2, q1, q2, det),
-                           StabilityReport(stable if s else unstable, method,
-                                           parts, margin))
+                           s, margin, parts)
             for x, c, b1, b2, q1, q2, det, s, margin, parts in zip(
                 self.photon_number, self.c_s, self.b_1s, self.b_2s,
                 self.q_1s, self.q_2s, self.effective_detuning, self.stable,
@@ -190,7 +182,8 @@ def bistability_window(derived: DerivedParams, drives: DriveSpec,
 
 
 def _power_grid(pmin: float, pmax: float, n: int) -> tuple[float, ...]:
-    """n evenly spaced powers from pmin to pmax.
+    """n evenly spaced powers from pmin to pmax, with the bits of
+    np.linspace: entry i is i * step + pmin, and the last is pmax.
 
     Raises ParameterError (a ValueError) unless n >= 2, both bounds are
     finite and pmax > pmin.
@@ -204,22 +197,36 @@ def _power_grid(pmin: float, pmax: float, n: int) -> tuple[float, ...]:
     if not pmax > pmin:
         raise ParameterError("pmax", f"must exceed pmin, got pmin = "
                                      f"{pmin!r}, pmax = {pmax!r}")
-    return tuple(float(p) for p in np.linspace(pmin, pmax, n))
+    pmin, pmax, div = float(pmin), float(pmax), n - 1
+    delta = pmax - pmin
+    step = delta / div
+    if step == 0.0:     # a subnormal span: numpy scales i before delta
+        return (*(i / div * delta + pmin for i in range(div)), pmax)
+    return (*(i * step + pmin for i in range(div)), pmax)
+
+
+def _default_bounds(windows, pmin: float | None, pmax: float | None,
+                    refusal: str) -> tuple[float, float]:
+    """(pmin, pmax), each that is None taken from the bistable windows:
+    half the lowest downward fold and twice the highest upward fold.
+    Without a bistable window, NoBistabilityError names `refusal`."""
+    if pmin is None or pmax is None:
+        bistable = [w for w in windows if w.exists]
+        if not bistable:
+            raise NoBistabilityError(f"{refusal}; give explicit power bounds")
+        if pmin is None:
+            pmin = 0.5 * min(w.power_down for w in bistable)
+        if pmax is None:
+            pmax = 2.0 * max(w.power_up for w in bistable)
+    return pmin, pmax
 
 
 def auto_power_grid(window: BistabilityWindow, n: int = 201,
                     pmin: float | None = None, pmax: float | None = None,
                     ) -> tuple[float, ...]:
     """Linear power grid spanning the window with a factor-2 margin."""
-    if pmin is None or pmax is None:
-        if not window.exists:
-            raise NoBistabilityError(
-                f"{window.reason}; give explicit power bounds")
-        if pmin is None:
-            pmin = 0.5 * window.power_down
-        if pmax is None:
-            pmax = 2.0 * window.power_up
-    return _power_grid(pmin, pmax, n)
+    return _power_grid(*_default_bounds((window,), pmin, pmax,
+                                        window.reason), n)
 
 
 def solve_point(derived: DerivedParams, drives: DriveSpec, power: float,
@@ -396,16 +403,9 @@ def family_sweep(params: SystemParams, drives: DriveSpec, vary: str,
         derived_v = derive(p_v, d_v, convention)
         prepared.append((v, derived_v, d_v,
                          bistability_window(derived_v, d_v)))
-    if pmin is None or pmax is None:
-        bistable = [w for (_, _, _, w) in prepared if w.exists]
-        if not bistable:
-            raise NoBistabilityError(
-                "no family member is bistable; give explicit power bounds")
-        if pmin is None:
-            pmin = 0.5 * min(w.power_down for w in bistable)
-        if pmax is None:
-            pmax = 2.0 * max(w.power_up for w in bistable)
-    powers = _power_grid(pmin, pmax, n_points)
+    powers = _power_grid(*_default_bounds(
+        [w for (_, _, _, w) in prepared], pmin, pmax,
+        "no family member is bistable"), n_points)
     members = []
     for v, derived_v, d_v, win in prepared:
         curve = power_sweep(derived_v, d_v, powers, method)

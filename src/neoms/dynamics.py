@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .bifurcation import HysteresisTrace, jump_powers
 from .errors import (ConsistencyError, ConvergenceError, ParameterError,
                      StiffnessError)
@@ -31,9 +29,9 @@ class MeanFieldState:
     b2: complex
     t: float = 0.0
 
-    def to_quadratures(self) -> np.ndarray:
-        return np.array([self.c.real, self.c.imag, self.b1.real, self.b1.imag,
-                         self.b2.real, self.b2.imag])
+    def to_quadratures(self) -> list[float]:
+        return [self.c.real, self.c.imag, self.b1.real, self.b1.imag,
+                self.b2.real, self.b2.imag]
 
     @classmethod
     def from_quadratures(cls, y, t: float = 0.0) -> "MeanFieldState":
@@ -345,7 +343,7 @@ def time_derivative(state: MeanFieldState, derived: DerivedParams,
     if eps_l is None:
         eps_l = derived.eps_l
     rhs = _make_system(derived, drives, eps_l).rhs
-    dy = rhs(state.t, state.to_quadratures().tolist())
+    dy = rhs(state.t, state.to_quadratures())
     return MeanFieldState.from_quadratures(dy, t=state.t)
 
 
@@ -391,7 +389,7 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
                                  f"must be finite and > 0, got {value!r}")
     if not math.isfinite(eps_l):
         raise ParameterError("eps_l", f"must be finite, got {eps_l!r}")
-    y = initial.to_quadratures().tolist()
+    y = initial.to_quadratures()
     if not all(math.isfinite(v) for v in y):
         raise ParameterError("initial", f"must be finite, got {initial!r}")
     system = _make_system(derived, drives, eps_l)

@@ -11,19 +11,12 @@ unresolved-sideband linewidths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import EigenvalueError
 from .model import DerivedParams
-from .steady_state import SteadyStateFields
-
-
-class Classification(str, Enum):
-    STABLE = "stable"
-    UNSTABLE = "unstable"
 
 
 class Method(str, Enum):
@@ -57,19 +50,6 @@ def jacobians(detuning, c_s, derived: DerivedParams) -> np.ndarray:
     for k, v in enumerate(v for row in rows for v in row):
         flat[k] = v
     return np.ascontiguousarray(flat.T).reshape(len(det), 6, 6)
-
-
-def jacobian(fields: SteadyStateFields, derived: DerivedParams) -> np.ndarray:
-    """6x6 real Jacobian at a steady operating point."""
-    return jacobians((fields.effective_detuning,), (fields.c_s,), derived)[0]
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    classification: Classification
-    method: Method
-    eigenvalue_real_parts: tuple[float, ...]   # ascending; empty for slope rule
-    margin: float                              # -max Re(eig); nan for slope rule
 
 
 def _slope_rule(x: float, all_roots: tuple[float, ...]) -> bool:
@@ -128,24 +108,3 @@ def stability_columns(photon_number, detuning, c_s, all_roots,
     return ((top < -tol).tolist(), (-top).tolist(),
             list(map(tuple, parts.tolist())))
 
-
-def classify_batch(states, derived: DerivedParams,
-                   method: Method = Method.EIGEN) -> list[StabilityReport]:
-    """Classify steady states given as (fields, all_roots) pairs, in order:
-    `stability_columns` of their fields, as StabilityReports.  The slope
-    rule needs each state's full ascending root set of the same cubic."""
-    fields = [f for f, _ in states]
-    stable, margin, parts = stability_columns(
-        [f.photon_number for f in fields],
-        [f.effective_detuning for f in fields], [f.c_s for f in fields],
-        [roots for _, roots in states], derived, method)
-    return [StabilityReport(Classification.STABLE if s
-                            else Classification.UNSTABLE, method, r, m)
-            for s, m, r in zip(stable, margin, parts)]
-
-
-def classify(fields: SteadyStateFields, derived: DerivedParams,
-             method: Method = Method.EIGEN,
-             all_roots: tuple[float, ...] | None = None) -> StabilityReport:
-    """Classify one steady state: `classify_batch` of one."""
-    return classify_batch([(fields, all_roots)], derived, method)[0]

@@ -103,18 +103,6 @@ def cubic_coefficients(derived: DerivedParams, susc: Susceptibilities,
     )
 
 
-def cubic_value(coeffs: CubicCoefficients, x: float) -> float:
-    return ((coeffs.a1 * x + coeffs.a2) * x + coeffs.a3) * x + coeffs.a4
-
-
-def cubic_slope(coeffs: CubicCoefficients, x: float) -> float:
-    return (3.0 * coeffs.a1 * x + 2.0 * coeffs.a2) * x + coeffs.a3
-
-
-def relative_residual(coeffs: CubicCoefficients, x: float) -> float:
-    return _relative_residual(coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4, x)
-
-
 def _relative_residual(a1: float, a2: float, a3: float, a4: float,
                        x: float) -> float:
     """|cubic(x)| / max(|a4|, 1), the quantity the residual contract bounds."""
@@ -305,7 +293,10 @@ def critical_points(coeffs: CubicCoefficients) -> CriticalPoints:
     """Extrema of the drive power along the steady-state curve.
 
     The folds exist when the shifted detuning exceeds sqrt(3) times the
-    amplitude decay; below that the response is single valued.
+    amplitude decay and has the sign of the Kerr slope; below that the
+    response is single valued ("below_threshold"), and above it on the
+    other side it is too ("wrong_detuning_side").  x_c_minus < x_c_plus
+    whatever the slope's sign.
     """
     nan = math.nan
     if coeffs.a1 == 0.0:
@@ -314,9 +305,10 @@ def critical_points(coeffs: CubicCoefficients) -> CriticalPoints:
     disc = dt * dt - 3.0 * kh * kh
     x_inf = 2.0 * dt / (3.0 * chi)
     if disc < 0.0 or x_inf <= 0.0:
+        reason = "below_threshold" if disc < 0.0 else "wrong_detuning_side"
         return CriticalPoints(nan, nan, x_inf if x_inf > 0.0 else nan,
-                              False, "below_threshold")
-    half = math.sqrt(disc) / (3.0 * chi)
+                              False, reason)
+    half = math.sqrt(disc) / (3.0 * abs(chi))
     return CriticalPoints(x_c_minus=x_inf - half, x_c_plus=x_inf + half,
                           x_inf=x_inf, exists=True)
 
@@ -333,8 +325,11 @@ class ThresholdDetuning:
 
 def threshold_detuning(derived: DerivedParams,
                        susc: Susceptibilities) -> ThresholdDetuning:
-    """Closed-form existence threshold sqrt(3) * (amplitude decay)."""
+    """Closed-form existence threshold sqrt(3) * (amplitude decay), on the
+    side of the Kerr slope's sign: negative only when the slope is."""
     dt = math.sqrt(3.0) * derived.kh
+    if derived.g0 * susc.alpha1 < 0.0:
+        dt = -dt
     return ThresholdDetuning(delta_tilde=dt,
                              in_kappa_units=dt / derived.kappa,
                              delta_c=dt + derived.g0 * susc.offset,

@@ -5,7 +5,9 @@ roots come from a double-precision companion matrix refined by
 extended-precision Newton steps, fold powers from a dense scan with
 parabolic refinement, steady fields from a direct complex 2x2 solve of
 the zero-derivative conditions, and stability from the Routh array of the
-Jacobian's characteristic polynomial.
+Jacobian's characteristic polynomial.  The cubic and its slope are
+evaluated here by Horner (`cubic_value`, `cubic_slope`,
+`relative_residual`), not by the package.
 
 Four references keep earlier forms of hot code, verbatim, to pin that a
 faster form returns the same floats: `polish_root_reference` is the Newton
@@ -34,9 +36,8 @@ from neoms.dynamics import (_A, _B, _C, _E3, _E5, RTOL, SETTLE_TOL,
                             SETTLED_CHECKPOINTS, _make_system, solve_ivp)
 from neoms.errors import ConsistencyError, EigenvalueError, ResidualError
 from neoms.model import LinewidthConvention, eps_for_power
-from neoms.stability import Method, classify_batch
+from neoms.stability import Method, stability_columns
 from neoms.steady_state import (SteadyStateFields, cubic_coefficients,
-                                cubic_slope, cubic_value,
                                 solve_photon_roots, steady_fields,
                                 susceptibilities)
 
@@ -193,6 +194,21 @@ def math_isclose_rel(a: float, b: float, rel: float) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
 
 
+def cubic_value(coeffs, x: float) -> float:
+    """a1 x^3 + a2 x^2 + a3 x + a4 of a CubicCoefficients, by Horner."""
+    return ((coeffs.a1 * x + coeffs.a2) * x + coeffs.a3) * x + coeffs.a4
+
+
+def cubic_slope(coeffs, x: float) -> float:
+    """The derivative 3 a1 x^2 + 2 a2 x + a3, by Horner."""
+    return (3.0 * coeffs.a1 * x + 2.0 * coeffs.a2) * x + coeffs.a3
+
+
+def relative_residual(coeffs, x: float) -> float:
+    """|cubic(x)| / max(|a4|, 1), the quantity the residual contract bounds."""
+    return abs(cubic_value(coeffs, x)) / max(abs(coeffs.a4), 1.0)
+
+
 def polish_root_reference(coeffs, x: float) -> float:
     """Newton-polish a root for up to 60 steps, without the cycle exit."""
     best_x, best_f = x, abs(cubic_value(coeffs, x))
@@ -332,7 +348,7 @@ def relax_restarting_reference(initial, derived, drives, eps_l):
     roots = solve_photon_roots(cubic_coefficients(
         derived, susceptibilities(derived, drives), eps_l)).roots
     amp = math.sqrt(max(roots[-1], 1.0)) if roots else 1.0
-    y = initial.to_quadratures().tolist()
+    y = initial.to_quadratures()
     t, nfev, streak, fine = 0.0, 0, 0, False
     while t < t_max:
         rt = 1e-12 if fine else RTOL
@@ -355,7 +371,8 @@ def relax_restarting_reference(initial, derived, drives, eps_l):
 def power_sweep_reference(derived, drives, powers, method=Method.EIGEN):
     """`bifurcation.power_sweep` as a per-point loop over objects:
     cubic_coefficients, solve_photon_roots and steady_fields for each
-    point, then classify_batch over every root.  Returns the CurvePoints."""
+    point, then one stability_columns call over every root's fields.
+    Returns the CurvePoints."""
     susc = susceptibilities(derived, drives)
     solved = []     # (power, eps, error, fields per root) in grid order
     states = []     # (fields, all roots at that power) for every root
@@ -372,9 +389,13 @@ def power_sweep_reference(derived, drives, powers, method=Method.EIGEN):
                   for x in roots.roots]
         solved.append((p, eps, None, fields))
         states += [(f, roots.roots) for f in fields]
-    reports = iter(classify_batch(states, derived, method))
+    every = [f for f, _ in states]
+    rows = iter(zip(*stability_columns(
+        [f.photon_number for f in every],
+        [f.effective_detuning for f in every], [f.c_s for f in every],
+        [roots for _, roots in states], derived, method)))
     return tuple(CurvePoint(
         power=p, eps_sq=eps * eps, error=error,
-        branches=tuple(BranchSolution(f.photon_number, f, next(reports))
+        branches=tuple(BranchSolution(f.photon_number, f, *next(rows))
                        for f in fields))
         for p, eps, error, fields in solved)

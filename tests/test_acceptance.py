@@ -26,7 +26,7 @@ from neoms.dynamics import (ORIGIN, MeanFieldState, hysteresis_loop,
 from neoms.model import (DriveSpec, LinewidthConvention, derive,
                          eps_for_power, power_for_eps_sq)
 from neoms.presets import get_preset
-from neoms.stability import Classification, Method, classify
+from neoms.stability import Method, stability_columns
 from neoms.steady_state import (critical_points, cubic_coefficients,
                                 fold_powers_eps_sq, solve_photon_roots,
                                 steady_fields, susceptibilities,
@@ -227,14 +227,15 @@ def test_criterion_06_stability_methods_agree():
         eps = math.sqrt(eps_sq)
         susc = susceptibilities(derived, drives)
         total = derived.kappa + derived.gamma1 + derived.gamma2
-        for x in roots.roots:
-            f = steady_fields(x, derived, susc, drives, eps_l=eps)
-            eig = classify(f, derived, method=Method.EIGEN)
-            slope = classify(f, derived, method=Method.SLOPE_RULE,
-                             all_roots=roots.roots)
-            assert eig.classification is slope.classification
-            assert math.isclose(sum(eig.eigenvalue_real_parts), -total,
-                                rel_tol=1e-9)
+        fields = [steady_fields(x, derived, susc, drives, eps_l=eps)
+                  for x in roots.roots]
+        eig, slope = (stability_columns(
+            roots.roots, [f.effective_detuning for f in fields],
+            [f.c_s for f in fields], [roots.roots] * 3, derived, method)
+            for method in (Method.EIGEN, Method.SLOPE_RULE))
+        assert eig[0] == slope[0]
+        for parts in eig[2]:
+            assert math.isclose(sum(parts), -total, rel_tol=1e-9)
         done += 1
     print("\nPASS criterion 6: eigen and slope rule agree on all branches "
           "of 200 three-root configs; eigenvalue sum equals minus total "

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neoms.bifurcation import (FAMILY_KEYS, auto_power_grid,
+from neoms.bifurcation import (FAMILY_KEYS, _power_grid, auto_power_grid,
                                bistability_window, family_sweep,
                                hysteresis_from_curve, is_branch_jump,
                                power_sweep, solve_point)
 from neoms.errors import NoBistabilityError, ParameterError
 from neoms.model import CoulombSpec, DriveSpec, LinewidthConvention, derive
 from neoms.presets import PRESETS, get_preset
-from neoms.stability import Classification, Method
+from neoms.stability import Method
+from neoms.steady_state import susceptibilities
 from draws import REFERENCE, TWO_PI, clean_system
 from oracles import fields_hex, power_sweep_reference
 
@@ -48,6 +49,87 @@ def test_window_matches_multiplicity_pattern():
     lo, hi = min(bistable), max(bistable)
     step = powers[1] - powers[0]
     assert win.power_down - step <= lo and hi <= win.power_up + step
+
+
+def _past_the_flip(rng):
+    """A clean_system draw with gc beyond the Kerr slope's sign change,
+    sqrt(omega1 |d2|^2 / omega2), and its detuning negated: chi < 0 and
+    delta_c < 0, with the bistable window on the negative side."""
+    params, drives = clean_system(rng)
+    d2 = complex(0.5 * params.gamma2, params.omega2)
+    flip = math.sqrt(params.omega1 * abs(d2) ** 2 / params.omega2)
+    params = replace(params, delta_c=-params.delta_c,
+                     coulomb=CoulombSpec.direct(flip * rng.uniform(1.05, 1.5)))
+    return params, derive(params, drives), drives
+
+
+def test_reversed_kerr_slope_window_matches_multiplicity_pattern():
+    """Past the Kerr slope's sign change the folds stay in order, and the
+    window agrees with the root counts of a dense sweep, as it does before
+    the change (test_window_matches_multiplicity_pattern)."""
+    rng = np.random.default_rng(2303)
+    for _ in range(100):
+        params, derived, drives = _past_the_flip(rng)
+        assert params.delta_c < 0.0 and derived.g0 * susceptibilities(
+            derived, drives).alpha1 < 0.0
+        win = bistability_window(derived, drives)
+        assert win.exists, win.reason
+        crit = win.critical
+        assert 0.0 < crit.x_c_minus < crit.x_c_plus
+        assert win.power_up > win.power_down > 0.0 and win.fold_ratio > 1.0
+        powers = auto_power_grid(win, n=201)
+        step = powers[1] - powers[0]
+        counts = [len(rows) for rows in power_sweep(
+            derived, drives, powers, Method.SLOPE_RULE).branch_rows]
+        for p, n in zip(powers, counts):
+            if win.power_down < p < win.power_up:
+                assert n == 3, (p, win)
+            else:
+                near_fold = (abs(p - win.power_down) <= step
+                             or abs(p - win.power_up) <= step)
+                assert n == 1 or near_fold, (p, win)
+        assert 3 in counts
+
+
+def test_reversed_kerr_slope_at_positive_detuning_is_the_wrong_side():
+    """Above threshold with the detuning's sign against the Kerr slope's,
+    the window is refused as on the wrong side, not as below threshold."""
+    rng = np.random.default_rng(2305)
+    for _ in range(20):
+        params, derived, drives = _past_the_flip(rng)
+        wrong = derive(replace(params, delta_c=-params.delta_c), drives)
+        win = bistability_window(wrong, drives)
+        assert not win.exists and win.reason == "wrong_detuning_side"
+        with pytest.raises(NoBistabilityError,
+                           match="^wrong_detuning_side; give explicit"):
+            auto_power_grid(win)
+    cfg = get_preset("fig4").config()
+    fam = family_sweep(cfg.params, cfg.drives, cfg.vary,
+                       (TWO_PI * 0.2e6, TWO_PI * 1e6), n_points=5)
+    assert [m.window.reason for m in fam.members] \
+        == [None, "wrong_detuning_side"]
+
+
+def test_power_grid_has_the_bits_of_linspace():
+    """The pure-Python grid is np.linspace bit for bit, subnormal spans
+    (whose step rounds to zero) included."""
+    rng = np.random.default_rng(2307)
+    tiny = 5e-324
+    cases = [(0.0, 1e-320, 5000), (0.0, tiny, 2), (0.0, tiny, 3),
+             (tiny, 7 * tiny, 1000), (-1e-320, 1e-320, 4001)]
+    for _ in range(1000):
+        lo = math.exp(rng.uniform(math.log(1e-12), math.log(1e-3)))
+        cases.append((lo, lo * math.exp(rng.uniform(1e-9, 3.0)),
+                      int(rng.integers(2, 2001))))
+    for _ in range(200):
+        lo = int(rng.integers(0, 4000)) * tiny
+        cases.append((lo, lo + int(rng.integers(1, 4000)) * tiny,
+                      int(rng.integers(2, 5001))))
+    for pmin, pmax, n in cases:
+        got = [p.hex() for p in _power_grid(pmin, pmax, n)]
+        assert got == [float(p).hex() for p in np.linspace(pmin, pmax, n)], \
+            (pmin, pmax, n)
+        assert all(type(p) is float for p in _power_grid(pmin, pmax, n))
 
 
 def test_window_and_sweep_accept_only_the_derived_convention(fig2_cfg):
@@ -273,9 +355,7 @@ def _point_hex(pt):
     """Every field of a CurvePoint, each float as float.hex."""
     return (pt.power.hex(), pt.eps_sq.hex(), pt.error, tuple(
         (b.photon_number.hex(), fields_hex(b.fields), b.stable,
-         b.stability.classification, b.stability.method,
-         b.stability.margin.hex(),
-         tuple(r.hex() for r in b.stability.eigenvalue_real_parts))
+         b.margin.hex(), tuple(r.hex() for r in b.eigenvalue_real_parts))
         for b in pt.branches))
 
 
@@ -284,16 +364,13 @@ def _columns_hex(curve):
     def z(c):
         return c.real.hex(), c.imag.hex()
 
-    stable = Classification.STABLE
-    unstable = Classification.UNSTABLE
     return tuple(
         (curve.power[k].hex(), curve.eps_sq[k].hex(), curve.error[k], tuple(
             (curve.photon_number[i].hex(),
              (curve.photon_number[i].hex(), *z(curve.c_s[i]),
               *z(curve.b_1s[i]), *z(curve.b_2s[i]), curve.q_1s[i].hex(),
               curve.q_2s[i].hex(), curve.effective_detuning[i].hex()),
-             curve.stable[i], stable if curve.stable[i] else unstable,
-             curve.method, curve.margin[i].hex(),
+             curve.stable[i], curve.margin[i].hex(),
              tuple(r.hex() for r in curve.eigenvalue_real_parts[i]))
             for i in rows))
         for k, rows in enumerate(curve.branch_rows))
@@ -371,7 +448,6 @@ def test_points_view_shares_the_column_objects():
         assert b.photon_number is curve.photon_number[i]
         assert b.fields.photon_number is curve.photon_number[i]
         assert b.fields.c_s is curve.c_s[i]
-        assert b.stability.eigenvalue_real_parts is \
-            curve.eigenvalue_real_parts[i]
+        assert b.eigenvalue_real_parts is curve.eigenvalue_real_parts[i]
     assert hash(curve) == hash(power_sweep(derived, drives,
                                            auto_power_grid(win, n=21)))

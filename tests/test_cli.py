@@ -131,6 +131,52 @@ def test_curve_without_window_needs_bounds(tmp_path, capsys):
     assert len(rows) == 5   # single valued everywhere below threshold
 
 
+def _reversed_slope_conf(tmp_path, detuning):
+    """fig2 at gc = 2pi*1 MHz, past the Kerr slope's sign change."""
+    text = get_preset("fig2").text
+    for old, new in (("gc = 0 rad/s", "gc = 2pi*1 MHz"),
+                     ("delta_c_over_kappa = 3.6",
+                      f"delta_c_over_kappa = {detuning}")):
+        assert old in text
+        text = text.replace(old, new)
+    conf = tmp_path / f"reversed_{detuning}.conf"
+    conf.write_text(text, encoding="utf-8")
+    return str(conf)
+
+
+def test_reversed_kerr_slope_window_curve_and_threshold(tmp_path, capsys):
+    """Past the Kerr slope's sign change the window sits at negative
+    detuning: its folds come in order, the default grid spans it with
+    three roots inside, and the threshold is reported on that side."""
+    conf = _reversed_slope_conf(tmp_path, -3.6)
+    assert main(["window", "--config", conf, "--format", "json"]) == 0
+    win = json.loads(capsys.readouterr().out)
+    assert win["x_c_minus"] < win["x_c_plus"]
+    assert win["power_down_W"] < win["power_up_W"] and win["width_W"] > 0.0
+    assert win["fold_ratio"] == pytest.approx(8.057443846721128, rel=1e-12)
+    assert main(["threshold", "--config", conf, "--format", "json"]) == 0
+    thr = json.loads(capsys.readouterr().out)
+    assert thr["in_kappa_units"] == win["threshold_in_kappa_units"] \
+        == pytest.approx(-3 ** 0.5 / 2, rel=1e-14)
+    assert main(["curve", "--config", conf, "--points", "21"]) == 0
+    _, rows = parse_curve_csv(capsys.readouterr().out)
+    inside = [r for r in rows
+              if win["power_down_W"] < r["power_W"] < win["power_up_W"]]
+    assert inside and max(r["branch_index"] for r in inside) == 2
+
+
+def test_reversed_kerr_slope_wrong_side_exits_3(tmp_path, capsys):
+    """The same config at +3.6 kappa has no window, and names the side."""
+    conf = _reversed_slope_conf(tmp_path, 3.6)
+    assert main(["window", "--config", conf, "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["reason"] == "wrong_detuning_side"
+    assert captured.err == "no bistability window: wrong_detuning_side\n"
+    assert main(["curve", "--config", conf]) == 3
+    assert capsys.readouterr().err == ("no bistability: wrong_detuning_side; "
+                                       "give explicit power bounds\n")
+
+
 def test_threshold_both_conventions(capsys):
     assert main(["threshold", "--preset", "fig2", "--format", "json"]) == 0
     half = json.loads(capsys.readouterr().out)

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neoms.steady_state import (CubicCoefficients, critical_points,
-                                cubic_value, solve_photon_roots)
-from oracles import cubic_roots_extended
+                                solve_photon_roots)
+from oracles import cubic_roots_extended, cubic_value
 
 
 def make_coeffs(chi: float, dt: float, kh: float, eps: float) -> CubicCoefficients:
@@ -110,3 +110,21 @@ def test_window_interior_always_three_roots(chi, kh, ratio, frac):
         return  # too close to a fold for a clean count
     c = make_coeffs(chi, dt, kh, math.sqrt(eps_sq))
     assert len(solve_photon_roots(c)) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(chi=positive, dt=st.floats(min_value=-10.0, max_value=10.0),
+       kh=positive)
+def test_critical_points_mirror_with_the_kerr_slope(chi, dt, kh):
+    """Negating chi and dt leaves eps^2(x) unchanged, and so every field
+    of the critical points, bit for bit: x_c_minus < x_c_plus on both
+    sides of the slope's sign change."""
+    def fields(c):
+        crit = critical_points(c)
+        return (crit.x_c_minus.hex(), crit.x_c_plus.hex(), crit.x_inf.hex(),
+                crit.exists, crit.reason)
+
+    assert fields(make_coeffs(-chi, -dt, kh, 1.0)) \
+        == fields(make_coeffs(chi, dt, kh, 1.0))
+    crit = critical_points(make_coeffs(-chi, -dt, kh, 1.0))
+    assert not crit.exists or crit.x_c_minus <= crit.x_c_plus

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from neoms.bifurcation import (BistabilityWindow, auto_power_grid,
                                bistability_window, family_sweep,
                                hysteresis_from_curve, power_sweep)
-from neoms.model import derive
+from neoms.model import LinewidthConvention, derive
 from neoms.presets import PRESETS, get_preset
-from neoms.stability import Classification, Method
+from neoms.stability import Method
 from neoms.output import (CURVE_HEADER, FAMILY_HEADER, HYSTERESIS_HEADER,
                           curve_to_csv, curve_to_dict, dumps_json,
                           family_to_csv, family_to_dict, fields_to_csv,
@@ -206,7 +206,7 @@ _TEXT = st.text(st.characters(codec="utf-8")
                                   '\u00e9\u2028\U0001f600'))
 _FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
            | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]))
-_ENUMS = st.sampled_from([*Classification, *Method])
+_ENUMS = st.sampled_from([*Method, *LinewidthConvention])
 _LEAVES = (st.none() | st.booleans() | st.integers() | _FLOATS
            | _FLOATS.map(np.float64) | _TEXT | _ENUMS)
 # keys that would break a %-template if written into it unescaped
@@ -266,8 +266,8 @@ def test_dumps_json_explicit_cases():
     for doc in ({}, [], (), "", {"a": {}, "b": [], "c": ()},
                 {"x": np.float64(0.1), "y": [np.float64(-0.0)]},
                 np.float64(1e-300),
-                {"stable": Classification.STABLE, "how": [Method.EIGEN,
-                                                          Method.SLOPE_RULE]},
+                {"convention": LinewidthConvention.HALF_KAPPA,
+                 "how": [Method.EIGEN, Method.SLOPE_RULE]},
                 {"b": True, "a": [1, False, None, 2 ** 70, -3]}):
         assert dumps_json(doc) == _stdlib_json(doc), doc
     records = [{"x": 1.0, "y": [{"z": 2.0}]}, {"x": 3.0, "y": []},

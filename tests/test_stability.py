@@ -16,8 +16,8 @@ from neoms.bifurcation import (auto_power_grid, bistability_window,
 from neoms.errors import EigenvalueError
 from neoms.model import DriveSpec, derive
 from neoms.presets import get_preset
-from neoms.stability import (EIGEN_TOL_KAPPA, Classification, Method,
-                             classify, classify_batch, jacobian)
+from neoms.stability import (EIGEN_TOL_KAPPA, Method, jacobians,
+                             stability_columns)
 from neoms.steady_state import steady_fields, susceptibilities
 from draws import clean_point, clean_system
 from oracles import routh_hurwitz_stable
@@ -29,11 +29,25 @@ def _fields_at(derived, drives, eps_sq, x):
                          eps_l=math.sqrt(eps_sq))
 
 
+def _jacobian(f, derived):
+    return jacobians((f.effective_detuning,), (f.c_s,), derived)[0]
+
+
+def _columns(states, derived, method=Method.EIGEN):
+    """stability_columns of (fields, all roots) pairs: the lists (stable,
+    margin, eigenvalue real parts)."""
+    fields = [f for f, _ in states]
+    return stability_columns([f.photon_number for f in fields],
+                             [f.effective_detuning for f in fields],
+                             [f.c_s for f in fields],
+                             [roots for _, roots in states], derived, method)
+
+
 def test_jacobian_shape_and_coupling_blocks():
     rng = np.random.default_rng(3)
     params, derived, drives, eps_sq, roots = clean_point(rng)
     f = _fields_at(derived, drives, eps_sq, roots.roots[0])
-    J = jacobian(f, derived)
+    J = _jacobian(f, derived)
     assert J.shape == (6, 6)
     # cavity damping on the diagonal, half linewidth convention
     assert J[0, 0] == J[1, 1] == -0.5 * derived.kappa
@@ -52,10 +66,9 @@ def test_trace_identity_every_branch():
         total = derived.kappa + derived.gamma1 + derived.gamma2
         for x in roots.roots:
             f = _fields_at(derived, drives, eps_sq, x)
-            rep = classify(f, derived, method=Method.EIGEN)
-            assert math.isclose(sum(rep.eigenvalue_real_parts), -total,
-                                rel_tol=1e-9)
-            assert math.isclose(np.trace(jacobian(f, derived)), -total,
+            _, _, (parts,) = _columns([(f, None)], derived)
+            assert math.isclose(sum(parts), -total, rel_tol=1e-9)
+            assert math.isclose(np.trace(_jacobian(f, derived)), -total,
                                 rel_tol=1e-12)
 
 
@@ -64,15 +77,13 @@ def test_slope_rule_flags_middle_root():
     params, derived, drives, eps_sq, roots = clean_point(rng)
     assert len(roots) == 3
     lo, mid, hi = roots.roots
-    for x, expect in ((lo, Classification.STABLE),
-                      (mid, Classification.UNSTABLE),
-                      (hi, Classification.STABLE)):
+    for x, expect in ((lo, True), (mid, False), (hi, True)):
         f = _fields_at(derived, drives, eps_sq, x)
-        rep = classify(f, derived, method=Method.SLOPE_RULE,
-                       all_roots=roots.roots)
-        assert rep.classification is expect
-        assert rep.eigenvalue_real_parts == ()
-        assert math.isnan(rep.margin)
+        (stable,), (margin,), (parts,) = _columns(
+            [(f, roots.roots)], derived, Method.SLOPE_RULE)
+        assert stable is expect
+        assert parts == ()
+        assert math.isnan(margin)
 
 
 def test_slope_rule_requires_root_set():
@@ -80,7 +91,7 @@ def test_slope_rule_requires_root_set():
     params, derived, drives, eps_sq, roots = clean_point(rng)
     f = _fields_at(derived, drives, eps_sq, roots.roots[0])
     with pytest.raises(ValueError):
-        classify(f, derived, method=Method.SLOPE_RULE)
+        _columns([(f, None)], derived, Method.SLOPE_RULE)
 
 
 def test_methods_agree_in_clean_region():
@@ -91,11 +102,10 @@ def test_methods_agree_in_clean_region():
         if len(roots) != 3:
             continue
         for x in roots.roots:
-            f = _fields_at(derived, drives, eps_sq, x)
-            eig = classify(f, derived, method=Method.EIGEN)
-            slope = classify(f, derived, method=Method.SLOPE_RULE,
-                             all_roots=roots.roots)
-            assert eig.classification is slope.classification
+            states = [(_fields_at(derived, drives, eps_sq, x), roots.roots)]
+            eig, _, _ = _columns(states, derived, Method.EIGEN)
+            slope, _, _ = _columns(states, derived, Method.SLOPE_RULE)
+            assert eig == slope
 
 
 def test_routh_hurwitz_matches_eigen():
@@ -105,12 +115,11 @@ def test_routh_hurwitz_matches_eigen():
         params, derived, drives, eps_sq, roots = clean_point(rng)
         for x in roots.roots:
             f = _fields_at(derived, drives, eps_sq, x)
-            rep = classify(f, derived, method=Method.EIGEN)
-            if abs(rep.margin) < 1e-6 * derived.kappa:
+            (stable,), (margin,), _ = _columns([(f, None)], derived)
+            if abs(margin) < 1e-6 * derived.kappa:
                 continue   # too close to the boundary for a sign criterion
-            J = jacobian(f, derived)
-            assert routh_hurwitz_stable(J) == (
-                rep.classification is Classification.STABLE)
+            J = _jacobian(f, derived)
+            assert routh_hurwitz_stable(J) == stable
             checked += 1
     assert checked >= 30
 
@@ -120,11 +129,11 @@ def test_eigen_margin_sign_matches_classification():
     params, derived, drives, eps_sq, roots = clean_point(rng)
     for x in roots.roots:
         f = _fields_at(derived, drives, eps_sq, x)
-        rep = classify(f, derived, method=Method.EIGEN)
-        if rep.classification is Classification.STABLE:
-            assert rep.margin > 0.0
+        (stable,), (margin,), _ = _columns([(f, None)], derived)
+        if stable:
+            assert margin > 0.0
         else:
-            assert rep.margin <= 1e-9 * derived.kappa
+            assert margin <= 1e-9 * derived.kappa
 
 
 def test_wide_linewidth_upper_branch_disagreement(fig2_cfg, fig2_derived):
@@ -146,7 +155,7 @@ def test_wide_linewidth_upper_branch_disagreement(fig2_cfg, fig2_derived):
     assert upper_slope.stable
     assert not upper_eig.stable
     # oscillatory margin of a fraction of kappa, not a numerical whisker
-    rel = upper_eig.stability.margin / fig2_derived.kappa
+    rel = upper_eig.margin / fig2_derived.kappa
     assert -0.2 < rel < -0.01
     # lower branch and middle branch stay textbook
     assert pt_eig.branches[0].stable
@@ -179,14 +188,12 @@ def test_batched_classification_equals_per_root_eigvals():
         tol = EIGEN_TOL_KAPPA * derived.kappa
         for pt in curve.points:
             for b in pt.branches:
-                eig = np.linalg.eigvals(jacobian(b.fields, derived))
+                eig = np.linalg.eigvals(_jacobian(b.fields, derived))
                 reals = sorted(float(v) for v in eig.real)
-                rep = b.stability
-                assert rep.eigenvalue_real_parts == tuple(reals)
-                assert _bits(rep.eigenvalue_real_parts) == _bits(reals)
-                assert _bits([rep.margin]) == _bits([-reals[-1]])
-                assert (rep.classification is Classification.STABLE) == (
-                    reals[-1] < -tol)
+                assert b.eigenvalue_real_parts == tuple(reals)
+                assert _bits(b.eigenvalue_real_parts) == _bits(reals)
+                assert _bits([b.margin]) == _bits([-reals[-1]])
+                assert b.stable == (reals[-1] < -tol)
                 checked += 1
     assert checked > 2000
 
@@ -203,8 +210,8 @@ def test_batch_eigen_failure_reports_first_failing_state(fig2_cfg,
     later = replace(states[k + 2][0], effective_detuning=math.nan)
     states[k], states[k + 2] = (bad, roots), (later, roots)
     with pytest.raises(EigenvalueError) as exc:
-        classify_batch(states, fig2_derived)
-    want = jacobian(bad, fig2_derived)
+        _columns(states, fig2_derived)
+    want = _jacobian(bad, fig2_derived)
     assert str(exc.value).startswith("eigenvalue computation failed")
     assert np.array_equal(exc.value.diagnostics["jacobian"], want,
                           equal_nan=True)
@@ -214,5 +221,6 @@ def test_batch_eigen_failure_reports_first_failing_state(fig2_cfg,
         cond = math.inf
     assert _bits([exc.value.diagnostics["condition"]]) == _bits([cond])
     # the states before k classify as they do alone
-    good = classify_batch(states[:k], fig2_derived)
-    assert good == [classify(f, fig2_derived) for f, _ in states[:k]]
+    good = list(zip(*_columns(states[:k], fig2_derived)))
+    assert good == [row for state in states[:k]
+                    for row in zip(*_columns([state], fig2_derived))]

@@ -21,15 +21,15 @@ from neoms.presets import PRESETS, get_preset
 from neoms.stability import Method
 from neoms.steady_state import (_polish_root, _real_cubic_roots,
                                 critical_points, cubic_coefficients,
-                                cubic_value, fold_powers_eps_sq,
-                                relative_residual, solve_photon_roots,
+                                fold_powers_eps_sq, solve_photon_roots,
                                 steady_fields, susceptibilities,
                                 threshold_detuning)
 from draws import (REFERENCE, TWO_PI, clean_point, clean_system,
                    reference_draw)
 from oracles import (bistable_cubic_direct, cavity_field_direct,
-                     cubic_roots_extended, fields_hex, fold_powers_scan,
-                     mirror_fields_direct, polish_root_reference,
+                     cubic_roots_extended, cubic_value, fields_hex,
+                     fold_powers_scan, mirror_fields_direct,
+                     polish_root_reference, relative_residual,
                      steady_fields_reference)
 
 
@@ -225,6 +225,37 @@ def test_threshold_accounts_for_tone_offset(fig2_derived):
     thr = threshold_detuning(fig2_derived, susc)
     assert math.isclose(thr.delta_c - fig2_derived.g0 * gamma,
                         thr.delta_tilde, rel_tol=1e-12)
+
+
+def test_threshold_sits_on_the_kerr_slopes_side(fig2_derived):
+    """The threshold is on the side where chi * delta_tilde > 0: negative
+    only for chi < 0, with chi = -0.0 counted as chi >= 0.  Flipping the
+    slope's sign flips the threshold's and moves no other bit."""
+    drives = DriveSpec(eps1=2.0 * fig2_derived.omega1, phi1=0.25)
+    susc = susceptibilities(fig2_derived, drives)
+    assert susc.alpha1 > 0.0
+
+    pos = threshold_detuning(fig2_derived, susc)
+    neg = threshold_detuning(fig2_derived, replace(susc, alpha1=-susc.alpha1))
+    zero = threshold_detuning(fig2_derived, replace(susc, alpha1=-0.0))
+    assert pos.delta_tilde > 0.0 > neg.delta_tilde
+    assert [neg.delta_tilde.hex(), neg.in_kappa_units.hex()] \
+        == [(-pos.delta_tilde).hex(), (-pos.in_kappa_units).hex()]
+    assert neg.delta_c.hex() == (neg.delta_tilde
+                                 + fig2_derived.g0 * susc.offset).hex()
+    assert zero == pos
+
+
+def test_critical_points_on_the_wrong_side():
+    """Above threshold, a detuning against the Kerr slope's sign has no
+    folds, and says so apart from one below threshold."""
+    coeffs = _cubic(REFERENCE)
+    for chi, dt in ((-coeffs.kerr_slope, coeffs.delta_tilde),
+                    (coeffs.kerr_slope, -coeffs.delta_tilde)):
+        crit = critical_points(replace(coeffs, kerr_slope=chi,
+                                       delta_tilde=dt))
+        assert not crit.exists and crit.reason == "wrong_detuning_side"
+        assert math.isnan(crit.x_c_minus) and math.isnan(crit.x_inf)
 
 
 def test_fold_powers_match_dense_scan(fig2_derived):
