@@ -97,8 +97,26 @@ gc = 2pi*1 MHz
 # ... and the same config at +3.6 kappa is on the wrong side for one.
 WRONG_SIDE_CONF = REVERSED_CONF.replace("= -3.6", "= 3.6")
 
+# fig2 at g0 = 1e-90 rad/s, where chi^2 underflows to 0: it solves as g0 = 0.
+TINY_G0_CONF = """\
+cavity_length = 0.25 m
+wavelength = 1064 nm
+mass1 = 145 ng
+mass2 = 145 ng
+omega1 = 2pi*947 kHz
+omega2 = 2pi*947 kHz
+gamma1 = 2pi*140 kHz
+gamma2 = 2pi*140 kHz
+kappa = 2pi*215 kHz
+delta_c_over_kappa = 3.6
+drive_power = 9 mW
+g0 = 1e-90 rad/s
+gc = 0 rad/s
+"""
+
 CONFIGS = {"clean": CLEAN_CONF, "sub": SUB_THRESHOLD_CONF, "vary": VARY_CONF,
-           "reversed": REVERSED_CONF, "wrong_side": WRONG_SIDE_CONF}
+           "reversed": REVERSED_CONF, "wrong_side": WRONG_SIDE_CONF,
+           "tiny_g0": TINY_G0_CONF}
 TIMEOUT_S = 120
 PANELS = ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c",
           "fig6d", "fig7", "fig8a", "fig8b", "fig8c", "fig8d")
@@ -111,10 +129,9 @@ USAGE_ERRORS = [
     ["no-such-command"],
 ]
 
-# {clean}, {sub}, {vary}, {reversed} and {wrong_side} stand for the paths
-# of the configs above.  A
-# relative path is taken from the temporary directory, which has no
-# `missing` subdirectory.
+# {clean}, {sub}, {vary}, {reversed}, {wrong_side} and {tiny_g0} stand for
+# the paths of the configs above.  A relative path is taken from the
+# temporary directory, which has no `missing` subdirectory.
 INVOCATIONS = (
     [["fig", p, *f] for p in PANELS for f in FORMATS]
     + [[cmd, "--preset", p, *f, *c]
@@ -156,11 +173,18 @@ INVOCATIONS = (
        # amplitude whose steady-state cubic overflows
        ["dynamics", "--preset", "fig2", "--power", "1e300"],
        ["dynamics", "--preset", "fig2", "--power", "1e150"],
+       # an underflowing Kerr slope: solved like g0 = 0, exit 0
+       ["curve", "--config", "{tiny_g0}", "--pmin", "1e-12", "--pmax",
+        "1e-9", "--points", "3"],
+       ["dynamics", "--config", "{tiny_g0}", "--power", "1e-9"],
        # usage errors and non-finite inputs: exit 2
        ["curve", "--preset", "fig2", "--points", "1"],
        ["curve", "--preset", "fig2", "--pmin", "1e-9", "--pmax", "1e-10"],
        ["family", "--preset", "fig3", "--points", "0"],
        ["family", "--preset", "fig2"],
+       ["family", "--config", "{vary}"],
+       ["family", "--preset", "fig6a", "--vary", "phi1",
+        "--values", "1 rad,,2 rad", "--points", "3"],
        ["hysteresis", "--preset", "fig2", "--mode", "dynamic",
         "--dwell-factor", "-1", "--points", "3"],
        ["hysteresis", "--config", "{sub}", "--mode", "dynamic",

@@ -257,7 +257,7 @@ def power_sweep(derived: DerivedParams, drives: DriveSpec,
         eps = eps_for_power(derived, p)
         e2 = eps * eps
         try:
-            roots, _ = photon_roots(a1, a2, a3, -e2)
+            roots = photon_roots(a1, a2, a3, -e2)
             err = None
         except ResidualError as exc:
             roots, err = (), str(exc)

@@ -103,44 +103,21 @@ def cubic_coefficients(derived: DerivedParams, susc: Susceptibilities,
     )
 
 
-def _relative_residual(a1: float, a2: float, a3: float, a4: float,
-                       x: float) -> float:
-    """|cubic(x)| / max(|a4|, 1), the quantity the residual contract bounds."""
-    return abs(((a1 * x + a2) * x + a3) * x + a4) / max(abs(a4), 1.0)
-
-
 def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
-    """Real roots of a x^3 + b x^2 + c x + d, trigonometric/Cardano form."""
-    if d == 0.0 and (a != 0.0 or b != 0.0 or c != 0.0):
-        # zero root is exact; factoring keeps it from drifting negative
-        return sorted([0.0] + _real_cubic_roots(0.0, a, b, c))
-    if a == 0.0:
-        if b == 0.0:
-            if c == 0.0:
-                return []          # constant; no isolated roots
-            return [-d / c]
-        disc = c * c - 4.0 * b * d
-        if disc < 0.0:
-            return []
-        s = math.sqrt(disc)
-        q = -0.5 * (c + math.copysign(s, c)) if c != 0.0 else 0.5 * s
-        roots = []
-        if q != 0.0:
-            roots.append(q / b)
-            if d != 0.0:
-                roots.append(d / q)
-            else:
-                roots.append(0.0)
-        else:
-            roots.extend([0.0, -c / b])
-        return sorted(roots)
-
+    """Real roots of a x^3 + b x^2 + c x + d, trigonometric/Cardano form,
+    for the photon-number cubic: with no drive x = 0 is its one root."""
+    if d == 0.0:
+        return [0.0]
     # depressed form t^3 + p t + q with x = t - b/(3a)
-    bn, cn, dn = b / a, c / a, d / a
-    shift = bn / 3.0
-    p = cn - bn * bn / 3.0
-    q = 2.0 * bn ** 3 / 27.0 - bn * cn / 3.0 + dn
-    disc = -4.0 * p ** 3 - 27.0 * q * q
+    try:
+        bn, cn, dn = b / a, c / a, d / a
+        shift = bn / 3.0
+        p = cn - bn * bn / 3.0
+        q = 2.0 * bn ** 3 / 27.0 - bn * cn / 3.0 + dn
+        disc = -4.0 * p ** 3 - 27.0 * q * q
+    except (ZeroDivisionError, OverflowError):
+        # a = chi^2 is 0, or so small that ** overflows: c x + d seeds it
+        return [-d / c] if c != 0.0 else []
 
     if disc > 0.0:
         # three real roots, p < 0 guaranteed
@@ -151,13 +128,10 @@ def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
         return sorted(m * math.cos(theta - 2.0 * math.pi * k / 3.0) - shift
                       for k in range(3))
 
-    if p == 0.0 and q == 0.0:
-        return [-shift]
-
     # single real root via the cancellation-safe Cardano form
     s = math.sqrt(max(q * q / 4.0 + p ** 3 / 27.0, 0.0))
     w = -0.5 * q - math.copysign(s, q)
-    if w == 0.0:   # only p == q == 0 reaches here, handled above
+    if w == 0.0:   # p == q == 0: a triple root
         return [-shift]
     u = math.copysign(abs(w) ** (1.0 / 3.0), w)
     t = u - p / (3.0 * u)
@@ -196,86 +170,62 @@ def _polish_root(a1: float, a2: float, a3: float, a4: float,
     return best_x, best_f
 
 
-def _polish_fold(a1: float, a2: float, a3: float, x: float) -> float:
-    """Newton on the cubic slope, locating the extremum near a double root."""
-    for _ in range(60):
-        fp = (3.0 * a1 * x + 2.0 * a2) * x + a3
-        fpp = 6.0 * a1 * x + 2.0 * a2
-        if fpp == 0.0:
-            break
-        step = fp / fpp
-        x -= step
-        if abs(step) <= 1e-16 * max(abs(x), 1.0):
-            break
-    return x
-
-
 @dataclass(frozen=True)
 class PhotonRoots:
     """Nonnegative real roots of the photon-number cubic, ascending."""
 
     roots: tuple[float, ...]
-    residuals: tuple[float, ...]   # relative, per root
 
     def __len__(self) -> int:
         return len(self.roots)
 
 
 def photon_roots(a1: float, a2: float, a3: float,
-                 a4: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(roots, relative residuals) of a1 x^3 + a2 x^2 + a3 x + a4 = 0.
+                 a4: float) -> tuple[float, ...]:
+    """Real roots of the photon-number cubic a1 x^3 + a2 x^2 + a3 x + a4.
 
-    The roots are the nonnegative real ones, ascending, each meeting the
-    residual contract.  Generic parameters give 1 or 3 roots; exact folds
-    give 2.  Raises ResidualError with the worst offender if polishing
-    cannot meet the contract; a NaN residual never meets it.
+    The roots are ascending, each meeting the residual contract
+    |cubic(x)| / max(|a4|, 1) <= RESIDUAL_CONTRACT; none is negative, as
+    the cubic is at most a4 = -eps^2 for x <= 0.  Generic parameters give
+    1 or 3 roots; exact folds give 2.  Raises ResidualError with the worst
+    offender if polishing cannot meet the contract; a NaN residual never
+    meets it.
     """
     scale = max(abs(a4), 1.0)
-    polished = []       # (root, its residual)
+    polished = []       # (root, its relative residual)
     for x in _real_cubic_roots(a1, a2, a3, a4):
         y, fy = _polish_root(a1, a2, a3, a4, x)
         ry = fy / scale
-        if not ry <= RESIDUAL_CONTRACT:
-            # stalled on a flat near-fold pair: retarget the extremum
-            z = _polish_fold(a1, a2, a3, y)
-            if (rz := _relative_residual(a1, a2, a3, a4, z)) < ry:
-                y, ry = z, rz
+        if not ry <= RESIDUAL_CONTRACT and a3 != 0.0:
+            # a root far below the inflection -a2/(3 a1) is lost to
+            # cancellation in x = t - shift; there the cubic is linear
+            z, fz = _polish_root(a1, a2, a3, a4, -a4 / a3)
+            if fz / scale <= RESIDUAL_CONTRACT:
+                y, ry = z, fz / scale
         polished.append((y, ry))
-
     polished.sort(key=itemgetter(0))
-    merged = polished[:1]
-    for x, r in polished[1:]:
-        last = merged[-1][0]
-        if not abs(x - last) <= 1e-9 * max(abs(x), abs(last), 1.0):
-            merged.append((x, r))
 
-    # merged is ascending, so its largest |x| is at one of its ends
-    top = max(abs(merged[0][0]), abs(merged[-1][0])) if merged else 1.0
-    roots, residuals, met = [], [], True
-    for x, r in merged:
-        if x < 0.0:
-            if not abs(x) <= 1e-12 * top:
-                continue   # negative roots are unphysical (x = |c|^2)
-            x, r = 0.0, _relative_residual(a1, a2, a3, a4, 0.0)
+    # a near-fold pair can polish onto one root: keep the lower copy
+    roots, worst = [], 0.0
+    for x, r in polished:
+        if roots and abs(x - roots[-1]) <= 1e-9 * max(abs(x), abs(roots[-1]),
+                                                       1.0):
+            continue
         roots.append(x)
-        residuals.append(r)
-        met = met and r <= RESIDUAL_CONTRACT
-
-    if not met:
-        worst = (math.nan if any(map(math.isnan, residuals))
-                 else max(residuals))
+        if r > worst or math.isnan(r):   # a NaN stays the worst
+            worst = r
+    if not worst <= RESIDUAL_CONTRACT:
         raise ResidualError(
             "root residual contract violated",
             {"worst_residual": worst, "roots": tuple(roots),
              "coefficients": (a1, a2, a3, a4)})
-    return tuple(roots), tuple(residuals)
+    return tuple(roots)
 
 
 def solve_photon_roots(coeffs: CubicCoefficients) -> PhotonRoots:
     """All physical roots of one cubic: `photon_roots` of its coefficients."""
-    roots, residuals = photon_roots(coeffs.a1, coeffs.a2, coeffs.a3,
-                                    coeffs.a4)
-    return PhotonRoots(roots=roots, residuals=residuals)
+    return PhotonRoots(photon_roots(coeffs.a1, coeffs.a2, coeffs.a3,
+                                    coeffs.a4))
 
 
 @dataclass(frozen=True)

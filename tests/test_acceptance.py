@@ -35,7 +35,8 @@ from neoms.output import CURVE_HEADER, curve_to_csv
 from neoms.cli import main
 from curve_csv import parse_curve_csv
 from draws import REFERENCE, clean_point, clean_system, reference_draw
-from oracles import cubic_roots_extended, fold_powers_scan
+from oracles import (cubic_roots_extended, fold_powers_scan,
+                     relative_residual)
 
 
 def _coeffs_for(params, drives=DriveSpec(), eps_l=None,
@@ -57,7 +58,8 @@ def test_criterion_01_roots_residual_and_oracle():
         params = reference_draw(rng)
         _, _, coeffs = _coeffs_for(params)
         roots = solve_photon_roots(coeffs)
-        worst_resid = max(worst_resid, max(roots.residuals))
+        for x in roots.roots:
+            worst_resid = max(worst_resid, relative_residual(coeffs, x))
         oracle = [r for r in cubic_roots_extended(coeffs.a1, coeffs.a2,
                                                   coeffs.a3, coeffs.a4)
                   if r >= 0.0]

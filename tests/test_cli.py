@@ -331,6 +331,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     sub.write_text(SUB_THRESHOLD, encoding="utf-8")
     phi_inf = tmp_path / "phi_inf.conf"
     phi_inf.write_text(SUB_THRESHOLD + "phi1 = inf rad\n", encoding="utf-8")
+    vary = tmp_path / "vary.conf"
+    vary.write_text(get_preset("fig2").text + "vary = g0\n", encoding="utf-8")
     phi_nan = tmp_path / "phi_nan.conf"
     phi_nan.write_text(get_preset("fig2").text
                        + "phi1 = nan rad\neps1 = 1e6 rad/s\n",
@@ -348,6 +350,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
               "--pmax", "1e-10"], "pmax"),
             (["fig", "fig3", "--points", "-2"], "points"),
             (["family", "--preset", "fig3", "--points", "0"], "points"),
+            # a vary key with no values anywhere, and an empty value
+            (["family", "--config", str(vary)],
+             "family needs values, from --values or the config\n"),
+            (["family", "--preset", "fig6a", "--vary", "phi1",
+              "--values", "1 rad,,2 rad", "--points", "3"],
+             "empty entry in --values\n"),
             # the factor as typed, not the dwell in seconds
             (["hysteresis", "--preset", "fig2", "--mode", "dynamic",
               "--dwell-factor", "-1", "--points", "3"],
@@ -533,6 +541,26 @@ def test_subnormal_g0_reports_no_window_like_zero(tmp_path, capsys):
         del doc["snapshot"]
         reports.append(doc)
     assert reports[0] == reports[1]
+
+
+def test_vanishing_kerr_slope_solves_like_zero_g0(tmp_path, capsys):
+    """A tiny g0 solves fig2 as g0 = 0 does, bit for bit, and dynamics
+    settles: chi^2 underflows at 1e-90 rad/s, the closed form's ** overflows
+    at 1e-40, and x = t - shift cancels at 1e-6."""
+    numbers = {}
+    for g0 in ("0", "1e-90", "1e-40", "1e-6"):
+        conf = tmp_path / f"g0_{g0}.conf"
+        conf.write_text(get_preset("fig2").text.replace(
+            "g0 = 2pi*5 kHz", f"g0 = {g0} rad/s"), encoding="utf-8")
+        assert main(["curve", "--config", str(conf), "--pmin", "1e-12",
+                     "--pmax", "1e-9", "--points", "3"]) == 0
+        comments, rows = parse_curve_csv(capsys.readouterr().out)
+        assert not [c for c in comments if c.startswith("unsolved")]
+        numbers[g0] = [r["photon_number"].hex() for r in rows]
+        assert len(numbers[g0]) == 3 and numbers[g0] == numbers["0"], g0
+        assert main(["dynamics", "--config", str(conf), "--power",
+                     "1e-9"]) == 0, g0
+        capsys.readouterr()
 
 
 def test_cli_diff_list_names_only_existing_subcommands(capsys):

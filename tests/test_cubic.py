@@ -8,7 +8,7 @@ members.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neoms.steady_state import (CubicCoefficients, critical_points,
@@ -50,6 +50,10 @@ def test_zero_drive_gives_zero_root():
     c = make_coeffs(1.0, 3.6, 0.5, 0.0)
     roots = solve_photon_roots(c)
     assert 0.0 in roots.roots
+    # kh^2 is lost in a3 = kh^2 + dt^2, yet x (kh^2 + (dt - chi x)^2) = 0
+    # has no root but x = 0 while kh > 0
+    assert solve_photon_roots(make_coeffs(1.0, 1.0, 1e-9, 0.0)).roots \
+        == (0.0,)
 
 
 def test_linear_case_without_nonlinearity():
@@ -79,8 +83,18 @@ positive = st.floats(min_value=1e-3, max_value=1e3,
 
 
 @settings(max_examples=300, deadline=None)
-@given(chi=positive, dt=st.floats(min_value=-10.0, max_value=10.0),
+@given(chi=st.floats(min_value=1e-170, max_value=1e3),
+       dt=st.floats(min_value=-10.0, max_value=10.0),
        kh=positive, eps=st.floats(min_value=0.0, max_value=1e3))
+# chi^2 underflows to 0, with and without a drive whose square does too
+@example(chi=1e-170, dt=1.0, kh=1.0, eps=1.0)
+@example(chi=1e-170, dt=1.0, kh=1.0, eps=0.0)
+@example(chi=1e-120, dt=2.0, kh=0.5, eps=1e-300)
+# the depressed form's ** overflows
+@example(chi=1e-60, dt=3.6, kh=0.5, eps=1.0)
+# the root is far below the inflection and x = t - shift cancels
+@example(chi=1e-20, dt=-10.0, kh=1e-3, eps=1e-5)
+@example(chi=1e-20, dt=5.0, kh=1.0, eps=1.0)
 def test_root_properties_hold_everywhere(chi, dt, kh, eps):
     c = make_coeffs(chi, dt, kh, eps)
     roots = solve_photon_roots(c)

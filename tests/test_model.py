@@ -138,6 +138,34 @@ def test_validate_flags_bad_fields():
         derive(bad)
 
 
+_GEOMETRIC = dict(cap1=1e-12, cap2=1e-12, volt1=10.0, volt2=10.0,
+                  spacing=1e-3)
+
+
+@pytest.mark.parametrize("field, changes", [
+    ("drive_power", {"drive_power": -1e-3}),
+    ("drive_power", {"drive_power": math.nan}),
+    ("delta_c", {"delta_c": math.inf}),
+    ("g0", {"g0": -1.0}),
+    ("coulomb.gc", {"coulomb": CoulombSpec.direct(-1.0)}),
+    ("coulomb.volt2", {"coulomb": CoulombSpec(gc=None, **{
+        **_GEOMETRIC, "volt2": None})}),
+    ("coulomb.spacing", {"coulomb": CoulombSpec.geometric(
+        **{**_GEOMETRIC, "spacing": 0.0})}),
+    ("coulomb.cap1", {"coulomb": CoulombSpec.geometric(
+        **{**_GEOMETRIC, "cap1": -1e-12})}),
+    ("coulomb.cap1", {"coulomb": CoulombSpec(gc=0.0, cap1=1e-12)}),
+], ids=["power-negative", "power-nan", "delta_c-inf", "g0-negative",
+        "gc-negative", "geometric-missing", "spacing-zero", "cap1-negative",
+        "gc-with-cap1"])
+def test_validate_names_each_bad_field(field, changes):
+    bad = replace(REFERENCE, **changes)
+    assert [d.field for d in validate(bad) if d.level == "error"] == [field]
+    with pytest.raises(ParameterError) as exc:
+        derive(bad)
+    assert exc.value.field == field
+
+
 def test_validate_warns_on_unresolved_sidebands():
     # linewidth above the mechanical frequency: warn, do not reject
     wide = replace(REFERENCE, kappa=TWO_PI * 2e6)
