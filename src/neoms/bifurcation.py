@@ -31,7 +31,6 @@ class BranchSolution:
     fields: SteadyStateFields
     stable: bool
     margin: float                              # -max Re(eig); nan for slope
-    eigenvalue_real_parts: tuple[float, ...]   # ascending; empty for slope
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,8 @@ class BistabilityCurve:
     the per-root columns, in ascending photon number.  An unsolved point
     has no rows.  The per-root columns hold the photon number, mirror
     displacements, effective detuning, the fields c_s, b_1s and b_2s, the
-    classification (stable), its margin (-max Re(eig), nan for the slope
-    rule) and the ascending eigenvalue real parts (empty for the slope
-    rule).  `points` builds the same data as objects on each access.
+    classification (stable) and its margin (-max Re(eig), nan for the
+    slope rule).  `points` builds the same data as objects on each access.
     """
 
     power: tuple[float, ...]                  # W
@@ -71,7 +69,6 @@ class BistabilityCurve:
     b_2s: tuple[complex, ...]
     stable: tuple[bool, ...]
     margin: tuple[float, ...]
-    eigenvalue_real_parts: tuple[tuple[float, ...], ...]
     method: Method
     convention: LinewidthConvention
 
@@ -80,11 +77,11 @@ class BistabilityCurve:
         """Every grid point as a CurvePoint, built from the columns."""
         branches = [
             BranchSolution(x, SteadyStateFields(x, c, b1, b2, q1, q2, det),
-                           s, margin, parts)
-            for x, c, b1, b2, q1, q2, det, s, margin, parts in zip(
+                           s, margin)
+            for x, c, b1, b2, q1, q2, det, s, margin in zip(
                 self.photon_number, self.c_s, self.b_1s, self.b_2s,
                 self.q_1s, self.q_2s, self.effective_detuning, self.stable,
-                self.margin, self.eigenvalue_real_parts)]
+                self.margin)]
         return tuple(
             CurvePoint(p, e, tuple(branches[rows.start:rows.stop]), error)
             for p, e, rows, error in zip(self.power, self.eps_sq,
@@ -99,8 +96,6 @@ class BistabilityWindow:
     reason: str | None
     power_up: float | None        # W at the lower-branch fold (upward jump)
     power_down: float | None      # W at the upper-branch fold (downward jump)
-    eps_sq_up: float | None
-    eps_sq_down: float | None
     critical: CriticalPoints
     delta_tilde: float            # rad/s
     threshold: ThresholdDetuning
@@ -165,20 +160,14 @@ def bistability_window(derived: DerivedParams, drives: DriveSpec,
     coeffs = cubic_coefficients(derived, susc, eps_l=0.0)
     crit = critical_points(coeffs)
     thr = threshold_detuning(derived, susc)
-    if not crit.exists:
-        return BistabilityWindow(exists=False, reason=crit.reason,
-                                 power_up=None, power_down=None,
-                                 eps_sq_up=None, eps_sq_down=None,
-                                 critical=crit,
-                                 delta_tilde=coeffs.delta_tilde,
-                                 threshold=thr)
-    eps_sq_up, eps_sq_down = fold_powers_eps_sq(coeffs, crit)
+    power_up = power_down = None
+    if crit.exists:
+        power_up, power_down = (power_for_eps_sq(derived, e2) for e2 in
+                                fold_powers_eps_sq(coeffs, crit))
     return BistabilityWindow(
-        exists=True, reason=None,
-        power_up=power_for_eps_sq(derived, eps_sq_up),
-        power_down=power_for_eps_sq(derived, eps_sq_down),
-        eps_sq_up=eps_sq_up, eps_sq_down=eps_sq_down,
-        critical=crit, delta_tilde=coeffs.delta_tilde, threshold=thr)
+        exists=crit.exists, reason=crit.reason, power_up=power_up,
+        power_down=power_down, critical=crit,
+        delta_tilde=coeffs.delta_tilde, threshold=thr)
 
 
 def _power_grid(pmin: float, pmax: float, n: int) -> tuple[float, ...]:
@@ -251,7 +240,7 @@ def power_sweep(derived: DerivedParams, drives: DriveSpec,
     shape = cubic_coefficients(derived, susc, eps_l=0.0)
     a1, a2, a3 = shape.a1, shape.a2, shape.a3
     power, eps_sq, error, branch_rows = [], [], [], []
-    xs, eps_of, roots_of = [], [], []     # per root
+    xs, eps_of = [], []     # per root
     for p in powers:
         p = float(p)
         eps = eps_for_power(derived, p)
@@ -267,18 +256,16 @@ def power_sweep(derived: DerivedParams, drives: DriveSpec,
         branch_rows.append(range(len(xs), len(xs) + len(roots)))
         xs += roots
         eps_of += [eps] * len(roots)
-        roots_of += [roots] * len(roots)
     c_s, b_1s, b_2s, q_1s, q_2s, det = steady_columns(xs, eps_of, derived,
                                                       susc)
-    stable, margin, parts = stability_columns(xs, det, c_s, roots_of,
-                                              derived, method)
+    stable, margin = stability_columns(det, c_s, branch_rows, derived,
+                                       method)
     return BistabilityCurve(
         power=tuple(power), eps_sq=tuple(eps_sq), error=tuple(error),
         branch_rows=tuple(branch_rows), photon_number=tuple(xs),
         q_1s=tuple(q_1s), q_2s=tuple(q_2s), effective_detuning=tuple(det),
         c_s=tuple(c_s), b_1s=tuple(b_1s), b_2s=tuple(b_2s),
-        stable=tuple(stable), margin=tuple(margin),
-        eigenvalue_real_parts=tuple(parts), method=method,
+        stable=tuple(stable), margin=tuple(margin), method=method,
         convention=derived.convention)
 
 

@@ -64,10 +64,21 @@ KEY_DIMENSIONS: dict[str, str] = {
 
 _STRING_KEYS = ("convention", "vary")
 
-_REQUIRED = ("cavity_length", "wavelength", "mass1", "mass2", "omega1",
-             "omega2", "gamma1", "gamma2", "kappa", "drive_power")
+#: SystemParams' scalar fields, in snapshot order.  delta_c may be given as
+#: a ratio instead, and g0 may be left out to derive it from the geometry.
+_PARAM_KEYS = ("cavity_length", "wavelength", "mass1", "mass2", "omega1",
+               "omega2", "gamma1", "gamma2", "kappa", "delta_c",
+               "drive_power", "g0")
+
+_REQUIRED = tuple(k for k in _PARAM_KEYS if k not in ("delta_c", "g0"))
 
 _GEOMETRIC = ("cap1", "cap2", "volt1", "volt2", "spacing")
+
+_DRIVE_KEYS = ("eps1", "eps2", "phi1", "phi2")
+
+#: (key, rate): `key` may instead be given as `key_over_rate`, in units of
+#: that rate; in this order, so that errors are raised in it
+_RATIO_KEYS = (("delta_c", "kappa"), ("eps1", "omega1"), ("eps2", "omega2"))
 
 _QUANT_RE = re.compile(r"^(2pi\*)?(\S+)(?:\s+(\S+))?$")
 
@@ -102,6 +113,12 @@ def _parse_quantity(text: str, dimension: str, key: str,
     return value * table[unit]
 
 
+def _quantity(key: str, value) -> str:
+    """`value` written in the canonical unit of `key`, if it has one."""
+    unit = _CANONICAL_UNIT.get(KEY_DIMENSIONS[key])
+    return f"{value!r} {unit}" if unit else repr(value)
+
+
 def parse_scalar_for_key(key: str, text: str) -> float:
     """Parse one value with the unit rules of the named key."""
     dim = KEY_DIMENSIONS.get(key)
@@ -126,45 +143,21 @@ class RunConfig:
 
     def snapshot(self) -> str:
         """Canonical SI re-serialization; parses back to the same config."""
-        p, d = self.params, self.drives
-        lines = [
-            f"cavity_length = {p.cavity_length!r} m",
-            f"wavelength = {p.wavelength!r} m",
-            f"mass1 = {p.mass1!r} kg",
-            f"mass2 = {p.mass2!r} kg",
-            f"omega1 = {p.omega1!r} rad/s",
-            f"omega2 = {p.omega2!r} rad/s",
-            f"gamma1 = {p.gamma1!r} rad/s",
-            f"gamma2 = {p.gamma2!r} rad/s",
-            f"kappa = {p.kappa!r} rad/s",
-            f"delta_c = {p.delta_c!r} rad/s",
-            f"drive_power = {p.drive_power!r} W",
-        ]
-        if p.g0 is not None:
-            lines.append(f"g0 = {p.g0!r} rad/s")
-        if p.coulomb.is_geometric:
-            lines += [f"cap1 = {p.coulomb.cap1!r} F",
-                      f"cap2 = {p.coulomb.cap2!r} F",
-                      f"volt1 = {p.coulomb.volt1!r} V",
-                      f"volt2 = {p.coulomb.volt2!r} V",
-                      f"spacing = {p.coulomb.spacing!r} m"]
-        else:
-            lines.append(f"gc = {p.coulomb.gc!r} rad/s")
-        lines += [
-            f"eps1 = {d.eps1!r} rad/s",
-            f"eps2 = {d.eps2!r} rad/s",
-            f"phi1 = {d.phi1!r} rad",
-            f"phi2 = {d.phi2!r} rad",
-            f"convention = {self.convention.value}",
-        ]
+        p, coulomb = self.params, self.params.coulomb
+        keyed = [(k, getattr(p, k)) for k in _PARAM_KEYS
+                 if getattr(p, k) is not None]
+        keyed += [(k, getattr(coulomb, k)) for k in
+                  (_GEOMETRIC if coulomb.is_geometric else ("gc",))]
+        keyed += [(k, getattr(self.drives, k)) for k in _DRIVE_KEYS]
+        lines = [f"{k} = {_quantity(k, v)}" for k, v in keyed]
+        lines.append(f"convention = {self.convention.value}")
         if self.dwell_factor is not None:
             lines.append(f"dwell_factor = {self.dwell_factor!r}")
         if self.vary is not None:
             lines.append(f"vary = {self.vary}")
             # `values = ` with nothing after it would not parse back
             if self.values is not None:
-                unit = _CANONICAL_UNIT.get(KEY_DIMENSIONS[self.vary])
-                entries = ", ".join(f"{v!r} {unit}" if unit else repr(v)
+                entries = ", ".join(_quantity(self.vary, v)
                                     for v in self.values)
                 lines.append(f"values = {entries}")
         return "\n".join(lines) + "\n"
@@ -234,31 +227,16 @@ def parse_config_text(text: str) -> RunConfig:
     if missing:
         raise ConfigError(f"missing required key(s): {', '.join(missing)}")
 
-    if "delta_c" in scalars and "delta_c_over_kappa" in scalars:
-        raise ConfigError("give delta_c or delta_c_over_kappa, not both",
-                          raw["delta_c_over_kappa"][1])
-    if "delta_c" in scalars:
-        delta_c = scalars["delta_c"]
-    elif "delta_c_over_kappa" in scalars:
-        delta_c = scalars["delta_c_over_kappa"] * scalars["kappa"]
-    else:
-        raise ConfigError("missing required key(s): delta_c (or "
-                          "delta_c_over_kappa)")
-
-    if "eps1" in scalars and "eps1_over_omega1" in scalars:
-        raise ConfigError("give eps1 or eps1_over_omega1, not both",
-                          raw["eps1_over_omega1"][1])
-    if "eps2" in scalars and "eps2_over_omega2" in scalars:
-        raise ConfigError("give eps2 or eps2_over_omega2, not both",
-                          raw["eps2_over_omega2"][1])
-    if "eps1_over_omega1" in scalars:
-        eps1 = scalars["eps1_over_omega1"] * scalars["omega1"]
-    else:
-        eps1 = scalars.get("eps1", 0.0)
-    if "eps2_over_omega2" in scalars:
-        eps2 = scalars["eps2_over_omega2"] * scalars["omega2"]
-    else:
-        eps2 = scalars.get("eps2", 0.0)
+    for key, rate in _RATIO_KEYS:
+        ratio = f"{key}_over_{rate}"
+        if ratio in scalars:
+            if key in scalars:
+                raise ConfigError(f"give {key} or {ratio}, not both",
+                                  raw[ratio][1])
+            scalars[key] = scalars[ratio] * scalars[rate]
+        elif key not in scalars and key in _PARAM_KEYS:
+            # a drive tone is off unless given; the detuning has no default
+            raise ConfigError(f"missing required key(s): {key} (or {ratio})")
 
     geometric_given = [k for k in _GEOMETRIC if k in scalars]
     if geometric_given:
@@ -276,18 +254,9 @@ def parse_config_text(text: str) -> RunConfig:
     else:
         coulomb = CoulombSpec.direct(scalars.get("gc", 0.0))
 
-    params = SystemParams(
-        cavity_length=scalars["cavity_length"],
-        wavelength=scalars["wavelength"],
-        mass1=scalars["mass1"], mass2=scalars["mass2"],
-        omega1=scalars["omega1"], omega2=scalars["omega2"],
-        gamma1=scalars["gamma1"], gamma2=scalars["gamma2"],
-        kappa=scalars["kappa"], delta_c=delta_c,
-        drive_power=scalars["drive_power"],
-        g0=scalars.get("g0"), coulomb=coulomb)
-    drives = DriveSpec(eps1=eps1, eps2=eps2,
-                       phi1=scalars.get("phi1", 0.0),
-                       phi2=scalars.get("phi2", 0.0))
+    params = SystemParams(**{k: scalars.get(k) for k in _PARAM_KEYS},
+                          coulomb=coulomb)
+    drives = DriveSpec(**{k: scalars.get(k, 0.0) for k in _DRIVE_KEYS})
     return RunConfig(params=params, drives=drives, convention=convention,
                      dwell_factor=scalars.get("dwell_factor"),
                      vary=vary, values=values)

@@ -337,11 +337,9 @@ def _make_system(derived: DerivedParams, drives: DriveSpec,
 
 
 def time_derivative(state: MeanFieldState, derived: DerivedParams,
-                    drives: DriveSpec,
-                    eps_l: float | None = None) -> MeanFieldState:
-    """Instantaneous d(state)/dt, returned in the same container."""
-    if eps_l is None:
-        eps_l = derived.eps_l
+                    drives: DriveSpec, eps_l: float) -> MeanFieldState:
+    """Instantaneous d(state)/dt at drive amplitude `eps_l`, returned in the
+    same container."""
     rhs = _make_system(derived, drives, eps_l).rhs
     dy = rhs(state.t, state.to_quadratures())
     return MeanFieldState.from_quadratures(dy, t=state.t)

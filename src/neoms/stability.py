@@ -52,15 +52,6 @@ def jacobians(detuning, c_s, derived: DerivedParams) -> np.ndarray:
     return np.ascontiguousarray(flat.T).reshape(len(det), 6, 6)
 
 
-def _slope_rule(x: float, all_roots: tuple[float, ...]) -> bool:
-    """Whether x is stable: all but the middle root of three are."""
-    if len(all_roots) == 3:
-        mid = sorted(all_roots)[1]
-        near = min(all_roots, key=lambda r: abs(r - x))
-        return near != mid
-    return True
-
-
 def _check_eigvals(jac: np.ndarray) -> None:
     """Raise EigenvalueError, with the condition number, if eigvals fails."""
     try:
@@ -74,26 +65,25 @@ def _check_eigvals(jac: np.ndarray) -> None:
                               {"condition": cond, "jacobian": jac}) from exc
 
 
-def stability_columns(photon_number, detuning, c_s, all_roots,
-                      derived: DerivedParams, method: Method = Method.EIGEN):
+def stability_columns(detuning, c_s, branch_rows, derived: DerivedParams,
+                      method: Method = Method.EIGEN):
     """Classify n steady states given as columns, in order.
 
-    Returns the lists (stable, margin, eigenvalue real parts), one entry
-    per state.  The slope rule reads each state's photon number and its
-    cubic's full root set, `all_roots[i]`; its margin is nan and its real
-    parts are empty.  The eigen method reads the effective detunings and
-    cavity fields and makes one eigvals call for the whole batch; each
-    state's real parts come ascending, as a tuple.  If that call fails,
-    the EigenvalueError is the one of the first state whose own Jacobian
-    fails.
+    Returns the lists (stable, margin), one entry per state.
+    `branch_rows` are the ranges of the states that share one cubic, each
+    in ascending photon number.  The slope rule reads only those: the
+    middle state of three is unstable, and its margin is nan.  The eigen
+    method reads the effective detunings and cavity fields, makes one
+    eigvals call for the whole batch and gives the margin -max Re(eig).
+    If that call fails, the EigenvalueError is the one of the first state
+    whose own Jacobian fails.
     """
-    n = len(photon_number)
     if method == Method.SLOPE_RULE:
-        if any(roots is None for roots in all_roots):
-            raise ValueError("slope rule requires the full root set")
-        return ([_slope_rule(x, tuple(roots))
-                 for x, roots in zip(photon_number, all_roots)],
-                [math.nan] * n, [()] * n)
+        stable = [True] * len(detuning)
+        for r in branch_rows:
+            if len(r) == 3:
+                stable[r[1]] = False
+        return stable, [math.nan] * len(stable)
     jacs = jacobians(detuning, c_s, derived)
     try:
         eig = np.linalg.eigvals(jacs)
@@ -101,10 +91,6 @@ def stability_columns(photon_number, detuning, c_s, all_roots,
         for jac in jacs:
             _check_eigvals(jac)
         raise
-    # a stable sort keeps ties in LAPACK's order, as sorted() did per root
-    parts = np.sort(eig.real, axis=1, kind="stable")
-    top = parts[:, -1]
+    top = eig.real.max(axis=1)
     tol = EIGEN_TOL_KAPPA * derived.kappa
-    return ((top < -tol).tolist(), (-top).tolist(),
-            list(map(tuple, parts.tolist())))
-
+    return (top < -tol).tolist(), (-top).tolist()

@@ -349,12 +349,10 @@ def steady_fields(
     derived: DerivedParams,
     susc: Susceptibilities,
     drives: DriveSpec,
-    eps_l: float | None = None,
+    eps_l: float,
 ) -> SteadyStateFields:
-    """Reconstruct all steady fields from one photon-number root:
-    `steady_columns` of one.  `eps_l` defaults to the derived drive."""
-    if eps_l is None:
-        eps_l = derived.eps_l
+    """Reconstruct all steady fields from one photon-number root at drive
+    amplitude `eps_l`: `steady_columns` of one."""
     (c_s,), (b1,), (b2,), (q1,), (q2,), (det,) = steady_columns(
         (x,), (eps_l,), derived, susc)
     return SteadyStateFields(photon_number=x, c_s=c_s, b_1s=b1, b_2s=b2,

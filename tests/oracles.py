@@ -1,7 +1,8 @@
 """Independent numerical oracles used to pin test expectations.
 
 Every routine here deliberately avoids the package's own closed-form paths:
-roots come from a double-precision companion matrix refined by
+roots come from Cardano's formula in complex arithmetic at hundreds of
+bits, not the package's double-precision forms, refined by
 extended-precision Newton steps, fold powers from a dense scan with
 parabolic refinement, steady fields from a direct complex 2x2 solve of
 the zero-derivative conditions, and stability from the Routh array of the
@@ -42,21 +43,51 @@ from neoms.steady_state import (SteadyStateFields, cubic_coefficients,
                                 susceptibilities)
 
 
+def _closed_form_roots(coeffs: list) -> list:
+    """Complex roots of a polynomial of degree 1 to 3, coefficients first
+    to last, the first nonzero, by the closed forms at mpmath's working
+    precision: the quadratic formula, and Cardano's for a cubic."""
+    if len(coeffs) == 2:
+        return [-coeffs[1] / coeffs[0]]
+    if len(coeffs) == 3:
+        p, q, r = coeffs
+        s = mp.sqrt(mp.mpc(q * q - 4 * p * r))
+        t = q + s if abs(q + s) >= abs(q - s) else q - s
+        return [-t / (2 * p), -2 * r / t] if t != 0 else [mp.mpf(0)] * 2
+    a, b, c, d = coeffs
+    d0 = b * b - 3 * a * c
+    d1 = 2 * b ** 3 - 9 * a * b * c + 27 * a * a * d
+    s = mp.sqrt(mp.mpc(d1 * d1 - 4 * d0 ** 3))
+    big = mp.cbrt((d1 + s if abs(d1 + s) >= abs(d1 - s) else d1 - s) / 2)
+    if big == 0:        # d0 = d1 = 0: a triple root
+        return [-b / (3 * a)] * 3
+    turn = mp.mpc(-0.5, mp.sqrt(3) / 2)
+    return [-(b + u + d0 / u) / (3 * a)
+            for u in (big, big * turn, big * turn * turn)]
+
+
 def cubic_roots_extended(a: float, b: float, c: float, d: float,
                          dps: int = 50) -> list[float]:
     """Real roots of a x^3 + b x^2 + c x + d, polished at `dps` digits.
 
-    Companion-matrix eigenvalues (np.roots) seed extended-precision Newton
-    iterations; complex pairs are discarded, near-duplicates merged.
+    The closed forms, evaluated with `dps` digits plus three times as many
+    bits as the coefficients' binary exponents span, seed
+    extended-precision Newton iterations; complex pairs are discarded,
+    near-duplicates merged.  The extra bits keep the seeds accurate when
+    the terms cancel, as for a small root beside a huge pair when chi^2 is
+    near underflow.
     """
     coeffs = [a, b, c, d]
     while coeffs and coeffs[0] == 0.0:
         coeffs = coeffs[1:]
     if not coeffs or len(coeffs) == 1:
         return []
-    seeds = np.roots(coeffs)
-    real_seeds = [z.real for z in seeds
-                  if abs(z.imag) <= 1e-8 * max(1.0, abs(z))]
+    exponents = [math.frexp(v)[1] for v in coeffs if v != 0.0]
+    spread = max(exponents) - min(exponents)
+    with mp.workprec(int(3.33 * dps) + 3 * spread + 64):
+        seeds = _closed_form_roots([mp.mpf(v) for v in coeffs])
+        real_seeds = [mp.re(z) for z in seeds
+                      if abs(mp.im(z)) <= 1e-8 * max(1, abs(z))]
     with mp.workdps(dps):
         am, bm, cm, dm = (mp.mpf(v) for v in (a, b, c, d))
 
@@ -375,7 +406,7 @@ def power_sweep_reference(derived, drives, powers, method=Method.EIGEN):
     Returns the CurvePoints."""
     susc = susceptibilities(derived, drives)
     solved = []     # (power, eps, error, fields per root) in grid order
-    states = []     # (fields, all roots at that power) for every root
+    every, rows = [], []    # fields of every root; each point's range
     for p in powers:
         p = float(p)
         eps = eps_for_power(derived, p)
@@ -388,14 +419,13 @@ def power_sweep_reference(derived, drives, powers, method=Method.EIGEN):
         fields = [steady_fields(x, derived, susc, drives, eps_l=eps)
                   for x in roots.roots]
         solved.append((p, eps, None, fields))
-        states += [(f, roots.roots) for f in fields]
-    every = [f for f, _ in states]
-    rows = iter(zip(*stability_columns(
-        [f.photon_number for f in every],
+        rows.append(range(len(every), len(every) + len(fields)))
+        every += fields
+    classified = iter(zip(*stability_columns(
         [f.effective_detuning for f in every], [f.c_s for f in every],
-        [roots for _, roots in states], derived, method)))
+        rows, derived, method)))
     return tuple(CurvePoint(
         power=p, eps_sq=eps * eps, error=error,
-        branches=tuple(BranchSolution(f.photon_number, f, *next(rows))
+        branches=tuple(BranchSolution(f.photon_number, f, *next(classified))
                        for f in fields))
         for p, eps, error, fields in solved)

@@ -355,7 +355,7 @@ def _point_hex(pt):
     """Every field of a CurvePoint, each float as float.hex."""
     return (pt.power.hex(), pt.eps_sq.hex(), pt.error, tuple(
         (b.photon_number.hex(), fields_hex(b.fields), b.stable,
-         b.margin.hex(), tuple(r.hex() for r in b.eigenvalue_real_parts))
+         b.margin.hex())
         for b in pt.branches))
 
 
@@ -370,8 +370,7 @@ def _columns_hex(curve):
              (curve.photon_number[i].hex(), *z(curve.c_s[i]),
               *z(curve.b_1s[i]), *z(curve.b_2s[i]), curve.q_1s[i].hex(),
               curve.q_2s[i].hex(), curve.effective_detuning[i].hex()),
-             curve.stable[i], curve.margin[i].hex(),
-             tuple(r.hex() for r in curve.eigenvalue_real_parts[i]))
+             curve.stable[i], curve.margin[i].hex())
             for i in rows))
         for k, rows in enumerate(curve.branch_rows))
 
@@ -448,6 +447,6 @@ def test_points_view_shares_the_column_objects():
         assert b.photon_number is curve.photon_number[i]
         assert b.fields.photon_number is curve.photon_number[i]
         assert b.fields.c_s is curve.c_s[i]
-        assert b.eigenvalue_real_parts is curve.eigenvalue_real_parts[i]
+        assert b.margin is curve.margin[i]
     assert hash(curve) == hash(power_sweep(derived, drives,
                                            auto_power_grid(win, n=21)))

@@ -153,6 +153,38 @@ def test_detuning_exclusive_or():
     assert "delta_c" in str(exc.value)
 
 
+_NO_DETUNING = "".join(l for l in BASE.splitlines(keepends=True)
+                       if not l.startswith("delta_c_over_kappa"))
+_MISSING_DETUNING = "missing required key(s): delta_c (or delta_c_over_kappa)"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    pytest.param(BASE + "delta_c = 2pi*774 kHz\n",
+                 "give delta_c or delta_c_over_kappa, not both", 11,
+                 id="delta_c"),
+    pytest.param(BASE + "eps1_over_omega1 = 2\neps1 = 1 Hz\n",
+                 "give eps1 or eps1_over_omega1, not both", 14, id="eps1"),
+    pytest.param(BASE + "eps2 = 1 Hz\neps2_over_omega2 = 2\n",
+                 "give eps2 or eps2_over_omega2, not both", 15, id="eps2"),
+    pytest.param(BASE + "eps2 = 1 Hz\neps2_over_omega2 = 2\n"
+                 "eps1 = 1 Hz\neps1_over_omega1 = 2\n",
+                 "give eps1 or eps1_over_omega1, not both", 17,
+                 id="eps1-before-eps2"),
+    pytest.param(_NO_DETUNING, _MISSING_DETUNING, None,
+                 id="missing-delta_c"),
+    pytest.param(_NO_DETUNING + "eps1 = 1 Hz\neps1_over_omega1 = 2\n",
+                 _MISSING_DETUNING, None, id="missing-delta_c-before-eps1"),
+])
+def test_key_or_ratio_errors_in_order(text, message, line):
+    """The key/ratio pairs' refusals: each full message, the line of the
+    ratio key, and which is raised first when several apply."""
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None
+                              else f"line {line}: {message}")
+
+
 def test_drive_ratio_exclusive_or():
     with pytest.raises(ConfigError):
         parse_config_text(BASE + "eps1 = 1 Hz\neps1_over_omega1 = 2\n")

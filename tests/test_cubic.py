@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from neoms.steady_state import (CubicCoefficients, critical_points,
                                 solve_photon_roots)
-from oracles import cubic_roots_extended, cubic_value
+from oracles import cubic_roots_extended, cubic_slope, cubic_value
 
 
 def make_coeffs(chi: float, dt: float, kh: float, eps: float) -> CubicCoefficients:
@@ -95,6 +95,8 @@ positive = st.floats(min_value=1e-3, max_value=1e3,
 # the root is far below the inflection and x = t - shift cancels
 @example(chi=1e-20, dt=-10.0, kh=1e-3, eps=1e-5)
 @example(chi=1e-20, dt=5.0, kh=1.0, eps=1.0)
+# inside the window: three roots, each of them the oracle's
+@example(chi=1.0, dt=3.6, kh=0.5, eps=1.4)
 def test_root_properties_hold_everywhere(chi, dt, kh, eps):
     c = make_coeffs(chi, dt, kh, eps)
     roots = solve_photon_roots(c)
@@ -103,6 +105,34 @@ def test_root_properties_hold_everywhere(chi, dt, kh, eps):
     assert all(a < b for a, b in zip(roots.roots, roots.roots[1:]))
     scale = max(abs(c.a4), 1.0)
     assert all(abs(cubic_value(c, r)) <= 1e-9 * scale for r in roots.roots)
+    # Every root of x (kh^2 + (dt - chi x)^2) = eps^2 lies in
+    # [0, eps^2/kh^2].  Once chi^2 underflows, the rounded coefficients can
+    # have one more real root, near dt/chi, far outside: not the model's.
+    oracle = [x for x in cubic_roots_extended(c.a1, c.a2, c.a3, c.a4)
+              if 0.0 <= x <= 2.0 * (eps / kh) ** 2]
+    # Within 1e-6 of a fold the residual contract admits a root that the
+    # exact cubic has only as a complex pair, or as a pair the oracle
+    # merges; such roots are checked by their residual alone.
+    folds = cubic_roots_extended(0.0, 3.0 * c.a1, 2.0 * c.a2, c.a3)
+
+    def at_fold(x):
+        return any(math.isclose(x, f, rel_tol=1e-6) for f in folds)
+
+    def near(r, x):
+        # Within 1e-9, or within what rounding leaves of a root: Horner's
+        # error bound on the cubic over its slope, wide where two roots
+        # nearly meet.  Below 1e-300 a root has few significant bits left.
+        terms = ((c.a1 * x + abs(c.a2)) * x + c.a3) * x + abs(c.a4)
+        slope = abs(cubic_slope(c, x))
+        fuzz = 1e-15 * terms / slope if slope else math.inf
+        return abs(r - x) <= 1e-9 * x + fuzz + 1e-300
+
+    for r in roots.roots:
+        assert at_fold(r) or any(near(r, x) for x in oracle)
+    for x in oracle:
+        if not at_fold(x) and not any(math.isclose(x, y, rel_tol=1e-6)
+                                      for y in oracle if y is not x):
+            assert any(near(r, x) for r in roots.roots)
 
 
 @settings(max_examples=200, deadline=None)

@@ -33,14 +33,13 @@ def _jacobian(f, derived):
     return jacobians((f.effective_detuning,), (f.c_s,), derived)[0]
 
 
-def _columns(states, derived, method=Method.EIGEN):
-    """stability_columns of (fields, all roots) pairs: the lists (stable,
-    margin, eigenvalue real parts)."""
-    fields = [f for f, _ in states]
-    return stability_columns([f.photon_number for f in fields],
-                             [f.effective_detuning for f in fields],
-                             [f.c_s for f in fields],
-                             [roots for _, roots in states], derived, method)
+def _columns(fields, derived, method=Method.EIGEN, rows=None):
+    """stability_columns of steady fields: the lists (stable, margin).
+    `rows` defaults to one cubic whose roots are all of `fields`."""
+    if rows is None:
+        rows = (range(len(fields)),)
+    return stability_columns([f.effective_detuning for f in fields],
+                             [f.c_s for f in fields], rows, derived, method)
 
 
 def test_jacobian_shape_and_coupling_blocks():
@@ -65,33 +64,27 @@ def test_trace_identity_every_branch():
             rng, with_tones=bool(rng.integers(2)))
         total = derived.kappa + derived.gamma1 + derived.gamma2
         for x in roots.roots:
-            f = _fields_at(derived, drives, eps_sq, x)
-            _, _, (parts,) = _columns([(f, None)], derived)
+            J = _jacobian(_fields_at(derived, drives, eps_sq, x), derived)
+            parts = np.linalg.eigvals(J).real
             assert math.isclose(sum(parts), -total, rel_tol=1e-9)
-            assert math.isclose(np.trace(_jacobian(f, derived)), -total,
-                                rel_tol=1e-12)
+            assert math.isclose(np.trace(J), -total, rel_tol=1e-12)
 
 
 def test_slope_rule_flags_middle_root():
     rng = np.random.default_rng(29)
     params, derived, drives, eps_sq, roots = clean_point(rng)
     assert len(roots) == 3
-    lo, mid, hi = roots.roots
-    for x, expect in ((lo, True), (mid, False), (hi, True)):
-        f = _fields_at(derived, drives, eps_sq, x)
-        (stable,), (margin,), (parts,) = _columns(
-            [(f, roots.roots)], derived, Method.SLOPE_RULE)
-        assert stable is expect
-        assert parts == ()
-        assert math.isnan(margin)
-
-
-def test_slope_rule_requires_root_set():
-    rng = np.random.default_rng(41)
-    params, derived, drives, eps_sq, roots = clean_point(rng)
-    f = _fields_at(derived, drives, eps_sq, roots.roots[0])
-    with pytest.raises(ValueError):
-        _columns([(f, None)], derived, Method.SLOPE_RULE)
+    fields = [_fields_at(derived, drives, eps_sq, x) for x in roots.roots]
+    stable, margin = _columns(fields, derived, Method.SLOPE_RULE)
+    assert stable == [True, False, True]
+    assert all(math.isnan(m) for m in margin)
+    # a point's position among its own roots decides, not the batch's:
+    # a one-root point, then the three roots, then two of them
+    rows = (range(0, 1), range(1, 4), range(4, 6))
+    stable, margin = _columns(fields[:1] + fields + fields[:2], derived,
+                              Method.SLOPE_RULE, rows)
+    assert stable == [True, True, False, True, True, True]
+    assert len(margin) == 6 and all(math.isnan(m) for m in margin)
 
 
 def test_methods_agree_in_clean_region():
@@ -101,11 +94,10 @@ def test_methods_agree_in_clean_region():
             rng, with_tones=bool(rng.integers(2)))
         if len(roots) != 3:
             continue
-        for x in roots.roots:
-            states = [(_fields_at(derived, drives, eps_sq, x), roots.roots)]
-            eig, _, _ = _columns(states, derived, Method.EIGEN)
-            slope, _, _ = _columns(states, derived, Method.SLOPE_RULE)
-            assert eig == slope
+        fields = [_fields_at(derived, drives, eps_sq, x) for x in roots.roots]
+        eig, _ = _columns(fields, derived, Method.EIGEN)
+        slope, _ = _columns(fields, derived, Method.SLOPE_RULE)
+        assert eig == slope
 
 
 def test_routh_hurwitz_matches_eigen():
@@ -115,7 +107,7 @@ def test_routh_hurwitz_matches_eigen():
         params, derived, drives, eps_sq, roots = clean_point(rng)
         for x in roots.roots:
             f = _fields_at(derived, drives, eps_sq, x)
-            (stable,), (margin,), _ = _columns([(f, None)], derived)
+            (stable,), (margin,) = _columns([f], derived)
             if abs(margin) < 1e-6 * derived.kappa:
                 continue   # too close to the boundary for a sign criterion
             J = _jacobian(f, derived)
@@ -129,7 +121,7 @@ def test_eigen_margin_sign_matches_classification():
     params, derived, drives, eps_sq, roots = clean_point(rng)
     for x in roots.roots:
         f = _fields_at(derived, drives, eps_sq, x)
-        (stable,), (margin,), _ = _columns([(f, None)], derived)
+        (stable,), (margin,) = _columns([f], derived)
         if stable:
             assert margin > 0.0
         else:
@@ -190,8 +182,6 @@ def test_batched_classification_equals_per_root_eigvals():
             for b in pt.branches:
                 eig = np.linalg.eigvals(_jacobian(b.fields, derived))
                 reals = sorted(float(v) for v in eig.real)
-                assert b.eigenvalue_real_parts == tuple(reals)
-                assert _bits(b.eigenvalue_real_parts) == _bits(reals)
                 assert _bits([b.margin]) == _bits([-reals[-1]])
                 assert b.stable == (reals[-1] < -tol)
                 checked += 1
@@ -203,12 +193,11 @@ def test_batch_eigen_failure_reports_first_failing_state(fig2_cfg,
     win = bistability_window(fig2_derived, fig2_cfg.drives)
     pt = solve_point(fig2_derived, fig2_cfg.drives,
                      math.sqrt(win.power_up * win.power_down))
-    roots = tuple(b.photon_number for b in pt.branches)
-    states = [(b.fields, roots) for b in pt.branches * 3]
+    states = [b.fields for b in pt.branches * 3]
     k = 4
-    bad = replace(states[k][0], c_s=complex(math.nan, 1.0))
-    later = replace(states[k + 2][0], effective_detuning=math.nan)
-    states[k], states[k + 2] = (bad, roots), (later, roots)
+    bad = replace(states[k], c_s=complex(math.nan, 1.0))
+    later = replace(states[k + 2], effective_detuning=math.nan)
+    states[k], states[k + 2] = bad, later
     with pytest.raises(EigenvalueError) as exc:
         _columns(states, fig2_derived)
     want = _jacobian(bad, fig2_derived)

@@ -1,7 +1,7 @@
 """Susceptibilities, the photon cubic, critical points, steady fields.
 
 Frozen expectations marked "extended precision" come from the
-companion-matrix/mpmath oracle in oracles.py or from 40-digit closed-form
+mpmath polynomial-root oracle in oracles.py or from 40-digit closed-form
 evaluation; they are independent of the package's trigonometric root path.
 """
 
@@ -173,6 +173,18 @@ def test_nan_residual_fails_the_contract(fig2_derived):
     with pytest.raises(ResidualError) as exc:
         solve_photon_roots(coeffs)
     assert math.isnan(exc.value.diagnostics["worst_residual"])
+
+
+def test_near_fold_pair_merges_onto_the_lower_copy(fig2_cfg, fig2_derived):
+    """At eps^2 1e-14 below fig2's downward fold, the closed form still
+    gives three seeds, and two of them polish to 14595.373664216399 and
+    14595.373654554223, 6.6e-10 apart relative.  They are one root, and
+    the lower copy is kept."""
+    shape = _coefficients(fig2_derived, fig2_cfg.drives, 0.0)
+    coeffs = replace(shape, a4=-float.fromhex("0x1.7c62b3f181ab3p+52"))
+    got = solve_photon_roots(coeffs).roots
+    assert [x.hex() for x in got] == [
+        x.hex() for x in (288.5668881614199, 14595.373654554223)]
 
 
 def test_critical_points_extended_precision(fig2_derived):
