@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 from neoms.bifurcation import (auto_power_grid, bistability_window,
-                               power_sweep, solve_point)
+                               family_sweep, power_sweep, solve_point)
+from neoms.dynamics import _make_system
 from neoms.errors import EigenvalueError
-from neoms.model import DriveSpec, derive
-from neoms.presets import get_preset
+from neoms.model import DriveSpec, derive, eps_for_power
+from neoms.presets import PRESETS, get_preset
 from neoms.stability import (EIGEN_TOL_KAPPA, Method, jacobians,
                              stability_columns)
-from neoms.steady_state import steady_fields, susceptibilities
+from neoms.steady_state import (cubic_coefficients, steady_fields,
+                                susceptibilities)
 from draws import clean_point, clean_system
 from oracles import routh_hurwitz_stable
 
@@ -213,3 +215,73 @@ def test_batch_eigen_failure_reports_first_failing_state(fig2_cfg,
     good = list(zip(*_columns(states[:k], fig2_derived)))
     assert good == [row for state in states[:k]
                     for row in zip(*_columns([state], fig2_derived))]
+
+
+def _default_curves(names, method=Method.EIGEN):
+    """(derived, drives, curve) of each named preset's default grid, one
+    per family member."""
+    for name in names:
+        cfg = get_preset(name).config()
+        if cfg.values is None:
+            derived = cfg.derive()
+            grid = auto_power_grid(bistability_window(derived, cfg.drives))
+            yield derived, cfg.drives, power_sweep(derived, cfg.drives, grid,
+                                                   method)
+            continue
+        fam = family_sweep(cfg.params, cfg.drives, cfg.vary, cfg.values,
+                           method=method, convention=cfg.convention)
+        yield from ((m.derived, m.drives, m.curve) for m in fam.members)
+
+
+def test_jacobian_is_the_derivative_of_the_integrated_equations():
+    """`jacobians` equals a central difference of the right-hand side that
+    `dynamics` integrates, at every preset's roots at its default power.
+    The right-hand side is quadratic, so only rounding separates them."""
+    checked = 0
+    for name in sorted(PRESETS):
+        cfg = get_preset(name).config()
+        power = cfg.params.drive_power
+        for derived, drives, _ in _default_curves([name],
+                                                  Method.SLOPE_RULE):
+            rhs = _make_system(derived, drives,
+                               eps_for_power(derived, power)).rhs
+            for b in solve_point(derived, drives, power).branches:
+                f = b.fields
+                y = [f.c_s.real, f.c_s.imag, f.b_1s.real, f.b_1s.imag,
+                     f.b_2s.real, f.b_2s.imag]
+                diff = np.empty((6, 6))
+                for j in range(6):
+                    h = 1e-3 * max(abs(y[j]), 1.0)
+                    up, down = list(y), list(y)
+                    up[j] += h
+                    down[j] -= h
+                    diff[:, j] = ((np.array(rhs(0.0, up))
+                                   - np.array(rhs(0.0, down)))
+                                  / (up[j] - down[j]))
+                jac = _jacobian(f, derived)
+                assert np.abs(diff - jac).max() <= 1e-9 * np.abs(jac).max()
+                checked += 1
+    assert checked >= 13
+
+
+def test_determinant_is_the_cubic_slope():
+    """det J = |d1 d2 + gc^2|^2 * d(eps^2)/dx, with d_k = gamma_k/2 +
+    i omega_k, along the default grids of fig2, fig5, fig6a and fig8a.  So
+    det J has the sign of the cubic's slope, which is what the slope rule
+    reads."""
+    checked = 0
+    for derived, drives, curve in _default_curves(
+            ("fig2", "fig5", "fig6a", "fig8a")):
+        shape = cubic_coefficients(derived,
+                                   susceptibilities(derived, drives), 0.0)
+        d1 = complex(0.5 * derived.gamma1, derived.omega1)
+        d2 = complex(0.5 * derived.gamma2, derived.omega2)
+        mirrors = abs(d1 * d2 + derived.gc ** 2) ** 2
+        jacs = jacobians(curve.effective_detuning, curve.c_s, derived)
+        for x, jac in zip(curve.photon_number, jacs):
+            terms = (shape.a3, 2.0 * shape.a2 * x, 3.0 * shape.a1 * x * x)
+            got = np.linalg.det(jac)
+            assert abs(got - mirrors * sum(terms)) <= (
+                1e-9 * mirrors * sum(map(abs, terms)))
+            checked += 1
+    assert checked > 2000
