@@ -11,11 +11,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NoBistabilityError, ParameterError, ResidualError
 from .model import (DerivedParams, DriveSpec, LinewidthConvention,
                     SystemParams, derive, eps_for_power, power_for_eps_sq)
-from .stability import Method, stability_columns
+from .stability import Method, margins, stability_column
 from .steady_state import (CriticalPoints, SteadyStateFields,
                            ThresholdDetuning, critical_points,
                            cubic_coefficients, fold_powers_eps_sq,
@@ -51,9 +52,9 @@ class BistabilityCurve:
     its roots failed to solve); its branches are the rows branch_rows[k] of
     the per-root columns, in ascending photon number.  An unsolved point
     has no rows.  The per-root columns hold the photon number, mirror
-    displacements, effective detuning, the fields c_s, b_1s and b_2s, the
-    classification (stable) and its margin (-max Re(eig), nan for the
-    slope rule).  `points` builds the same data as objects on each access.
+    displacements, effective detuning, the fields c_s, b_1s and b_2s and
+    the classification (stable).  `margin` and `points` are computed on
+    access from the columns and the derived rates.
     """
 
     power: tuple[float, ...]                  # W
@@ -68,9 +69,21 @@ class BistabilityCurve:
     b_1s: tuple[complex, ...]
     b_2s: tuple[complex, ...]
     stable: tuple[bool, ...]
-    margin: tuple[float, ...]
     method: Method
-    convention: LinewidthConvention
+    derived: DerivedParams
+
+    @property
+    def convention(self) -> LinewidthConvention:
+        return self.derived.convention
+
+    @cached_property
+    def margin(self) -> tuple[float, ...]:
+        """-max Re(eig) of each state, from one batched eigvals call on
+        first access; nan under the slope rule."""
+        if self.method == Method.SLOPE_RULE:
+            return (math.nan,) * len(self.stable)
+        return tuple(margins(self.effective_detuning, self.c_s,
+                             self.derived))
 
     @property
     def points(self) -> tuple[CurvePoint, ...]:
@@ -232,8 +245,8 @@ def power_sweep(derived: DerivedParams, drives: DriveSpec,
 
     Root-solve failures are recorded on the offending point rather than
     aborting the sweep.  Only a4 = -eps^2 of the cubic changes from point
-    to point; the fields of all roots are then built, and all roots
-    classified, in one batch each.
+    to point; the fields of all roots are then built in one batch, and
+    all roots classified by the sweep's stability intervals.
     """
     _check_convention(derived, convention)
     susc = susceptibilities(derived, drives)
@@ -258,15 +271,14 @@ def power_sweep(derived: DerivedParams, drives: DriveSpec,
         eps_of += [eps] * len(roots)
     c_s, b_1s, b_2s, q_1s, q_2s, det = steady_columns(xs, eps_of, derived,
                                                       susc)
-    stable, margin = stability_columns(det, c_s, branch_rows, derived,
-                                       method)
+    stable = stability_column(xs, det, c_s, branch_rows, derived, shape,
+                              method)
     return BistabilityCurve(
         power=tuple(power), eps_sq=tuple(eps_sq), error=tuple(error),
         branch_rows=tuple(branch_rows), photon_number=tuple(xs),
         q_1s=tuple(q_1s), q_2s=tuple(q_2s), effective_detuning=tuple(det),
         c_s=tuple(c_s), b_1s=tuple(b_1s), b_2s=tuple(b_2s),
-        stable=tuple(stable), margin=tuple(margin), method=method,
-        convention=derived.convention)
+        stable=tuple(stable), method=method, derived=derived)
 
 
 _JUMP_LOG_MARGIN = math.log(1.5)

@@ -21,7 +21,10 @@ A fifth, `relax_restarting_reference`, is the relaxation loop before its
 segments continued one another; it pins where a relaxation settles, not
 its bits.  A sixth, `power_sweep_reference`, is the sweep when it built
 one cubic, one root set and one field object per point and root, before
-curves kept their roots as columns.
+curves kept their roots as columns.  A seventh,
+`stability_columns_reference`, is the classifier when it called eigvals on
+every state, before the eigen method read stability off intervals in the
+photon number.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from neoms.dynamics import (_A, _B, _C, _E3, _E5, RTOL, SETTLE_TOL,
                             SETTLED_CHECKPOINTS, _make_system, solve_ivp)
 from neoms.errors import ConsistencyError, EigenvalueError, ResidualError
 from neoms.model import LinewidthConvention, eps_for_power
-from neoms.stability import Method, stability_columns
+from neoms.stability import EIGEN_TOL_KAPPA, Method, jacobians
 from neoms.steady_state import (SteadyStateFields, cubic_coefficients,
                                 solve_photon_roots, steady_fields,
                                 susceptibilities)
@@ -402,8 +405,8 @@ def relax_restarting_reference(initial, derived, drives, eps_l):
 def power_sweep_reference(derived, drives, powers, method=Method.EIGEN):
     """`bifurcation.power_sweep` as a per-point loop over objects:
     cubic_coefficients, solve_photon_roots and steady_fields for each
-    point, then one stability_columns call over every root's fields.
-    Returns the CurvePoints."""
+    point, then one `stability_columns_reference` call over every root's
+    fields.  Returns the CurvePoints."""
     susc = susceptibilities(derived, drives)
     solved = []     # (power, eps, error, fields per root) in grid order
     every, rows = [], []    # fields of every root; each point's range
@@ -421,7 +424,7 @@ def power_sweep_reference(derived, drives, powers, method=Method.EIGEN):
         solved.append((p, eps, None, fields))
         rows.append(range(len(every), len(every) + len(fields)))
         every += fields
-    classified = iter(zip(*stability_columns(
+    classified = iter(zip(*stability_columns_reference(
         [f.effective_detuning for f in every], [f.c_s for f in every],
         rows, derived, method)))
     return tuple(CurvePoint(
@@ -429,3 +432,23 @@ def power_sweep_reference(derived, drives, powers, method=Method.EIGEN):
         branches=tuple(BranchSolution(f.photon_number, f, *next(classified))
                        for f in fields))
         for p, eps, error, fields in solved)
+
+
+def stability_columns_reference(detuning, c_s, branch_rows, derived,
+                                method=Method.EIGEN):
+    """The lists (stable, margin) of n states given as columns, as the
+    classifier gave them with eigvals on every state.  The slope rule marks
+    the middle state of each three-state range in `branch_rows` unstable,
+    with nan margins; the eigen method makes one eigvals call and gives
+    the margin -max Re(eig), stable when that exceeds
+    EIGEN_TOL_KAPPA * kappa."""
+    if method == Method.SLOPE_RULE:
+        stable = [True] * len(detuning)
+        for r in branch_rows:
+            if len(r) == 3:
+                stable[r[1]] = False
+        return stable, [math.nan] * len(stable)
+    top = np.linalg.eigvals(jacobians(detuning, c_s, derived)).real.max(
+        axis=1)
+    tol = EIGEN_TOL_KAPPA * derived.kappa
+    return (top < -tol).tolist(), (-top).tolist()

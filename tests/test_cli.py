@@ -17,7 +17,7 @@ from neoms.model import LinewidthConvention, derive
 from neoms.bifurcation import bistability_window, family_sweep
 from neoms.output import FAMILY_HEADER, family_to_csv
 from curve_csv import parse_curve_csv
-from neoms.presets import get_preset
+from neoms.presets import PRESETS, get_preset
 from draws import clean_system
 
 SUB_THRESHOLD = """\
@@ -501,6 +501,56 @@ def test_every_command_runs_without_scipy(clean_conf, subprocess_env):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0] * len(commands)
+
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None    # every import of numpy now fails
+import neoms.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([neoms.cli.main(argv), out.getvalue()])
+print(json.dumps(runs))
+"""
+
+_LOADS_NUMPY = """
+import contextlib, io, sys
+import neoms.cli
+loaded = ["numpy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    neoms.cli.main(["curve", "--preset", "fig2", "--format", "json"])
+print(loaded + ["numpy" in sys.modules])
+"""
+
+
+def test_csv_commands_run_without_numpy(subprocess_env, capsys):
+    """Every CSV command of the benchmark's CLI mix, and the slope rule,
+    prints the same bytes with numpy blocked: stability comes from
+    intervals in the photon number.  Only the JSON margins load numpy."""
+    commands = [
+        ["window", "--preset", "fig2"],
+        ["threshold", "--preset", "fig2"],
+        ["curve", "--preset", "fig2"],
+        ["hysteresis", "--preset", "fig2"],
+        ["dynamics", "--preset", "fig2", "--power", "2e-9"],
+        ["curve", "--preset", "fig2", "--method", "slope"],
+    ] + [["fig", name] for name in sorted(PRESETS)]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY,
+                           json.dumps(commands)],
+                          env=subprocess_env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    assert len(blocked) == len(commands) == 19
+    for argv, (code, out) in zip(commands, blocked):
+        assert (code, out) == (main(argv), capsys.readouterr().out), argv
+    proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY],
+                          env=subprocess_env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, True]\n"
 
 
 @pytest.mark.parametrize("argv, says", [

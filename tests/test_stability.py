@@ -13,16 +13,18 @@ import pytest
 
 from neoms.bifurcation import (auto_power_grid, bistability_window,
                                family_sweep, power_sweep, solve_point)
-from neoms.dynamics import _make_system
+from neoms.dynamics import MeanFieldState, _make_system, relax_to_steady
 from neoms.errors import EigenvalueError
-from neoms.model import DriveSpec, derive, eps_for_power
+from neoms.model import (CoulombSpec, DriveSpec, LinewidthConvention, derive,
+                         eps_for_power)
 from neoms.presets import PRESETS, get_preset
-from neoms.stability import (EIGEN_TOL_KAPPA, Method, jacobians,
-                             stability_columns)
-from neoms.steady_state import (cubic_coefficients, steady_fields,
-                                susceptibilities)
-from draws import clean_point, clean_system
-from oracles import routh_hurwitz_stable
+from neoms.stability import (BOUNDARY_GUARD, EIGEN_TOL_KAPPA, Method,
+                             jacobians, margins, stability_column,
+                             stability_intervals)
+from neoms.steady_state import (critical_points, cubic_coefficients,
+                                steady_fields, susceptibilities)
+from draws import REFERENCE, clean_point, clean_system
+from oracles import routh_hurwitz_stable, stability_columns_reference
 
 
 def _fields_at(derived, drives, eps_sq, x):
@@ -35,13 +37,21 @@ def _jacobian(f, derived):
     return jacobians((f.effective_detuning,), (f.c_s,), derived)[0]
 
 
-def _columns(fields, derived, method=Method.EIGEN, rows=None):
-    """stability_columns of steady fields: the lists (stable, margin).
-    `rows` defaults to one cubic whose roots are all of `fields`."""
+def _columns(fields, derived, drives, method=Method.EIGEN, rows=None):
+    """The lists (stable, margin) of steady fields: `stability_column`,
+    and `margins` or nan under the slope rule.  `rows` defaults to one
+    cubic whose roots are all of `fields`."""
     if rows is None:
         rows = (range(len(fields)),)
-    return stability_columns([f.effective_detuning for f in fields],
-                             [f.c_s for f in fields], rows, derived, method)
+    shape = cubic_coefficients(derived, susceptibilities(derived, drives),
+                               0.0)
+    det = [f.effective_detuning for f in fields]
+    c_s = [f.c_s for f in fields]
+    stable = stability_column([f.photon_number for f in fields], det, c_s,
+                              rows, derived, shape, method)
+    if method == Method.SLOPE_RULE:
+        return stable, [math.nan] * len(fields)
+    return stable, margins(det, c_s, derived)
 
 
 def test_jacobian_shape_and_coupling_blocks():
@@ -77,14 +87,14 @@ def test_slope_rule_flags_middle_root():
     params, derived, drives, eps_sq, roots = clean_point(rng)
     assert len(roots) == 3
     fields = [_fields_at(derived, drives, eps_sq, x) for x in roots.roots]
-    stable, margin = _columns(fields, derived, Method.SLOPE_RULE)
+    stable, margin = _columns(fields, derived, drives, Method.SLOPE_RULE)
     assert stable == [True, False, True]
     assert all(math.isnan(m) for m in margin)
     # a point's position among its own roots decides, not the batch's:
     # a one-root point, then the three roots, then two of them
     rows = (range(0, 1), range(1, 4), range(4, 6))
     stable, margin = _columns(fields[:1] + fields + fields[:2], derived,
-                              Method.SLOPE_RULE, rows)
+                              drives, Method.SLOPE_RULE, rows)
     assert stable == [True, True, False, True, True, True]
     assert len(margin) == 6 and all(math.isnan(m) for m in margin)
 
@@ -97,8 +107,8 @@ def test_methods_agree_in_clean_region():
         if len(roots) != 3:
             continue
         fields = [_fields_at(derived, drives, eps_sq, x) for x in roots.roots]
-        eig, _ = _columns(fields, derived, Method.EIGEN)
-        slope, _ = _columns(fields, derived, Method.SLOPE_RULE)
+        eig, _ = _columns(fields, derived, drives, Method.EIGEN)
+        slope, _ = _columns(fields, derived, drives, Method.SLOPE_RULE)
         assert eig == slope
 
 
@@ -109,7 +119,7 @@ def test_routh_hurwitz_matches_eigen():
         params, derived, drives, eps_sq, roots = clean_point(rng)
         for x in roots.roots:
             f = _fields_at(derived, drives, eps_sq, x)
-            (stable,), (margin,) = _columns([f], derived)
+            (stable,), (margin,) = _columns([f], derived, drives)
             if abs(margin) < 1e-6 * derived.kappa:
                 continue   # too close to the boundary for a sign criterion
             J = _jacobian(f, derived)
@@ -123,7 +133,7 @@ def test_eigen_margin_sign_matches_classification():
     params, derived, drives, eps_sq, roots = clean_point(rng)
     for x in roots.roots:
         f = _fields_at(derived, drives, eps_sq, x)
-        (stable,), (margin,) = _columns([f], derived)
+        (stable,), (margin,) = _columns([f], derived, drives)
         if stable:
             assert margin > 0.0
         else:
@@ -201,7 +211,7 @@ def test_batch_eigen_failure_reports_first_failing_state(fig2_cfg,
     later = replace(states[k + 2], effective_detuning=math.nan)
     states[k], states[k + 2] = bad, later
     with pytest.raises(EigenvalueError) as exc:
-        _columns(states, fig2_derived)
+        _columns(states, fig2_derived, fig2_cfg.drives)
     want = _jacobian(bad, fig2_derived)
     assert str(exc.value).startswith("eigenvalue computation failed")
     assert np.array_equal(exc.value.diagnostics["jacobian"], want,
@@ -212,9 +222,11 @@ def test_batch_eigen_failure_reports_first_failing_state(fig2_cfg,
         cond = math.inf
     assert _bits([exc.value.diagnostics["condition"]]) == _bits([cond])
     # the states before k classify as they do alone
-    good = list(zip(*_columns(states[:k], fig2_derived)))
+    drives = fig2_cfg.drives
+    good = list(zip(*_columns(states[:k], fig2_derived, drives)))
     assert good == [row for state in states[:k]
-                    for row in zip(*_columns([state], fig2_derived))]
+                    for row in zip(*_columns([state], fig2_derived,
+                                             drives))]
 
 
 def _default_curves(names, method=Method.EIGEN):
@@ -285,3 +297,162 @@ def test_determinant_is_the_cubic_slope():
                 1e-9 * mirrors * sum(map(abs, terms)))
             checked += 1
     assert checked > 2000
+
+
+def test_intervals_equal_eigvals_everywhere():
+    """The interval classification equals eigvals' max Re(eig) < -tol on
+    every state of the presets' default grids, family members included,
+    under both conventions; on the 2,001-point grids of fig2, fig8a and
+    fig8c; and on 100 `clean_system` draws.  States within BOUNDARY_GUARD
+    of a bound are decided by eigvals, and are counted."""
+    curves = []
+    for name in sorted(PRESETS):
+        cfg = get_preset(name).config()
+        for conv in LinewidthConvention:
+            if cfg.values is None:
+                derived = derive(cfg.params, cfg.drives, conv)
+                grid = auto_power_grid(bistability_window(derived,
+                                                          cfg.drives))
+                curves.append((derived, cfg.drives, power_sweep(
+                    derived, cfg.drives, grid)))
+                continue
+            fam = family_sweep(cfg.params, cfg.drives, cfg.vary, cfg.values,
+                               convention=conv)
+            curves += [(m.derived, m.drives, m.curve) for m in fam.members]
+    for name in ("fig2", "fig8a", "fig8c"):
+        cfg = get_preset(name).config()
+        derived = cfg.derive()
+        grid = auto_power_grid(bistability_window(derived, cfg.drives), 2001)
+        curves.append((derived, cfg.drives,
+                       power_sweep(derived, cfg.drives, grid)))
+    rng = np.random.default_rng(2027)
+    for i in range(100):
+        params, drives = clean_system(rng, with_tones=i % 2 == 1)
+        derived = derive(params, drives)
+        grid = auto_power_grid(bistability_window(derived, drives), 201)
+        curves.append((derived, drives, power_sweep(derived, drives, grid)))
+    states = guarded = 0
+    for derived, drives, curve in curves:
+        want, _ = stability_columns_reference(
+            curve.effective_detuning, curve.c_s, curve.branch_rows, derived)
+        assert list(curve.stable) == want
+        shape = cubic_coefficients(derived,
+                                   susceptibilities(derived, drives), 0.0)
+        bounds, _ = stability_intervals(derived, shape,
+                                        max(curve.photon_number))
+        guarded += sum(any(abs(x - b) <= BOUNDARY_GUARD * x for b in bounds)
+                       for x in curve.photon_number)
+        states += len(want)
+    print(f"\n{states} states, {guarded} within the guard band")
+    assert states > 50_000
+
+
+def _eigen_bisection(derived, shape, lo, hi):
+    """The photon number in [lo, hi] where eigvals' max Re(eig) crosses
+    -EIGEN_TOL_KAPPA * kappa along the sweep's line Delta(x)."""
+    tol = EIGEN_TOL_KAPPA * derived.kappa
+
+    def stable(x):
+        det = shape.delta_tilde - shape.kerr_slope * x
+        c_s = math.sqrt(x) * complex(derived.kh, -det) / abs(
+            complex(derived.kh, det))
+        jac = jacobians((det,), (c_s,), derived)[0]
+        return np.linalg.eigvals(jac).real.max() < -tol
+
+    at_lo = stable(lo)
+    assert stable(hi) != at_lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if stable(mid) == at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_fig2_has_two_folds_and_two_hopf_points(fig2_cfg, fig2_derived):
+    """Up to x = 1e5, fig2's stability changes at four photon numbers: the
+    two folds and the Hopf points of the upper branch, each to 1e-6 of an
+    eigvals bisection."""
+    shape = cubic_coefficients(
+        fig2_derived, susceptibilities(fig2_derived, fig2_cfg.drives), 0.0)
+    bounds, stable = stability_intervals(fig2_derived, shape, 1e5)
+    switches = [b for b, left, right in zip(bounds, stable, stable[1:])
+                if left != right]
+    assert len(switches) == 4
+    crit = critical_points(shape)
+    for x, want in zip(switches, (crit.x_c_minus, crit.x_c_plus, 17_088.43,
+                                  77_806.19)):
+        assert math.isclose(x, want, rel_tol=1e-6)
+        assert math.isclose(x, _eigen_bisection(
+            fig2_derived, shape, 0.99 * x, 1.01 * x), rel_tol=1e-6)
+    # stable below the lower fold and above the upper Hopf point
+    assert stable[0] and stable[-1]
+
+
+def test_upper_branch_lives_and_dies_as_the_intervals_predict(
+        fig2_cfg, fig2_derived):
+    """A start 1 % off fig2's upper root stays there at 1 nW, where the
+    intervals call it stable, and falls to the lower root at 2 nW, inside
+    the upper branch's Hopf interval."""
+    for power, stays in ((1e-9, True), (2e-9, False)):
+        lower, _, upper = solve_point(fig2_derived, fig2_cfg.drives,
+                                      power).branches
+        assert lower.stable and upper.stable == stays
+        f = upper.fields
+        settled = relax_to_steady(
+            MeanFieldState(1.01 * f.c_s, 1.01 * f.b_1s, 1.01 * f.b_2s),
+            fig2_derived, fig2_cfg.drives,
+            eps_for_power(fig2_derived, power))
+        target = upper if stays else lower
+        assert math.isclose(settled.photon_number, target.photon_number,
+                            rel_tol=1e-6)
+
+
+def test_states_at_a_bound_are_left_to_eigvals(fig2_cfg, fig2_derived,
+                                               monkeypatch):
+    """A state within BOUNDARY_GUARD of an interval's bound is classified
+    by eigvals on its own Jacobian; the states between bounds are not."""
+    from neoms import stability
+
+    shape = cubic_coefficients(
+        fig2_derived, susceptibilities(fig2_derived, fig2_cfg.drives), 0.0)
+    bounds, _ = stability_intervals(fig2_derived, shape, 1e5)
+    xs = [0.5 * (a + b) for a, b in zip([0.0, *bounds], [*bounds, 1e5])]
+    xs += [b * (1.0 + 0.5 * BOUNDARY_GUARD) for b in bounds]
+    det = [shape.delta_tilde - shape.kerr_slope * x for x in xs]
+    c_s = [math.sqrt(x) * complex(fig2_derived.kh, -d)
+           / abs(complex(fig2_derived.kh, d)) for x, d in zip(xs, det)]
+    asked = []
+
+    def recorded(detuning, fields, derived):
+        asked.extend(detuning)
+        return margins(detuning, fields, derived)
+
+    monkeypatch.setattr(stability, "margins", recorded)
+    stable = stability_column(xs, det, c_s, (), fig2_derived, shape)
+    assert asked == det[len(bounds) + 1:]
+    tops = np.linalg.eigvals(jacobians(det, c_s, fig2_derived)).real.max(1)
+    assert stable == (tops < -EIGEN_TOL_KAPPA * fig2_derived.kappa).tolist()
+
+
+def test_a_state_only_d3_calls_unstable_is_unstable():
+    """Two mechanical pairs can grow at once with a6 and D5 positive; then
+    only the Hurwitz determinant D3 sees it.  At this drawn operating
+    point and photon number eigvals finds a growing mode, and so must the
+    intervals."""
+    params = replace(
+        REFERENCE, omega1=1.96077e6, omega2=3.78028e6, gamma1=1.66185e5,
+        gamma2=1.88563e5, kappa=2.36970e6, delta_c=5.46160e6, g0=1.00466e4,
+        coulomb=CoulombSpec.direct(5.76138e5))
+    derived = derive(params, DriveSpec())
+    shape = cubic_coefficients(derived,
+                               susceptibilities(derived, DriveSpec()), 0.0)
+    x = 84_066.5
+    det = shape.delta_tilde - shape.kerr_slope * x
+    c_s = math.sqrt(x) * complex(derived.kh, -det) / abs(
+        complex(derived.kh, det))
+    (top,) = np.linalg.eigvals(jacobians((det,), (c_s,), derived)).real.max(1)
+    assert top > 0.1 * derived.kappa
+    assert stability_column((x,), (det,), (c_s,), (range(1),), derived,
+                            shape) == [False]
