@@ -8,7 +8,6 @@ differ by a factor of 2 (sqrt(3)/2 vs sqrt(3) in units of kappa).
 """
 
 import argparse
-from dataclasses import replace
 
 from neoms.bifurcation import bistability_window
 from neoms.model import DriveSpec, LinewidthConvention, derive
@@ -21,7 +20,7 @@ def bisect_threshold(params, drives, convention, tol_kappa=1e-9):
     kappa = params.kappa
 
     def exists(delta_c):
-        d = derive(replace(params, delta_c=delta_c), drives, convention)
+        d = derive(params._replace(delta_c=delta_c), drives, convention)
         s = susceptibilities(d, drives)
         c = cubic_coefficients(d, s, d.eps_l)
         return critical_points(c).exists
@@ -53,7 +52,7 @@ def main():
         ratio = 0.5 + 2.0 * i / (args.steps - 1)
         row = []
         for conv in LinewidthConvention:
-            d = derive(replace(params, delta_c=ratio * kappa), drives, conv)
+            d = derive(params._replace(delta_c=ratio * kappa), drives, conv)
             row.append("bistable" if bistability_window(d, drives).exists
                        else "-")
         print(f"{ratio:>14.4f} {row[0]:>12} {row[1]:>12}")

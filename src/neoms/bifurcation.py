@@ -8,14 +8,14 @@ kept as an independent route to the same numbers.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import NoBistabilityError, ParameterError, ResidualError
-from .model import (DerivedParams, DriveSpec, LinewidthConvention,
-                    SystemParams, derive, eps_for_power, power_for_eps_sq)
+from .model import (CoulombSpec, DerivedParams, DriveSpec,
+                    LinewidthConvention, SystemParams, derive, eps_for_power,
+                    power_for_eps_sq)
 from .stability import Method, margins, stability_column
 from .steady_state import (CriticalPoints, SteadyStateFields,
                            ThresholdDetuning, critical_points,
@@ -24,8 +24,7 @@ from .steady_state import (CriticalPoints, SteadyStateFields,
                            threshold_detuning)
 
 
-@dataclass(frozen=True)
-class BranchSolution:
+class BranchSolution(NamedTuple):
     """One steady-state root, classified: a row of the per-root columns."""
 
     photon_number: float
@@ -34,8 +33,7 @@ class BranchSolution:
     margin: float                              # -max Re(eig); nan for slope
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """All coexisting steady states at one drive power."""
 
     power: float                              # W
@@ -44,19 +42,7 @@ class CurvePoint:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class BistabilityCurve:
-    """Steady-state response over a power grid, stored as columns.
-
-    Point k of the grid has power[k], eps_sq[k] and error[k] (None unless
-    its roots failed to solve); its branches are the rows branch_rows[k] of
-    the per-root columns, in ascending photon number.  An unsolved point
-    has no rows.  The per-root columns hold the photon number, mirror
-    displacements, effective detuning, the fields c_s, b_1s and b_2s and
-    the classification (stable).  `margin` and `points` are computed on
-    access from the columns and the derived rates.
-    """
-
+class _CurveColumns(NamedTuple):
     power: tuple[float, ...]                  # W
     eps_sq: tuple[float, ...]                 # (rad/s)^2
     error: tuple[str | None, ...]
@@ -71,6 +57,22 @@ class BistabilityCurve:
     stable: tuple[bool, ...]
     method: Method
     derived: DerivedParams
+
+
+class BistabilityCurve(_CurveColumns):
+    """Steady-state response over a power grid, stored as columns.
+
+    Point k of the grid has power[k], eps_sq[k] and error[k] (None unless
+    its roots failed to solve); its branches are the rows branch_rows[k] of
+    the per-root columns, in ascending photon number.  An unsolved point
+    has no rows.  The per-root columns hold the photon number, mirror
+    displacements, effective detuning, the fields c_s, b_1s and b_2s and
+    the classification (stable).  `margin` and `points` are computed on
+    access from the columns and the derived rates, `margin` once.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BistabilityCurve is immutable: {name!r}")
 
     @property
     def convention(self) -> LinewidthConvention:
@@ -101,8 +103,7 @@ class BistabilityCurve:
                                          self.branch_rows, self.error))
 
 
-@dataclass(frozen=True)
-class BistabilityWindow:
+class BistabilityWindow(NamedTuple):
     """Fold powers bracketing the multivalued region, if it exists."""
 
     exists: bool
@@ -126,8 +127,7 @@ class BistabilityWindow:
         return self.power_up / self.power_down
 
 
-@dataclass(frozen=True)
-class HysteresisTrace:
+class HysteresisTrace(NamedTuple):
     """Photon number along the up and down power sweeps with jump markers.
 
     Jump powers are the first grid point after the response moved by more
@@ -347,8 +347,7 @@ _DRIVE_KEYS = ("eps1", "eps2", "phi1", "phi2")
 FAMILY_KEYS = _PARAM_KEYS + _DRIVE_KEYS
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     value: float
     derived: DerivedParams
     drives: DriveSpec
@@ -356,8 +355,7 @@ class FamilyMember:
     curve: BistabilityCurve
 
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(NamedTuple):
     vary: str
     values: tuple[float, ...]
     members: tuple[FamilyMember, ...]
@@ -367,15 +365,12 @@ class FamilyResult:
 def _apply_family_value(params: SystemParams, drives: DriveSpec, vary: str,
                         value: float) -> tuple[SystemParams, DriveSpec]:
     if vary == "g0":
-        return dataclasses.replace(params, g0=value), drives
+        return params._replace(g0=value), drives
     if vary == "gc":
-        coulomb = dataclasses.replace(params.coulomb, gc=value, cap1=None,
-                                      cap2=None, volt1=None, volt2=None,
-                                      spacing=None)
-        return dataclasses.replace(params, coulomb=coulomb), drives
+        return params._replace(coulomb=CoulombSpec.direct(value)), drives
     if vary == "delta_c":
-        return dataclasses.replace(params, delta_c=value), drives
-    return params, dataclasses.replace(drives, **{vary: value})
+        return params._replace(delta_c=value), drives
+    return params, drives._replace(**{vary: value})
 
 
 def family_sweep(params: SystemParams, drives: DriveSpec, vary: str,

@@ -9,7 +9,6 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -90,7 +89,7 @@ def _load_cfg(args) -> RunConfig:
         cfg = load_config(args.config)
     conv = getattr(args, "convention", None)
     if conv is not None:
-        cfg = dataclasses.replace(cfg, convention=LinewidthConvention(conv))
+        cfg = cfg._replace(convention=LinewidthConvention(conv))
     return cfg
 
 
@@ -180,7 +179,7 @@ def _resolve_family(cfg: RunConfig, args) -> RunConfig:
         values = cfg.values
     else:
         raise ConfigError("family needs values, from --values or the config")
-    return dataclasses.replace(cfg, vary=vary, values=values)
+    return cfg._replace(vary=vary, values=values)
 
 
 def _cmd_family(args, cfg: RunConfig) -> _Result:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bifurcation import FAMILY_KEYS
 from .errors import ConfigError
@@ -127,8 +127,7 @@ def parse_scalar_for_key(key: str, text: str) -> float:
     return _parse_quantity(text, dim, key, None)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed configuration plus the sweep/convention extras."""
 
     params: SystemParams

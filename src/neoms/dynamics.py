@@ -9,7 +9,6 @@ on cubic roots, quasi-static power ramps must jump at the fold powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .bifurcation import HysteresisTrace, jump_powers
@@ -20,8 +19,7 @@ from .steady_state import (SteadyStateFields, cubic_coefficients,
                            solve_photon_roots, susceptibilities)
 
 
-@dataclass(frozen=True)
-class MeanFieldState:
+class MeanFieldState(NamedTuple):
     """First moments of cavity and mirror modes at one instant."""
 
     c: complex
@@ -189,8 +187,7 @@ _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 
 
-@dataclass(frozen=True)
-class IvpResult:
+class IvpResult(NamedTuple):
     """End of an integration segment: its time t, its state y, the nfev RHS
     evaluations it took, the derivative f = rhs(t, y), and h_next, the step
     size the controller proposed next (None when no step was taken).  Passed as

@@ -13,16 +13,15 @@ the frozen `DerivedParams` snapshot produced by `derive`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ParameterError
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """Fundamental constants (SI, CODATA 2018)."""
 
     hbar: float = 1.054571817e-34          # J s
@@ -55,8 +54,7 @@ def canonical_phase(phi: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class CoulombSpec:
+class CoulombSpec(NamedTuple):
     """Electrostatic mirror-mirror coupling, either direct or geometric.
 
     Direct form: `gc` is the coupling rate G_c in rad/s.  Geometric form:
@@ -86,29 +84,41 @@ class CoulombSpec:
         return self.gc is None
 
 
-@dataclass(frozen=True)
-class DriveSpec:
-    """Mechanical drive tones on the two mirrors.
-
-    Amplitudes eps1/eps2 in rad/s, static phases phi1/phi2 in rad (stored
-    canonically in [0, 2*pi)).
-    """
-
+class _Drives(NamedTuple):
     eps1: float = 0.0
     eps2: float = 0.0
     phi1: float = 0.0
     phi2: float = 0.0
 
-    def __post_init__(self):
-        for name in ("phi1", "phi2"):
-            phi = getattr(self, name)
-            if not math.isfinite(phi):
-                raise ParameterError(name, f"must be finite, got {phi!r}")
-            object.__setattr__(self, name, canonical_phase(phi))
+
+def _phase(name: str, phi: float) -> float:
+    if not math.isfinite(phi):
+        raise ParameterError(name, f"must be finite, got {phi!r}")
+    return canonical_phase(phi)
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class DriveSpec(_Drives):
+    """Mechanical drive tones on the two mirrors.
+
+    Amplitudes eps1/eps2 in rad/s, static phases phi1/phi2 in rad (stored
+    canonically in [0, 2*pi)).  Every construction checks and canonicalizes
+    the phases, `_replace` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, eps1: float = 0.0, eps2: float = 0.0, phi1: float = 0.0,
+                phi2: float = 0.0) -> "DriveSpec":
+        return super().__new__(cls, eps1, eps2, _phase("phi1", phi1),
+                               _phase("phi2", phi2))
+
+    @classmethod
+    def _make(cls, iterable) -> "DriveSpec":
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
+
+class SystemParams(NamedTuple):
     """Raw system inputs in SI units.
 
     `g0` is the single-photon optomechanical coupling rate in rad/s, or None
@@ -132,8 +142,7 @@ class SystemParams:
     coulomb: CoulombSpec = CoulombSpec.direct(0.0)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     level: str   # "error" or "warning"
     field: str
     message: str
@@ -208,8 +217,7 @@ def _coulomb_rate_per_area(spec: CoulombSpec) -> float | None:
             * spec.cap2 * spec.volt2 / (CODATA.hbar * spec.spacing ** 3))
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """Frozen snapshot of every derived rate plus the originating inputs.
 
     omega_c/omega_l: cavity and laser angular frequencies.  g_per_len is the

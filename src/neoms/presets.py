@@ -9,7 +9,7 @@ the choice is listed in `assumptions`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import RunConfig, parse_config_text
 
@@ -32,8 +32,7 @@ _PI_2 = "1.5707963267948966"
 _PI_4 = "0.7853981633974483"
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     name: str
     description: str
     text: str

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (ConsistencyError, NumericalError, ResidualError,
                      SingularDenominatorError)
@@ -26,8 +26,7 @@ from .model import DerivedParams, DriveSpec, LinewidthConvention
 RESIDUAL_CONTRACT = 1e-9          # |cubic(x)| / max(|a4|, 1) for every root
 
 
-@dataclass(frozen=True)
-class Susceptibilities:
+class Susceptibilities(NamedTuple):
     """Linear response of the mirror pair entering the cavity line.
 
     beta1 maps photon number into b_1s, beta2 and beta3 map the two drive
@@ -73,8 +72,7 @@ def susceptibilities(derived: DerivedParams, drives: DriveSpec) -> Susceptibilit
         offset=alpha2 * drives.eps2 + alpha3 * drives.eps1)
 
 
-@dataclass(frozen=True)
-class CubicCoefficients:
+class CubicCoefficients(NamedTuple):
     """Coefficients of the photon-number cubic plus its building blocks."""
 
     a1: float
@@ -170,14 +168,15 @@ def _polish_root(a1: float, a2: float, a3: float, a4: float,
     return best_x, best_f
 
 
-@dataclass(frozen=True)
-class PhotonRoots:
-    """Nonnegative real roots of the photon-number cubic, ascending."""
+class PhotonRoots(tuple):
+    """Nonnegative real roots of the photon-number cubic, ascending: a
+    tuple of them, also read as `.roots`."""
 
-    roots: tuple[float, ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.roots)
+    @property
+    def roots(self) -> tuple[float, ...]:
+        return tuple(self)
 
 
 def photon_roots(a1: float, a2: float, a3: float,
@@ -228,8 +227,7 @@ def solve_photon_roots(coeffs: CubicCoefficients) -> PhotonRoots:
                                     coeffs.a4))
 
 
-@dataclass(frozen=True)
-class CriticalPoints:
+class CriticalPoints(NamedTuple):
     """Fold locations of the S-curve in photon number."""
 
     x_c_minus: float
@@ -263,8 +261,7 @@ def critical_points(coeffs: CubicCoefficients) -> CriticalPoints:
                           x_inf=x_inf, exists=True)
 
 
-@dataclass(frozen=True)
-class ThresholdDetuning:
+class ThresholdDetuning(NamedTuple):
     """Detuning at which the folds first exist, under the run's convention."""
 
     delta_tilde: float       # rad/s
@@ -286,8 +283,7 @@ def threshold_detuning(derived: DerivedParams,
                              convention=derived.convention)
 
 
-@dataclass(frozen=True)
-class SteadyStateFields:
+class SteadyStateFields(NamedTuple):
     """Per-root steady operating point of cavity and mirrors."""
 
     photon_number: float

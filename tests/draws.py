@@ -16,7 +16,6 @@ Two families:
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -59,8 +58,7 @@ def reference_draw(rng: np.random.Generator, span: float = 3.0) -> SystemParams:
         return log_uniform(rng, v / span, v * span)
 
     kappa = j(REFERENCE.kappa)
-    return replace(
-        REFERENCE,
+    return REFERENCE._replace(
         omega1=j(REFERENCE.omega1),
         omega2=j(REFERENCE.omega2),
         gamma1=j(REFERENCE.gamma1),
@@ -95,8 +93,7 @@ def clean_system(rng: np.random.Generator,
     static tone offset) lands uniformly in the requested window.
     """
     kappa = TWO_PI * rng.uniform(20e3, 60e3)
-    params = replace(
-        REFERENCE,
+    params = REFERENCE._replace(
         kappa=kappa,
         delta_c=kappa,   # placeholder, re-aimed below
         g0=TWO_PI * log_uniform(rng, 2e3, 10e3),
@@ -112,7 +109,7 @@ def clean_system(rng: np.random.Generator,
     target = rng.uniform(min_detuning_kappa, max_detuning_kappa) * kappa
     probe = derive(params, drives)
     offs = susceptibilities(probe, drives).offset
-    return replace(params, delta_c=target + probe.g0 * offs), drives
+    return params._replace(delta_c=target + probe.g0 * offs), drives
 
 
 def clean_point(rng: np.random.Generator,

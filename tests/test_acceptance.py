@@ -12,7 +12,6 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +85,7 @@ def test_criterion_02_threshold_by_bisection():
         kappa = REFERENCE.kappa
 
         def exists_at(delta_c):
-            _, _, coeffs = _coeffs_for(replace(REFERENCE, delta_c=delta_c),
+            _, _, coeffs = _coeffs_for(REFERENCE._replace(delta_c=delta_c),
                                        convention=convention)
             return critical_points(coeffs).exists
 
@@ -130,7 +129,7 @@ def test_criterion_03_no_coupling_no_bistability():
     """g0 = 0: the response is single valued at every drive power."""
     rng = np.random.default_rng(1003)
     for _ in range(100):
-        params = replace(reference_draw(rng), g0=0.0)
+        params = reference_draw(rng)._replace(g0=0.0)
         derived = derive(params)
         powers = np.geomspace(1e-15, 1e-1, 40)
         susc = susceptibilities(derived, DriveSpec())
@@ -267,7 +266,7 @@ def test_criterion_07_parameter_trends_and_periodicity():
     widths_dc = []
     for v in fig5.values:
         if not math.isclose(v / fig5.params.kappa, 1.8, rel_tol=1e-9):
-            d = derive(replace(fig5.params, delta_c=v), fig5.drives)
+            d = derive(fig5.params._replace(delta_c=v), fig5.drives)
             widths_dc.append(bistability_window(d, fig5.drives).width)
     assert widths_dc[0] < widths_dc[1] < widths_dc[2]
     # (d) every curve is 2pi periodic in either drive phase
@@ -278,8 +277,8 @@ def test_criterion_07_parameter_trends_and_periodicity():
     p = math.sqrt(win.power_up * win.power_down)
     for name in ("phi1", "phi2"):
         base = solve_point(derived, drives, p)
-        shifted_drives = replace(drives,
-                                 **{name: getattr(drives, name) + 2 * math.pi})
+        shifted_drives = drives._replace(
+            **{name: getattr(drives, name) + 2 * math.pi})
         shifted = solve_point(derive(params, shifted_drives), shifted_drives,
                               p)
         assert len(base.branches) == len(shifted.branches)

@@ -1,7 +1,6 @@
 """Curves, windows, algebraic hysteresis, and parameter families."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,8 +57,9 @@ def _past_the_flip(rng):
     params, drives = clean_system(rng)
     d2 = complex(0.5 * params.gamma2, params.omega2)
     flip = math.sqrt(params.omega1 * abs(d2) ** 2 / params.omega2)
-    params = replace(params, delta_c=-params.delta_c,
-                     coulomb=CoulombSpec.direct(flip * rng.uniform(1.05, 1.5)))
+    params = params._replace(
+        delta_c=-params.delta_c,
+        coulomb=CoulombSpec.direct(flip * rng.uniform(1.05, 1.5)))
     return params, derive(params, drives), drives
 
 
@@ -97,7 +97,7 @@ def test_reversed_kerr_slope_at_positive_detuning_is_the_wrong_side():
     rng = np.random.default_rng(2305)
     for _ in range(20):
         params, derived, drives = _past_the_flip(rng)
-        wrong = derive(replace(params, delta_c=-params.delta_c), drives)
+        wrong = derive(params._replace(delta_c=-params.delta_c), drives)
         win = bistability_window(wrong, drives)
         assert not win.exists and win.reason == "wrong_detuning_side"
         with pytest.raises(NoBistabilityError,
@@ -157,7 +157,7 @@ def test_window_and_sweep_accept_only_the_derived_convention(fig2_cfg):
 
 def test_window_absent_below_threshold():
     params, derived, drives, _ = _clean()
-    low = derive(replace(params, delta_c=0.5 * params.kappa), drives)
+    low = derive(params._replace(delta_c=0.5 * params.kappa), drives)
     win = bistability_window(low, drives)
     assert not win.exists and win.reason == "below_threshold"
     assert win.width == 0.0 and math.isnan(win.fold_ratio)
@@ -285,7 +285,7 @@ def test_family_applies_values_to_the_right_knob():
 
 def test_family_value_overrides_geometric_coulomb():
     params, derived, drives, win = _clean()
-    geo = replace(params, coulomb=CoulombSpec.geometric(
+    geo = params._replace(coulomb=CoulombSpec.geometric(
         cap1=100e-12, cap2=100e-12, volt1=10.0, volt2=10.0, spacing=1e-4))
     fam = family_sweep(geo, drives, "gc", (0.0, 100.0), n_points=5,
                        pmin=win.power_down, pmax=win.power_up)
@@ -310,7 +310,7 @@ def test_family_shares_one_grid():
 
 def test_family_without_bistable_member_needs_bounds():
     params, derived, drives, win = _clean()
-    sub = replace(params, delta_c=0.3 * params.kappa)
+    sub = params._replace(delta_c=0.3 * params.kappa)
     with pytest.raises(NoBistabilityError):
         family_sweep(sub, drives, "g0", (derived.g0,), n_points=5)
     fam = family_sweep(sub, drives, "g0", (derived.g0,), n_points=5,

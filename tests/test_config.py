@@ -1,7 +1,6 @@
 """Config grammar: units, prefixes, ratio keys, errors, snapshot round-trip."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -259,8 +258,8 @@ finite = st.floats(min_value=1e-8, max_value=1e8,
 @given(kappa=finite, g0=finite, power=finite, phi=st.floats(0.0, TWO_PI - 1e-9))
 def test_snapshot_round_trip_property(kappa, g0, phi, power):
     cfg = parse_config_text(BASE)
-    cfg = RunConfig(params=replace(cfg.params, kappa=kappa, g0=g0,
-                                   drive_power=power),
+    cfg = RunConfig(params=cfg.params._replace(kappa=kappa, g0=g0,
+                                               drive_power=power),
                     drives=DriveSpec(eps1=1.0, phi1=phi),
                     convention=cfg.convention)
     again = parse_config_text(cfg.snapshot())

@@ -9,7 +9,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,8 +38,8 @@ def test_state_quadrature_round_trip():
 
 
 def test_linear_limit_settles_on_closed_form():
-    params = replace(REFERENCE, g0=0.0, coulomb=CoulombSpec.direct(0.0),
-                     drive_power=1e-9)
+    params = REFERENCE._replace(g0=0.0, coulomb=CoulombSpec.direct(0.0),
+                                drive_power=1e-9)
     derived = derive(params)
     f = relax_to_steady(ORIGIN, derived, DriveSpec())
     kh = 0.5 * derived.kappa
@@ -469,7 +468,7 @@ def test_continued_segment_makes_no_start_up_call(fig2_cfg, fig2_derived):
     assert first.f == rhs(first.t, first.y)
     assert first.h_next > 0.0
     same = dynamics.solve_ivp(counted, (step, step), first, 1e-9, 1e-7)
-    assert same == replace(first, nfev=0)
+    assert same == first._replace(nfev=0)
     del calls[:], steps[:]
     later = dynamics.solve_ivp(counted, (step, 2.0 * step), first,
                                1e-12, 1e-10)

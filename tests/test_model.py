@@ -6,17 +6,18 @@ here.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neoms.bifurcation import family_sweep
 from neoms.errors import ParameterError
 from neoms.model import (CODATA, CoulombSpec, DriveSpec, LinewidthConvention,
                          SystemParams, canonical_phase,
                          derive, drive_amplitude, eps_for_power,
                          power_for_eps_sq, validate, zero_point_length)
+from neoms.presets import get_preset
 from draws import REFERENCE, TWO_PI
 
 
@@ -42,7 +43,7 @@ def test_zero_point_length_extended_precision():
 
 
 def test_g0_falls_back_to_geometric_pull():
-    params = replace(REFERENCE, g0=None)
+    params = REFERENCE._replace(g0=None)
     d = derive(params)
     assert math.isclose(d.g0, 1.7506248640006516, rel_tol=1e-12)
     assert d.g0 == d.g_per_len * d.x_zpf1
@@ -53,12 +54,12 @@ def test_g0_falls_back_to_geometric_pull():
 def test_geometric_coulomb_rate_extended_precision():
     spec = CoulombSpec.geometric(cap1=100e-12, cap2=100e-12, volt1=1.0,
                                  volt2=1.0, spacing=1e-3)
-    d = derive(replace(REFERENCE, coulomb=spec))
+    d = derive(REFERENCE._replace(coulomb=spec))
     assert math.isclose(d.gc, 52.08510698955119, rel_tol=1e-12)
     assert d.gc == d.gc_per_area * d.x_zpf1 * d.x_zpf2
     assert math.isclose(d.gc_per_area, 8.522465366972893e+32, rel_tol=1e-12)
     # direct form passes through untouched and reports no per-area rate
-    dd = derive(replace(REFERENCE, coulomb=CoulombSpec.direct(12.5)))
+    dd = derive(REFERENCE._replace(coulomb=CoulombSpec.direct(12.5)))
     assert dd.gc == 12.5 and dd.gc_per_area is None
 
 
@@ -83,8 +84,8 @@ def test_amplitude_decay_conventions():
     assert derive(p).kh == 0.5 * p.kappa
     assert derive(p, None, LinewidthConvention.FULL_KAPPA).kh == p.kappa
     # kh follows the convention, so a replaced convention cannot go stale
-    half = replace(derive(p, None, LinewidthConvention.FULL_KAPPA),
-                   convention=LinewidthConvention.HALF_KAPPA)
+    half = derive(p, None, LinewidthConvention.FULL_KAPPA)._replace(
+        convention=LinewidthConvention.HALF_KAPPA)
     assert half.kh == 0.5 * p.kappa
 
 
@@ -130,8 +131,35 @@ def test_drive_spec_rejects_non_finite_phases(field, phi):
         DriveSpec(eps1=1e6, **{field: phi})
 
 
+@pytest.mark.parametrize("field", ["phi1", "phi2"])
+def test_drive_spec_invariant_holds_on_every_construction_path(field):
+    """Direct construction, `_replace` and a family sweep over the phase
+    each store canonical_phase of the value, to the bit, and refuse a
+    phase that is not finite, naming its field."""
+    cfg = get_preset("fig6a").config()
+    values = (-1.0, 7.0, 4 * math.pi + 0.5)
+    fam = family_sweep(cfg.params, cfg.drives, field, values, n_points=2,
+                       pmin=1e-3, pmax=2e-3)
+    for value, member in zip(values, fam.members):
+        for drives in (DriveSpec(eps1=1e6, **{field: value}),
+                       cfg.drives._replace(**{field: value}),
+                       member.drives):
+            assert getattr(drives, field).hex() == \
+                canonical_phase(value).hex()
+    for bad in (math.inf, math.nan):
+        for build in (lambda: DriveSpec(**{field: bad}),
+                      lambda: cfg.drives._replace(**{field: bad}),
+                      lambda: family_sweep(cfg.params, cfg.drives, field,
+                                           (bad,), n_points=2, pmin=1e-3,
+                                           pmax=2e-3)):
+            with pytest.raises(ParameterError,
+                               match=f"^{field}: must be finite") as exc:
+                build()
+            assert exc.value.field == field
+
+
 def test_validate_flags_bad_fields():
-    bad = replace(REFERENCE, mass1=-1.0)
+    bad = REFERENCE._replace(mass1=-1.0)
     fields = {d.field for d in validate(bad) if d.level == "error"}
     assert "mass1" in fields
     with pytest.raises(ParameterError):
@@ -159,7 +187,7 @@ _GEOMETRIC = dict(cap1=1e-12, cap2=1e-12, volt1=10.0, volt2=10.0,
         "gc-negative", "geometric-missing", "spacing-zero", "cap1-negative",
         "gc-with-cap1"])
 def test_validate_names_each_bad_field(field, changes):
-    bad = replace(REFERENCE, **changes)
+    bad = REFERENCE._replace(**changes)
     assert [d.field for d in validate(bad) if d.level == "error"] == [field]
     with pytest.raises(ParameterError) as exc:
         derive(bad)
@@ -168,7 +196,7 @@ def test_validate_names_each_bad_field(field, changes):
 
 def test_validate_warns_on_unresolved_sidebands():
     # linewidth above the mechanical frequency: warn, do not reject
-    wide = replace(REFERENCE, kappa=TWO_PI * 2e6)
+    wide = REFERENCE._replace(kappa=TWO_PI * 2e6)
     diags = validate(wide)
     assert any(d.level == "warning" and d.field == "kappa" for d in diags)
     derive(wide)   # still derivable
@@ -180,7 +208,7 @@ def test_derive_rejects_negative_tones():
 
 
 def test_derive_rejects_laser_below_zero():
-    bad = replace(REFERENCE, delta_c=2e15 * 10)
+    bad = REFERENCE._replace(delta_c=2e15 * 10)
     with pytest.raises(ParameterError):
         derive(bad)
 

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,7 +118,7 @@ def test_window_serialization_including_absent():
     csv_text = window_to_csv(win, snap)
     assert "exists,true" in csv_text
     # sub-threshold window: NaN fields must serialize as nulls, not NaN
-    low = derive(replace(params, delta_c=0.2 * params.kappa), drives)
+    low = derive(params._replace(delta_c=0.2 * params.kappa), drives)
     win_low = bistability_window(low, drives)
     doc_low = window_json(win_low, snap)
     assert doc_low["exists"] is False

@@ -6,7 +6,6 @@ of operating point.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +21,8 @@ from neoms.stability import (BOUNDARY_GUARD, EIGEN_TOL_KAPPA, Method,
                              jacobians, margins, stability_column,
                              stability_intervals)
 from neoms.steady_state import (critical_points, cubic_coefficients,
-                                steady_fields, susceptibilities)
+                                steady_fields, susceptibilities,
+                                threshold_detuning)
 from draws import REFERENCE, clean_point, clean_system
 from oracles import routh_hurwitz_stable, stability_columns_reference
 
@@ -207,8 +207,8 @@ def test_batch_eigen_failure_reports_first_failing_state(fig2_cfg,
                      math.sqrt(win.power_up * win.power_down))
     states = [b.fields for b in pt.branches * 3]
     k = 4
-    bad = replace(states[k], c_s=complex(math.nan, 1.0))
-    later = replace(states[k + 2], effective_detuning=math.nan)
+    bad = states[k]._replace(c_s=complex(math.nan, 1.0))
+    later = states[k + 2]._replace(effective_detuning=math.nan)
     states[k], states[k + 2] = bad, later
     with pytest.raises(EigenvalueError) as exc:
         _columns(states, fig2_derived, fig2_cfg.drives)
@@ -303,8 +303,10 @@ def test_intervals_equal_eigvals_everywhere():
     """The interval classification equals eigvals' max Re(eig) < -tol on
     every state of the presets' default grids, family members included,
     under both conventions; on the 2,001-point grids of fig2, fig8a and
-    fig8c; and on 100 `clean_system` draws.  States within BOUNDARY_GUARD
-    of a bound are decided by eigvals, and are counted."""
+    fig8c; on fig2 at detunings 1 + 10^-k times its threshold, k = 2..12,
+    where the two folds merge into a cusp; and on 100 `clean_system` draws.
+    States within BOUNDARY_GUARD of a bound are decided by eigvals, and are
+    counted."""
     curves = []
     for name in sorted(PRESETS):
         cfg = get_preset(name).config()
@@ -325,6 +327,21 @@ def test_intervals_equal_eigvals_everywhere():
         grid = auto_power_grid(bistability_window(derived, cfg.drives), 2001)
         curves.append((derived, cfg.drives,
                        power_sweep(derived, cfg.drives, grid)))
+    # a 401-point grid around each window, and one across it while it still
+    # has a width in floats: from k = 11 the two fold powers round together
+    cfg = get_preset("fig2").config()
+    cusp = threshold_detuning(cfg.derive(), susceptibilities(
+        cfg.derive(), cfg.drives)).delta_c
+    for k in range(2, 13):
+        derived = derive(cfg.params._replace(delta_c=cusp * (1 + 10.0 ** -k)),
+                         cfg.drives)
+        window = bistability_window(derived, cfg.drives)
+        grids = [auto_power_grid(window, 401)]
+        if window.power_up > window.power_down:
+            grids.append(auto_power_grid(window, 401, window.power_down,
+                                         window.power_up))
+        curves += [(derived, cfg.drives, power_sweep(derived, cfg.drives, g))
+                   for g in grids]
     rng = np.random.default_rng(2027)
     for i in range(100):
         params, drives = clean_system(rng, with_tones=i % 2 == 1)
@@ -441,8 +458,8 @@ def test_a_state_only_d3_calls_unstable_is_unstable():
     only the Hurwitz determinant D3 sees it.  At this drawn operating
     point and photon number eigvals finds a growing mode, and so must the
     intervals."""
-    params = replace(
-        REFERENCE, omega1=1.96077e6, omega2=3.78028e6, gamma1=1.66185e5,
+    params = REFERENCE._replace(
+        omega1=1.96077e6, omega2=3.78028e6, gamma1=1.66185e5,
         gamma2=1.88563e5, kappa=2.36970e6, delta_c=5.46160e6, g0=1.00466e4,
         coulomb=CoulombSpec.direct(5.76138e5))
     derived = derive(params, DriveSpec())

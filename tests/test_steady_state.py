@@ -7,7 +7,6 @@ evaluation; they are independent of the package's trigonometric root path.
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,7 +180,7 @@ def test_near_fold_pair_merges_onto_the_lower_copy(fig2_cfg, fig2_derived):
     14595.373654554223, 6.6e-10 apart relative.  They are one root, and
     the lower copy is kept."""
     shape = _coefficients(fig2_derived, fig2_cfg.drives, 0.0)
-    coeffs = replace(shape, a4=-float.fromhex("0x1.7c62b3f181ab3p+52"))
+    coeffs = shape._replace(a4=-float.fromhex("0x1.7c62b3f181ab3p+52"))
     got = solve_photon_roots(coeffs).roots
     assert [x.hex() for x in got] == [
         x.hex() for x in (288.5668881614199, 14595.373654554223)]
@@ -200,15 +199,14 @@ def test_critical_points_extended_precision(fig2_derived):
 
 
 def test_critical_points_below_threshold():
-    params = replace(REFERENCE, delta_c=0.5 * REFERENCE.kappa)
+    params = REFERENCE._replace(delta_c=0.5 * REFERENCE.kappa)
     coeffs = _cubic(params)
     crit = critical_points(coeffs)
     assert not crit.exists and crit.reason == "below_threshold"
 
 
 def test_critical_points_without_nonlinearity():
-    import dataclasses
-    params = dataclasses.replace(REFERENCE, g0=0.0)
+    params = REFERENCE._replace(g0=0.0)
     coeffs = _cubic(params)
     assert coeffs.a1 == 0.0
     crit = critical_points(coeffs)
@@ -247,8 +245,8 @@ def test_threshold_sits_on_the_kerr_slopes_side(fig2_derived):
     assert susc.alpha1 > 0.0
 
     pos = threshold_detuning(fig2_derived, susc)
-    neg = threshold_detuning(fig2_derived, replace(susc, alpha1=-susc.alpha1))
-    zero = threshold_detuning(fig2_derived, replace(susc, alpha1=-0.0))
+    neg = threshold_detuning(fig2_derived, susc._replace(alpha1=-susc.alpha1))
+    zero = threshold_detuning(fig2_derived, susc._replace(alpha1=-0.0))
     assert pos.delta_tilde > 0.0 > neg.delta_tilde
     assert [neg.delta_tilde.hex(), neg.in_kappa_units.hex()] \
         == [(-pos.delta_tilde).hex(), (-pos.in_kappa_units).hex()]
@@ -263,8 +261,8 @@ def test_critical_points_on_the_wrong_side():
     coeffs = _cubic(REFERENCE)
     for chi, dt in ((-coeffs.kerr_slope, coeffs.delta_tilde),
                     (coeffs.kerr_slope, -coeffs.delta_tilde)):
-        crit = critical_points(replace(coeffs, kerr_slope=chi,
-                                       delta_tilde=dt))
+        crit = critical_points(coeffs._replace(kerr_slope=chi,
+                                               delta_tilde=dt))
         assert not crit.exists and crit.reason == "wrong_detuning_side"
         assert math.isnan(crit.x_c_minus) and math.isnan(crit.x_inf)
 
@@ -287,7 +285,7 @@ def test_fold_powers_match_dense_scan(fig2_derived):
 
 
 def test_fold_powers_require_existing_folds():
-    params = replace(REFERENCE, delta_c=0.1 * REFERENCE.kappa)
+    params = REFERENCE._replace(delta_c=0.1 * REFERENCE.kappa)
     coeffs = _cubic(params)
     crit = critical_points(coeffs)
     with pytest.raises(NumericalError):
