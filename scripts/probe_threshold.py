@@ -22,7 +22,8 @@ def bisect_threshold(params, drives, convention, tol_kappa=1e-9):
     def exists(delta_c):
         d = derive(params._replace(delta_c=delta_c), drives, convention)
         s = susceptibilities(d, drives)
-        c = cubic_coefficients(d, s, d.eps_l)
+        # the folds do not depend on the drive strength
+        c = cubic_coefficients(d, s, eps_l=0.0)
         return critical_points(c).exists
 
     lo, hi = 0.05 * kappa, 4.0 * kappa

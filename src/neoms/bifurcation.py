@@ -9,14 +9,13 @@ kept as an independent route to the same numbers.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import NoBistabilityError, ParameterError, ResidualError
 from .model import (CoulombSpec, DerivedParams, DriveSpec,
                     LinewidthConvention, SystemParams, derive, eps_for_power,
                     power_for_eps_sq)
-from .stability import Method, margins, stability_column
+from .stability import Method, stability_column
 from .steady_state import (CriticalPoints, SteadyStateFields,
                            ThresholdDetuning, critical_points,
                            cubic_coefficients, fold_powers_eps_sq,
@@ -30,7 +29,6 @@ class BranchSolution(NamedTuple):
     photon_number: float
     fields: SteadyStateFields
     stable: bool
-    margin: float                              # -max Re(eig); nan for slope
 
 
 class CurvePoint(NamedTuple):
@@ -42,7 +40,18 @@ class CurvePoint(NamedTuple):
     error: str | None = None
 
 
-class _CurveColumns(NamedTuple):
+class BistabilityCurve(NamedTuple):
+    """Steady-state response over a power grid, stored as columns.
+
+    Point k of the grid has power[k], eps_sq[k] and error[k] (None unless
+    its roots failed to solve); its branches are the rows branch_rows[k] of
+    the per-root columns, in ascending photon number.  An unsolved point
+    has no rows.  The per-root columns hold the photon number, mirror
+    displacements, effective detuning, the fields c_s, b_1s and b_2s and
+    the classification (stable).  `points` is built on access from the
+    columns.
+    """
+
     power: tuple[float, ...]                  # W
     eps_sq: tuple[float, ...]                 # (rad/s)^2
     error: tuple[str | None, ...]
@@ -58,45 +67,18 @@ class _CurveColumns(NamedTuple):
     method: Method
     derived: DerivedParams
 
-
-class BistabilityCurve(_CurveColumns):
-    """Steady-state response over a power grid, stored as columns.
-
-    Point k of the grid has power[k], eps_sq[k] and error[k] (None unless
-    its roots failed to solve); its branches are the rows branch_rows[k] of
-    the per-root columns, in ascending photon number.  An unsolved point
-    has no rows.  The per-root columns hold the photon number, mirror
-    displacements, effective detuning, the fields c_s, b_1s and b_2s and
-    the classification (stable).  `margin` and `points` are computed on
-    access from the columns and the derived rates, `margin` once.
-    """
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"BistabilityCurve is immutable: {name!r}")
-
     @property
     def convention(self) -> LinewidthConvention:
         return self.derived.convention
-
-    @cached_property
-    def margin(self) -> tuple[float, ...]:
-        """-max Re(eig) of each state, from one batched eigvals call on
-        first access; nan under the slope rule."""
-        if self.method == Method.SLOPE_RULE:
-            return (math.nan,) * len(self.stable)
-        return tuple(margins(self.effective_detuning, self.c_s,
-                             self.derived))
 
     @property
     def points(self) -> tuple[CurvePoint, ...]:
         """Every grid point as a CurvePoint, built from the columns."""
         branches = [
-            BranchSolution(x, SteadyStateFields(x, c, b1, b2, q1, q2, det),
-                           s, margin)
-            for x, c, b1, b2, q1, q2, det, s, margin in zip(
+            BranchSolution(x, SteadyStateFields(x, c, b1, b2, q1, q2, det), s)
+            for x, c, b1, b2, q1, q2, det, s in zip(
                 self.photon_number, self.c_s, self.b_1s, self.b_2s,
-                self.q_1s, self.q_2s, self.effective_detuning, self.stable,
-                self.margin)]
+                self.q_1s, self.q_2s, self.effective_detuning, self.stable)]
         return tuple(
             CurvePoint(p, e, tuple(branches[rows.start:rows.stop]), error)
             for p, e, rows, error in zip(self.power, self.eps_sq,
@@ -177,6 +159,8 @@ def bistability_window(derived: DerivedParams, drives: DriveSpec,
     if crit.exists:
         power_up, power_down = (power_for_eps_sq(derived, e2) for e2 in
                                 fold_powers_eps_sq(coeffs, crit))
+        # at the cusp, rounding can put the up fold ulps below the down fold
+        power_up = max(power_up, power_down)
     return BistabilityWindow(
         exists=crit.exists, reason=crit.reason, power_up=power_up,
         power_down=power_down, critical=crit,

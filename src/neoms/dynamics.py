@@ -348,10 +348,11 @@ def _nearest_root(x: float, roots: tuple[float, ...]) -> tuple[float, float]:
 
 
 def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
-                    drives: DriveSpec, eps_l: float | None = None,
+                    drives: DriveSpec, eps_l: float,
                     checkpoint: float | None = None,
                     t_max: float | None = None) -> SteadyStateFields:
-    """Integrate until the derivative norm stays below threshold.
+    """Integrate at drive amplitude eps_l until the derivative norm stays
+    below threshold.
 
     Settled means ||d(state)/dt|| < SETTLE_TOL * max(eps_l, kappa) at
     SETTLED_CHECKPOINTS consecutive checkpoint times.  The bulk of the
@@ -371,8 +372,6 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     finite and positive and eps_l and every quadrature of initial are
     finite.
     """
-    if eps_l is None:
-        eps_l = derived.eps_l
     slow = min(derived.kappa, derived.gamma1, derived.gamma2)
     if checkpoint is None:
         checkpoint = 1.0 / slow

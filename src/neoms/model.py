@@ -218,25 +218,26 @@ def _coulomb_rate_per_area(spec: CoulombSpec) -> float | None:
 
 
 class DerivedParams(NamedTuple):
-    """Frozen snapshot of every derived rate plus the originating inputs.
+    """Frozen snapshot of the rates that everything downstream reads.
 
-    omega_c/omega_l: cavity and laser angular frequencies.  g_per_len is the
-    bare frequency pull omega_c / L in rad/(s m); g0 the single-photon
-    optomechanical rate; gc the mirror-mirror rate; eps_l the drive amplitude
-    in 1/s.  gc_per_area is populated only for geometric Coulomb input.
-    `convention` fixes the cavity amplitude decay `kh` for the whole run.
+    omega_l: laser angular frequency; g0 the single-photon optomechanical
+    rate; gc the mirror-mirror rate; x_zpf1/x_zpf2 the mirrors' zero-point
+    lengths; kappa, delta_c, omega1, omega2, gamma1 and gamma2 as in
+    SystemParams.  `convention` fixes the cavity amplitude decay `kh` for
+    the whole run.
     """
 
-    omega_c: float
     omega_l: float
-    g_per_len: float
     g0: float
     gc: float
-    gc_per_area: float | None
-    eps_l: float
     x_zpf1: float
     x_zpf2: float
-    system: SystemParams
+    kappa: float
+    delta_c: float
+    omega1: float
+    omega2: float
+    gamma1: float
+    gamma2: float
     convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA
 
     @property
@@ -245,31 +246,6 @@ class DerivedParams(NamedTuple):
         if self.convention == LinewidthConvention.FULL_KAPPA:
             return self.kappa
         return 0.5 * self.kappa
-
-    # pass-throughs used constantly downstream
-    @property
-    def kappa(self) -> float:
-        return self.system.kappa
-
-    @property
-    def delta_c(self) -> float:
-        return self.system.delta_c
-
-    @property
-    def omega1(self) -> float:
-        return self.system.omega1
-
-    @property
-    def omega2(self) -> float:
-        return self.system.omega2
-
-    @property
-    def gamma1(self) -> float:
-        return self.system.gamma1
-
-    @property
-    def gamma2(self) -> float:
-        return self.system.gamma2
 
 
 def drive_amplitude(kappa: float, power: float, omega: float) -> float:
@@ -313,12 +289,12 @@ def derive(params: SystemParams, drives: DriveSpec | None = None,
 
     gc_per_area = _coulomb_rate_per_area(params.coulomb)
     gc = params.coulomb.gc if gc_per_area is None else gc_per_area * xz1 * xz2
-    eps_l = drive_amplitude(params.kappa, params.drive_power, omega_l)
 
-    return DerivedParams(omega_c=omega_c, omega_l=omega_l, g_per_len=g_per_len,
-                         g0=g0, gc=gc, gc_per_area=gc_per_area, eps_l=eps_l,
-                         x_zpf1=xz1, x_zpf2=xz2, system=params,
-                         convention=convention)
+    return DerivedParams(omega_l=omega_l, g0=g0, gc=gc, x_zpf1=xz1,
+                         x_zpf2=xz2, kappa=params.kappa,
+                         delta_c=params.delta_c, omega1=params.omega1,
+                         omega2=params.omega2, gamma1=params.gamma1,
+                         gamma2=params.gamma2, convention=convention)
 
 
 def eps_for_power(derived: DerivedParams, power: float) -> float:

@@ -15,6 +15,7 @@ from operator import itemgetter
 
 from .bifurcation import (BistabilityCurve, BistabilityWindow, FamilyResult,
                           HysteresisTrace)
+from .stability import Method, margins
 from .steady_state import SteadyStateFields, ThresholdDetuning
 
 CURVE_HEADER = "power_W,branch_index,photon_number,stable,q1_m,q2_m"
@@ -157,7 +158,12 @@ def curve_to_csv(curve: BistabilityCurve, snapshot: str,
 
 
 def _points(curve: BistabilityCurve) -> list[dict]:
-    """The JSON points of a curve, built from its columns."""
+    """The JSON points of a curve, built from its columns, with each
+    state's -max Re(eig) margin from one batched eigvals call; nan, so
+    null, under the slope rule."""
+    margin = ([math.nan] * len(curve.stable)
+              if curve.method == Method.SLOPE_RULE else
+              margins(curve.effective_detuning, curve.c_s, curve.derived))
     branches = [
         {
             "photon_number": x,
@@ -168,7 +174,7 @@ def _points(curve: BistabilityCurve) -> list[dict]:
             "effective_detuning_rad_s": det,
         }
         for x, s, m, q1, q2, det in zip(
-            curve.photon_number, curve.stable, curve.margin, curve.q_1s,
+            curve.photon_number, curve.stable, margin, curve.q_1s,
             curve.q_2s, curve.effective_detuning)]
     return [
         {

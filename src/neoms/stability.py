@@ -115,15 +115,6 @@ def _at(p, t: float) -> tuple[float, float]:
     return v, d
 
 
-def _one_sign(p) -> bool:
-    """Whether p keeps one sign on [0, 1] by its Bernstein coefficients
-    there, which bound it (a sufficient test)."""
-    n = len(p) - 1
-    bern = [sum(math.comb(k, i) / math.comb(n, i) * p[i]
-                for i in range(k + 1)) for k in range(n + 1)]
-    return all(b > 0.0 for b in bern) or all(b < 0.0 for b in bern)
-
-
 def _sign_changes(p) -> list[float]:
     """Where p changes sign in [0, 1]: the roots of p' bracket monotone
     pieces, and safeguarded Newton finds each piece's root."""
@@ -193,8 +184,7 @@ def stability_intervals(derived: DerivedParams, shape: CubicCoefficients,
                   (-1.0, _mul(a5, a5)))
     d5 = _comb((1.0, _mul(a6, by_a6)), (1.0, _mul(a5, by_a5)))
     conds = [a2, a4, a6, [a1], d3, d5]
-    ends = sorted(t for p in (a6, d5) if not _one_sign(p)
-                  for t in _sign_changes(p))
+    ends = sorted(t for p in (a6, d5) for t in _sign_changes(p))
     return ([t * scale for t in ends],
             [all(_at(p, 0.5 * (lo + hi))[0] > 0.0 for p in conds)
              for lo, hi in zip([0.0, *ends], [*ends, 1.0])])

@@ -29,17 +29,16 @@ RESIDUAL_CONTRACT = 1e-9          # |cubic(x)| / max(|a4|, 1) for every root
 class Susceptibilities(NamedTuple):
     """Linear response of the mirror pair entering the cavity line.
 
-    beta1 maps photon number into b_1s, beta2 and beta3 map the two drive
-    tones; alpha1 is the real projection of beta1 onto b_1s + conj(b_1s).
-    The rest are fixed per sweep and read by steady_columns in place of the
-    drives: mirror root d2, tone2 = eps2 e^{-i phi2}, beta3 eps1 e^{-i phi1},
-    beta2 tone2 and the static drive offset Gamma = alpha2 eps2 + alpha3 eps1,
-    with alpha2/alpha3 the real projections of the two phased tone terms.
+    beta1 maps photon number into b_1s; alpha1 is the real projection of
+    beta1 onto b_1s + conj(b_1s).  The rest are fixed per sweep and read by
+    steady_columns in place of the drives: mirror root d2, tone2 = eps2
+    e^{-i phi2}, beta3 eps1 e^{-i phi1}, beta2 tone2 (beta3 = d2 / D, beta2
+    = -i gc / D, D = d1 d2 + gc^2) and the static drive offset Gamma =
+    alpha2 eps2 + alpha3 eps1, with alpha2/alpha3 the real projections of
+    the two phased tone terms.
     """
 
     beta1: complex
-    beta2: complex
-    beta3: complex
     alpha1: float
     d2: complex
     tone2: complex
@@ -67,8 +66,8 @@ def susceptibilities(derived: DerivedParams, drives: DriveSpec) -> Susceptibilit
     alpha3 = 2.0 * (beta3 * phase1).real
     tone1, tone2 = drives.eps1 * phase1, drives.eps2 * phase2
     return Susceptibilities(
-        beta1=beta1, beta2=beta2, beta3=beta3, alpha1=2.0 * beta1.real, d2=d2,
-        tone2=tone2, tone1_term=beta3 * tone1, tone2_term=beta2 * tone2,
+        beta1=beta1, alpha1=2.0 * beta1.real, d2=d2, tone2=tone2,
+        tone1_term=beta3 * tone1, tone2_term=beta2 * tone2,
         offset=alpha2 * drives.eps2 + alpha3 * drives.eps1)
 
 

@@ -272,21 +272,29 @@ def _kh(derived) -> float:
     return 0.5 * derived.kappa
 
 
-def steady_fields_reference(x, derived, susc, drives, eps_l=None):
+def tone_responses(derived) -> tuple[complex, complex]:
+    """(beta2, beta3) = (-i gc / D, d2 / D), D = d1 d2 + gc^2: how the tones
+    on mirrors 2 and 1 move b_1s, in `susceptibilities`' operation order."""
+    d1 = complex(0.5 * derived.gamma1, derived.omega1)
+    d2 = complex(0.5 * derived.gamma2, derived.omega2)
+    den = d1 * d2 + derived.gc * derived.gc
+    return -1j * derived.gc / den, d2 / den
+
+
+def steady_fields_reference(x, derived, susc, drives, eps_l):
     """`steady_fields` recomputing its drive terms on every call."""
-    if eps_l is None:
-        eps_l = derived.eps_l
     kh = _kh(derived)
+    beta2, beta3 = tone_responses(derived)
     d2 = complex(0.5 * derived.gamma2, derived.omega2)
     phase1, phase2 = cmath.exp(-1j * drives.phi1), cmath.exp(-1j * drives.phi2)
     tone1, tone2 = drives.eps1 * phase1, drives.eps2 * phase2
 
-    b1 = susc.beta1 * x + susc.beta3 * tone1 + susc.beta2 * tone2
+    b1 = susc.beta1 * x + beta3 * tone1 + beta2 * tone2
     b2 = (-1j * derived.gc * b1 + tone2) / d2
 
     # Gamma from the betas, never from the `susc.offset` under test
-    gamma = (2.0 * (susc.beta2 * phase2).real * drives.eps2
-             + 2.0 * (susc.beta3 * phase1).real * drives.eps1)
+    gamma = (2.0 * (beta2 * phase2).real * drives.eps2
+             + 2.0 * (beta3 * phase1).real * drives.eps1)
     det = derived.delta_c - derived.g0 * (susc.alpha1 * x + gamma)
     c_s = eps_l / complex(kh, det)
 
@@ -406,7 +414,8 @@ def power_sweep_reference(derived, drives, powers, method=Method.EIGEN):
     """`bifurcation.power_sweep` as a per-point loop over objects:
     cubic_coefficients, solve_photon_roots and steady_fields for each
     point, then one `stability_columns_reference` call over every root's
-    fields.  Returns the CurvePoints."""
+    fields.  Returns the CurvePoints and the list of every root's margin,
+    in grid order."""
     susc = susceptibilities(derived, drives)
     solved = []     # (power, eps, error, fields per root) in grid order
     every, rows = [], []    # fields of every root; each point's range
@@ -424,14 +433,15 @@ def power_sweep_reference(derived, drives, powers, method=Method.EIGEN):
         solved.append((p, eps, None, fields))
         rows.append(range(len(every), len(every) + len(fields)))
         every += fields
-    classified = iter(zip(*stability_columns_reference(
+    stable, margin = stability_columns_reference(
         [f.effective_detuning for f in every], [f.c_s for f in every],
-        rows, derived, method)))
+        rows, derived, method)
+    classified = iter(stable)
     return tuple(CurvePoint(
         power=p, eps_sq=eps * eps, error=error,
-        branches=tuple(BranchSolution(f.photon_number, f, *next(classified))
+        branches=tuple(BranchSolution(f.photon_number, f, next(classified))
                        for f in fields))
-        for p, eps, error, fields in solved)
+        for p, eps, error, fields in solved), margin
 
 
 def stability_columns_reference(detuning, c_s, branch_rows, derived,

@@ -13,9 +13,10 @@ from neoms.bifurcation import (FAMILY_KEYS, _power_grid, auto_power_grid,
                                power_sweep, solve_point)
 from neoms.errors import NoBistabilityError, ParameterError
 from neoms.model import CoulombSpec, DriveSpec, LinewidthConvention, derive
+from neoms.output import _points
 from neoms.presets import PRESETS, get_preset
 from neoms.stability import Method
-from neoms.steady_state import susceptibilities
+from neoms.steady_state import susceptibilities, threshold_detuning
 from draws import REFERENCE, TWO_PI, clean_system
 from oracles import fields_hex, power_sweep_reference
 
@@ -173,6 +174,20 @@ def test_window_fold_ordering_and_ratio():
                         rel_tol=1e-15)
 
 
+def test_window_folds_stay_ordered_at_the_cusp(fig2_cfg, fig2_derived):
+    """Just above fig2's threshold the two folds are one to within ulps,
+    and rounding must not put the up fold below the down fold."""
+    cusp = threshold_detuning(fig2_derived, susceptibilities(
+        fig2_derived, fig2_cfg.drives)).delta_c
+    for k in range(6, 16):
+        derived = derive(fig2_cfg.params._replace(
+            delta_c=cusp * (1 + 10.0 ** -k)), fig2_cfg.drives)
+        win = bistability_window(derived, fig2_cfg.drives)
+        assert win.exists, k
+        assert win.power_up >= win.power_down > 0.0, k
+        assert win.width >= 0.0 and win.fold_ratio >= 1.0, k
+
+
 def test_auto_grid_explicit_bounds_override():
     params, derived, drives, win = _clean()
     grid = auto_power_grid(win, n=11, pmin=1e-12, pmax=2e-12)
@@ -291,7 +306,8 @@ def test_family_value_overrides_geometric_coulomb():
                        pmin=win.power_down, pmax=win.power_up)
     assert fam.members[0].derived.gc == 0.0
     assert fam.members[1].derived.gc == 100.0
-    assert not fam.members[0].derived.system.coulomb.is_geometric
+    assert fam.members[0].derived == derive(
+        geo._replace(coulomb=CoulombSpec.direct(0.0)), drives)
 
 
 def test_family_shares_one_grid():
@@ -354,8 +370,7 @@ def test_lower_branch_spread_sees_phase_push():
 def _point_hex(pt):
     """Every field of a CurvePoint, each float as float.hex."""
     return (pt.power.hex(), pt.eps_sq.hex(), pt.error, tuple(
-        (b.photon_number.hex(), fields_hex(b.fields), b.stable,
-         b.margin.hex())
+        (b.photon_number.hex(), fields_hex(b.fields), b.stable)
         for b in pt.branches))
 
 
@@ -370,19 +385,25 @@ def _columns_hex(curve):
              (curve.photon_number[i].hex(), *z(curve.c_s[i]),
               *z(curve.b_1s[i]), *z(curve.b_2s[i]), curve.q_1s[i].hex(),
               curve.q_2s[i].hex(), curve.effective_detuning[i].hex()),
-             curve.stable[i], curve.margin[i].hex())
+             curve.stable[i])
             for i in rows))
         for k, rows in enumerate(curve.branch_rows))
 
 
 def _assert_matches_reference(curve, derived, drives, powers):
-    want = tuple(_point_hex(pt) for pt in power_sweep_reference(
-        derived, drives, powers, curve.method))
+    points, margin = power_sweep_reference(derived, drives, powers,
+                                           curve.method)
+    want = tuple(map(_point_hex, points))
     assert _columns_hex(curve) == want
     assert tuple(_point_hex(pt) for pt in curve.points) == want
+    # the JSON writer's margins, nan written as null
+    got = [b["stability_margin"] for pt in _points(curve)
+           for b in pt["branches"]]
+    assert all(type(v) is float for v in got if v is not None)
+    assert [None if v is None else v.hex() for v in got] == \
+        [None if math.isnan(m) else m.hex() for m in margin]
     for column in (curve.power, curve.eps_sq, curve.photon_number,
-                   curve.q_1s, curve.q_2s, curve.effective_detuning,
-                   curve.margin):
+                   curve.q_1s, curve.q_2s, curve.effective_detuning):
         assert all(type(v) is float for v in column)
     assert all(type(v) is bool for v in curve.stable)
     assert all(type(v) is complex for v in curve.c_s + curve.b_1s
@@ -447,6 +468,5 @@ def test_points_view_shares_the_column_objects():
         assert b.photon_number is curve.photon_number[i]
         assert b.fields.photon_number is curve.photon_number[i]
         assert b.fields.c_s is curve.c_s[i]
-        assert b.margin is curve.margin[i]
     assert hash(curve) == hash(power_sweep(derived, drives,
                                            auto_power_grid(win, n=21)))

@@ -41,9 +41,10 @@ def test_linear_limit_settles_on_closed_form():
     params = REFERENCE._replace(g0=0.0, coulomb=CoulombSpec.direct(0.0),
                                 drive_power=1e-9)
     derived = derive(params)
-    f = relax_to_steady(ORIGIN, derived, DriveSpec())
+    eps = eps_for_power(derived, params.drive_power)
+    f = relax_to_steady(ORIGIN, derived, DriveSpec(), eps)
     kh = 0.5 * derived.kappa
-    expect = derived.eps_l / complex(kh, derived.delta_c)
+    expect = eps / complex(kh, derived.delta_c)
     assert abs(f.c_s - expect) <= 1e-9 * abs(expect)
     assert f.b_1s == 0.0 and f.b_2s == 0.0
     assert math.isclose(f.photon_number, abs(expect) ** 2, rel_tol=1e-9)
@@ -85,15 +86,17 @@ def test_rhs_is_bit_identical_to_the_numpy_scalar_form(fig2_cfg,
     """The RHS unpacks its state to Python floats; every operation, and so
     every returned bit, is the one the numpy-scalar form computes."""
     rng = np.random.default_rng(1401)
-    systems = [(fig2_derived, fig2_cfg.drives)]
+    systems = [(fig2_derived, fig2_cfg.drives, fig2_cfg.params.drive_power)]
     conventions = list(LinewidthConvention)
     for i in range(50):
         params, drives = clean_system(rng, with_tones=i % 2 == 0)
         systems.append((derive(params, drives,
-                               conventions[i % len(conventions)]), drives))
-    for derived, drives in systems:
-        rhs = _make_system(derived, drives, derived.eps_l).rhs
-        ref = rhs_reference(derived, drives, derived.eps_l)
+                               conventions[i % len(conventions)]), drives,
+                        params.drive_power))
+    for derived, drives, power in systems:
+        eps = eps_for_power(derived, power)
+        rhs = _make_system(derived, drives, eps).rhs
+        ref = rhs_reference(derived, drives, eps)
         for y in _quadratures(rng, 200):
             assert (np.array(rhs(0.0, y.tolist())).tobytes()
                     == ref(0.0, y).tobytes()), y
@@ -261,17 +264,18 @@ def test_step_is_bit_identical_to_the_stage_loop(fig2_cfg, fig2_derived):
     tolerances, all-zero states and states with -0.0 entries, on fig2 and
     clean_system systems, each driven and undriven, and on _sign_of_zero."""
     rng = np.random.default_rng(1801)
-    systems = [(fig2_derived, fig2_cfg.drives)]
+    systems = [(fig2_derived, fig2_cfg.drives, fig2_cfg.params.drive_power)]
     for i in range(20):
         params, drives = clean_system(rng, with_tones=i % 2 == 0)
-        systems.append((derive(params, drives), drives))
+        systems.append((derive(params, drives), drives, params.drive_power))
     zeros = [np.zeros(6), np.full(6, -0.0)]
     checked = 0
-    for derived, drives in systems:
+    for derived, drives, power in systems:
         rate = max(derived.kappa, derived.omega1, derived.omega2,
                    derived.gamma1, derived.gamma2, abs(derived.delta_c))
+        eps = eps_for_power(derived, power)
         for system_at in (
-                lambda t: _make_system(derived, drives, derived.eps_l),
+                lambda t: _make_system(derived, drives, eps),
                 lambda t: _make_system(derived, DriveSpec(), 0.0),
                 lambda t: _sign_of_zero(math.copysign, t)):
             for y in zeros + _quadratures(rng, 40):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from neoms.bifurcation import family_sweep
 from neoms.errors import ParameterError
 from neoms.model import (CODATA, CoulombSpec, DriveSpec, LinewidthConvention,
-                         SystemParams, canonical_phase,
+                         SystemParams, _coulomb_rate_per_area, canonical_phase,
                          derive, drive_amplitude, eps_for_power,
                          power_for_eps_sq, validate, zero_point_length)
 from neoms.presets import get_preset
@@ -28,11 +28,16 @@ def test_constants():
     assert CODATA.coulomb_constant == 299792458.0 ** 2 * 1e-7
 
 
+def _omega_c(params):
+    """Cavity angular frequency 2 pi c / wavelength, as derive forms it."""
+    return TWO_PI * CODATA.light_speed / params.wavelength
+
+
 def test_cavity_frequency_extended_precision():
     d = derive(REFERENCE)
-    assert math.isclose(d.omega_c, 1770349217395538.8, rel_tol=1e-13)
-    assert d.omega_l == d.omega_c - REFERENCE.delta_c
-    assert d.g_per_len == d.omega_c / REFERENCE.cavity_length
+    assert math.isclose(d.omega_l + REFERENCE.delta_c, 1770349217395538.8,
+                        rel_tol=1e-13)
+    assert d.omega_l == _omega_c(REFERENCE) - REFERENCE.delta_c
 
 
 def test_zero_point_length_extended_precision():
@@ -46,7 +51,7 @@ def test_g0_falls_back_to_geometric_pull():
     params = REFERENCE._replace(g0=None)
     d = derive(params)
     assert math.isclose(d.g0, 1.7506248640006516, rel_tol=1e-12)
-    assert d.g0 == d.g_per_len * d.x_zpf1
+    assert d.g0 == _omega_c(params) / params.cavity_length * d.x_zpf1
     # an explicit g0 wins over the derived one
     assert derive(REFERENCE).g0 == TWO_PI * 5e3
 
@@ -56,16 +61,19 @@ def test_geometric_coulomb_rate_extended_precision():
                                  volt2=1.0, spacing=1e-3)
     d = derive(REFERENCE._replace(coulomb=spec))
     assert math.isclose(d.gc, 52.08510698955119, rel_tol=1e-12)
-    assert d.gc == d.gc_per_area * d.x_zpf1 * d.x_zpf2
-    assert math.isclose(d.gc_per_area, 8.522465366972893e+32, rel_tol=1e-12)
+    per_area = _coulomb_rate_per_area(spec)
+    assert d.gc == per_area * d.x_zpf1 * d.x_zpf2
+    assert math.isclose(per_area, 8.522465366972893e+32, rel_tol=1e-12)
     # direct form passes through untouched and reports no per-area rate
-    dd = derive(REFERENCE._replace(coulomb=CoulombSpec.direct(12.5)))
-    assert dd.gc == 12.5 and dd.gc_per_area is None
+    direct = CoulombSpec.direct(12.5)
+    dd = derive(REFERENCE._replace(coulomb=direct))
+    assert dd.gc == 12.5 and _coulomb_rate_per_area(direct) is None
 
 
 def test_drive_amplitude_extended_precision():
     d = derive(REFERENCE)
-    assert math.isclose(d.eps_l, 360892507055.2617, rel_tol=1e-13)
+    assert math.isclose(eps_for_power(d, REFERENCE.drive_power),
+                        360892507055.2617, rel_tol=1e-13)
     assert drive_amplitude(REFERENCE.kappa, 0.0, d.omega_l) == 0.0
 
 

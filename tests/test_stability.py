@@ -18,8 +18,8 @@ from neoms.model import (CoulombSpec, DriveSpec, LinewidthConvention, derive,
                          eps_for_power)
 from neoms.presets import PRESETS, get_preset
 from neoms.stability import (BOUNDARY_GUARD, EIGEN_TOL_KAPPA, Method,
-                             jacobians, margins, stability_column,
-                             stability_intervals)
+                             _sign_changes, jacobians, margins,
+                             stability_column, stability_intervals)
 from neoms.steady_state import (critical_points, cubic_coefficients,
                                 steady_fields, susceptibilities,
                                 threshold_detuning)
@@ -159,7 +159,9 @@ def test_wide_linewidth_upper_branch_disagreement(fig2_cfg, fig2_derived):
     assert upper_slope.stable
     assert not upper_eig.stable
     # oscillatory margin of a fraction of kappa, not a numerical whisker
-    rel = upper_eig.margin / fig2_derived.kappa
+    (margin,) = margins((upper_eig.fields.effective_detuning,),
+                        (upper_eig.fields.c_s,), fig2_derived)
+    rel = margin / fig2_derived.kappa
     assert -0.2 < rel < -0.01
     # lower branch and middle branch stay textbook
     assert pt_eig.branches[0].stable
@@ -190,11 +192,13 @@ def test_batched_classification_equals_per_root_eigvals():
     checked = 0
     for derived, curve in sweeps:
         tol = EIGEN_TOL_KAPPA * derived.kappa
+        # the batched call the JSON writer makes
+        margin = iter(margins(curve.effective_detuning, curve.c_s, derived))
         for pt in curve.points:
             for b in pt.branches:
                 eig = np.linalg.eigvals(_jacobian(b.fields, derived))
                 reals = sorted(float(v) for v in eig.real)
-                assert _bits([b.margin]) == _bits([-reals[-1]])
+                assert _bits([next(margin)]) == _bits([-reals[-1]])
                 assert b.stable == (reals[-1] < -tol)
                 checked += 1
     assert checked > 2000
@@ -297,6 +301,33 @@ def test_determinant_is_the_cubic_slope():
                 1e-9 * mirrors * sum(map(abs, terms)))
             checked += 1
     assert checked > 2000
+
+
+def _with_roots(*roots):
+    """The monic polynomial with these roots, lowest degree first."""
+    p = [1.0]
+    for r in roots:
+        p = [a - r * b for a, b in zip([0.0, *p], [*p, 0.0])]
+    return p
+
+
+def test_sign_changes_finds_every_crossing_in_the_unit_interval():
+    """No crossing of a one-signed polynomial, simple roots to rounding,
+    and both roots of a pair 1e-6 apart, where the polynomial dips below
+    zero by 2.5e-13 between them, to 1e-12."""
+    assert _sign_changes([1.0, 0.0, 1.0]) == []
+    assert _sign_changes([-1.0, 0.5, -2.0, 0.25]) == []
+    # roots outside [0, 1] are not crossings in it
+    assert _sign_changes(_with_roots(-0.5, 1.5, 2.0)) == []
+    for roots in ((0.25, 0.75), (0.2, 0.5, 0.9), (0.1, 0.3, 0.6, 0.8)):
+        got = _sign_changes(_with_roots(*roots))
+        assert len(got) == len(roots)
+        assert all(abs(t - r) <= 1e-15 for t, r in zip(got, roots))
+    pair = (0.01, 0.01 + 1e-6)
+    for p in (_with_roots(*pair), _with_roots(0.6, *pair)):
+        got = [t for t in _sign_changes(p) if t < 0.5]
+        assert len(got) == 2
+        assert all(abs(t - r) <= 1e-12 for t, r in zip(got, pair))
 
 
 def test_intervals_equal_eigvals_everywhere():

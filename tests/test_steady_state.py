@@ -29,13 +29,13 @@ from oracles import (bistable_cubic_direct, cavity_field_direct,
                      cubic_roots_extended, cubic_value, fields_hex,
                      fold_powers_scan, mirror_fields_direct,
                      polish_root_reference, relative_residual,
-                     steady_fields_reference)
+                     steady_fields_reference, tone_responses)
 
 
 def _cubic(params, drives=DriveSpec()):
     derived = derive(params, drives)
     return cubic_coefficients(derived, susceptibilities(derived, drives),
-                              derived.eps_l)
+                              eps_for_power(derived, params.drive_power))
 
 
 def test_alpha1_closed_form(fig2_derived):
@@ -67,21 +67,23 @@ def _identity_cases():
 
 
 def test_susceptibility_identities():
-    """beta3 = -i beta1 / g0, and beta2 = -(gc / g0) beta1 / d2, to 1e-12."""
+    """beta3 = -i beta1 / g0, and beta2 = -(gc / g0) beta1 / d2, to 1e-12,
+    with beta2 and beta3 formed from d2, gc and the denominator."""
     n3 = n2 = 0
     for label, params, drives in _identity_cases():
         derived = derive(params, drives)
         s = susceptibilities(derived, drives)
+        beta2, beta3 = tone_responses(derived)
         g0, gc = derived.g0, derived.gc
         if g0 > 0.0:
             alt3 = -1j * s.beta1 / g0
-            assert abs(alt3 - s.beta3) <= 1e-12 * max(abs(s.beta3), 1e-300), \
+            assert abs(alt3 - beta3) <= 1e-12 * max(abs(beta3), 1e-300), \
                 label
             n3 += 1
             if gc > 0.0:
                 alt2 = -(gc / g0) * s.beta1 / s.d2
-                assert abs(alt2 - s.beta2) <= \
-                    1e-12 * max(abs(s.beta2), 1e-300), label
+                assert abs(alt2 - beta2) <= \
+                    1e-12 * max(abs(beta2), 1e-300), label
                 n2 += 1
     assert n3 >= 250 and n2 >= 100, (n3, n2)
 
@@ -95,17 +97,18 @@ def test_alpha1_reduces_without_coulomb(fig2_derived):
                         rel_tol=1e-12)
 
 
-def test_cubic_coefficients_recompute(fig2_derived):
+def test_cubic_coefficients_recompute(fig2_cfg, fig2_derived):
     drives = DriveSpec()
     susc = susceptibilities(fig2_derived, drives)
-    coeffs = cubic_coefficients(fig2_derived, susc, fig2_derived.eps_l)
+    eps = eps_for_power(fig2_derived, fig2_cfg.params.drive_power)
+    coeffs = cubic_coefficients(fig2_derived, susc, eps)
     chi = fig2_derived.g0 * susc.alpha1
     dt = fig2_derived.delta_c - fig2_derived.g0 * susc.offset
     kh = 0.5 * fig2_derived.kappa
     assert coeffs.a1 == chi * chi
     assert coeffs.a2 == -2.0 * chi * dt
     assert coeffs.a3 == kh * kh + dt * dt
-    assert coeffs.a4 == -fig2_derived.eps_l ** 2
+    assert coeffs.a4 == -eps ** 2
     assert coeffs.delta_tilde == dt and coeffs.kerr_slope == chi
 
 
@@ -124,13 +127,16 @@ def test_cubic_coefficients_direct_rebuild_with_tones():
         assert math.isclose(got.a4, a4, rel_tol=1e-12)
 
 
-def test_full_kappa_convention_changes_only_linewidth(fig2_derived):
+def test_full_kappa_convention_changes_only_linewidth(fig2_cfg, fig2_derived):
     drives = DriveSpec()
     susc = susceptibilities(fig2_derived, drives)
-    half = cubic_coefficients(fig2_derived, susc, fig2_derived.eps_l)
-    full_derived = derive(fig2_derived.system, drives,
+    power = fig2_cfg.params.drive_power
+    half = cubic_coefficients(fig2_derived, susc,
+                              eps_for_power(fig2_derived, power))
+    full_derived = derive(fig2_cfg.params, drives,
                           LinewidthConvention.FULL_KAPPA)
-    full = cubic_coefficients(full_derived, susc, full_derived.eps_l)
+    full = cubic_coefficients(full_derived, susc,
+                              eps_for_power(full_derived, power))
     assert full.half_linewidth == 2.0 * half.half_linewidth
     assert full.a1 == half.a1 and full.a2 == half.a2 and full.a4 == half.a4
     k = fig2_derived.kappa
@@ -213,13 +219,13 @@ def test_critical_points_without_nonlinearity():
     assert not crit.exists and crit.reason == "no_cubic_nonlinearity"
 
 
-def test_threshold_detuning_both_conventions(fig2_derived):
+def test_threshold_detuning_both_conventions(fig2_cfg, fig2_derived):
     susc = susceptibilities(fig2_derived, DriveSpec())
     thr = threshold_detuning(fig2_derived, susc)
     assert math.isclose(thr.delta_tilde, 1169900.5899310703, rel_tol=1e-12)
     assert math.isclose(thr.in_kappa_units, math.sqrt(3.0) / 2.0,
                         rel_tol=1e-15)
-    full = threshold_detuning(derive(fig2_derived.system, DriveSpec(),
+    full = threshold_detuning(derive(fig2_cfg.params, DriveSpec(),
                                      LinewidthConvention.FULL_KAPPA), susc)
     assert math.isclose(full.in_kappa_units, math.sqrt(3.0), rel_tol=1e-15)
 
@@ -228,7 +234,8 @@ def test_threshold_accounts_for_tone_offset(fig2_derived):
     drives = DriveSpec(eps1=2.0 * fig2_derived.omega1, phi1=0.25)
     susc = susceptibilities(fig2_derived, drives)
     # Gamma = alpha3 eps1 with alpha3 = 2 Re(beta3 e^{-i phi1})
-    gamma = 2.0 * (susc.beta3 * cmath.exp(-0.25j)).real * drives.eps1
+    beta3 = tone_responses(fig2_derived)[1]
+    gamma = 2.0 * (beta3 * cmath.exp(-0.25j)).real * drives.eps1
     assert gamma != 0.0
     assert math.isclose(susc.offset, gamma, rel_tol=1e-12)
     thr = threshold_detuning(fig2_derived, susc)
