@@ -18,8 +18,8 @@ from .errors import (ConfigError, ConsistencyError, ConvergenceError,
                      SingularDenominatorError, StiffnessError)
 from .model import (CODATA, CoulombSpec, DerivedParams, DriveSpec,
                     LinewidthConvention, PhysicalConstants, SystemParams,
-                    canonical_phase, derive, drive_amplitude, eps_for_power,
-                    power_for_eps_sq, validate)
+                    canonical_phase, derive, eps_for_power, power_for_eps_sq,
+                    validate)
 from .presets import PRESETS, Preset, get_preset
 from .stability import Method
 from .steady_state import (CriticalPoints, CubicCoefficients, PhotonRoots,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 # `dynamics` is imported on first use: only time-domain runs need it, and
 # loading it eagerly would add its import time to every algebraic command.
 _DYNAMICS_NAMES = frozenset({"ORIGIN", "MeanFieldState", "hysteresis_loop",
-                             "relax_to_steady", "time_derivative"})
+                             "relax_to_steady"})
 
 
 def __getattr__(name: str):

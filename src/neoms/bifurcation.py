@@ -326,9 +326,7 @@ def hysteresis_from_curve(curve: BistabilityCurve) -> HysteresisTrace:
                            unsolved=unsolved)
 
 
-_PARAM_KEYS = ("g0", "gc", "delta_c")
-_DRIVE_KEYS = ("eps1", "eps2", "phi1", "phi2")
-FAMILY_KEYS = _PARAM_KEYS + _DRIVE_KEYS
+FAMILY_KEYS = ("g0", "gc", "delta_c") + DriveSpec._fields
 
 
 class FamilyMember(NamedTuple):

@@ -64,17 +64,15 @@ KEY_DIMENSIONS: dict[str, str] = {
 
 _STRING_KEYS = ("convention", "vary")
 
-#: SystemParams' scalar fields, in snapshot order.  delta_c may be given as
-#: a ratio instead, and g0 may be left out to derive it from the geometry.
-_PARAM_KEYS = ("cavity_length", "wavelength", "mass1", "mass2", "omega1",
-               "omega2", "gamma1", "gamma2", "kappa", "delta_c",
-               "drive_power", "g0")
+#: SystemParams' scalar fields (all but coulomb), in snapshot order.
+#: delta_c may be given as a ratio instead, and g0 may be left out to
+#: derive it from the geometry.
+_PARAM_KEYS = SystemParams._fields[:-1]
 
 _REQUIRED = tuple(k for k in _PARAM_KEYS if k not in ("delta_c", "g0"))
 
-_GEOMETRIC = ("cap1", "cap2", "volt1", "volt2", "spacing")
-
-_DRIVE_KEYS = ("eps1", "eps2", "phi1", "phi2")
+#: CoulombSpec's geometric fields: every field but gc
+_GEOMETRIC = CoulombSpec._fields[1:]
 
 #: (key, rate): `key` may instead be given as `key_over_rate`, in units of
 #: that rate; in this order, so that errors are raised in it
@@ -147,7 +145,7 @@ class RunConfig(NamedTuple):
                  if getattr(p, k) is not None]
         keyed += [(k, getattr(coulomb, k)) for k in
                   (_GEOMETRIC if coulomb.is_geometric else ("gc",))]
-        keyed += [(k, getattr(self.drives, k)) for k in _DRIVE_KEYS]
+        keyed += zip(DriveSpec._fields, self.drives)
         lines = [f"{k} = {_quantity(k, v)}" for k, v in keyed]
         lines.append(f"convention = {self.convention.value}")
         if self.dwell_factor is not None:
@@ -247,15 +245,13 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"geometric coupling needs all of "
                               f"{_GEOMETRIC}; missing {', '.join(absent)}",
                               raw[geometric_given[0]][1])
-        coulomb = CoulombSpec.geometric(scalars["cap1"], scalars["cap2"],
-                                        scalars["volt1"], scalars["volt2"],
-                                        scalars["spacing"])
+        coulomb = CoulombSpec.geometric(*(scalars[k] for k in _GEOMETRIC))
     else:
         coulomb = CoulombSpec.direct(scalars.get("gc", 0.0))
 
     params = SystemParams(**{k: scalars.get(k) for k in _PARAM_KEYS},
                           coulomb=coulomb)
-    drives = DriveSpec(**{k: scalars.get(k, 0.0) for k in _DRIVE_KEYS})
+    drives = DriveSpec(*(scalars.get(k, 0.0) for k in DriveSpec._fields))
     return RunConfig(params=params, drives=drives, convention=convention,
                      dwell_factor=scalars.get("dwell_factor"),
                      vary=vary, values=values)

@@ -25,16 +25,15 @@ class MeanFieldState(NamedTuple):
     c: complex
     b1: complex
     b2: complex
-    t: float = 0.0
 
     def to_quadratures(self) -> list[float]:
         return [self.c.real, self.c.imag, self.b1.real, self.b1.imag,
                 self.b2.real, self.b2.imag]
 
     @classmethod
-    def from_quadratures(cls, y, t: float = 0.0) -> "MeanFieldState":
+    def from_quadratures(cls, y) -> "MeanFieldState":
         return cls(c=complex(y[0], y[1]), b1=complex(y[2], y[3]),
-                   b2=complex(y[4], y[5]), t=t)
+                   b2=complex(y[4], y[5]))
 
     @property
     def photon_number(self) -> float:
@@ -55,13 +54,6 @@ ROOT_TOL = 1e-6
 # coefficients of stage s on stages 0 .. s-1, zeros included; _B gives the
 # 8th-order solution, and the 5th- and 3rd-order error estimates use _E5 and
 # _E3 on the twelve stages plus the derivative at the step's end.
-_C = (
-    0.0, 0.526001519587677318785587544488e-01,
-    0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
-    0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25,
-    0.307692307692307692307692307692, 0.651282051282051282051282051282, 0.6,
-    0.857142857142857142857142857142, 1.0,
-)
 _A = (
     (5.26001519587677318785587544488e-2,),
     (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2,),
@@ -333,15 +325,6 @@ def _make_system(derived: DerivedParams, drives: DriveSpec,
         f2i=drives.eps2 * math.sin(drives.phi2), el=float(eps_l))
 
 
-def time_derivative(state: MeanFieldState, derived: DerivedParams,
-                    drives: DriveSpec, eps_l: float) -> MeanFieldState:
-    """Instantaneous d(state)/dt at drive amplitude `eps_l`, returned in the
-    same container."""
-    rhs = _make_system(derived, drives, eps_l).rhs
-    dy = rhs(state.t, state.to_quadratures())
-    return MeanFieldState.from_quadratures(dy, t=state.t)
-
-
 def _nearest_root(x: float, roots: tuple[float, ...]) -> tuple[float, float]:
     best = min(roots, key=lambda r: abs(r - x))
     return best, abs(x - best) / max(abs(best), abs(x), 1e-300)
@@ -397,12 +380,10 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     roots = solve_photon_roots(coeffs)
     amp = math.sqrt(max(roots.roots[-1], 1.0)) if roots.roots else 1.0
 
-    # The equations are autonomous, so the clock starts at 0 whatever
-    # initial.t is: a late start then neither stalls (t + checkpoint == t)
-    # nor coarsens the step floor, which scales with t.  Each segment
-    # continues the last one, across the switch to the tight tolerance too,
-    # and the derivative it carries at its end is the one the settle test
-    # reads.
+    # The equations are autonomous, so a state carries no clock and every
+    # relaxation starts at t = 0.  Each segment continues the last one,
+    # across the switch to the tight tolerance too, and the derivative it
+    # carries at its end is the one the settle test reads.
     t = 0.0
     sol = y
     nfev = 0
@@ -427,8 +408,7 @@ def relax_to_steady(initial: MeanFieldState, derived: DerivedParams,
     else:
         raise ConvergenceError(
             "did not settle within the time budget",
-            last_state=MeanFieldState.from_quadratures(sol.y,
-                                                       t=initial.t + t),
+            last_state=MeanFieldState.from_quadratures(sol.y),
             diagnostics={"t_max": t_max, "t_reached": t, "nfev": nfev,
                          "derivative_norm": norm, "threshold": strict})
 
@@ -466,8 +446,7 @@ def _ramp(powers: tuple[float, ...], dwell: float, derived: DerivedParams,
                 f"may be dynamically unstable at this linewidth",
                 last_state=exc.last_state,
                 diagnostics={**exc.diagnostics, "power_W": p}) from exc
-        state = MeanFieldState(c=fields.c_s, b1=fields.b_1s, b2=fields.b_2s,
-                               t=0.0)
+        state = MeanFieldState(c=fields.c_s, b1=fields.b_1s, b2=fields.b_2s)
         seq.append((p, fields.photon_number))
     return tuple(seq), state
 

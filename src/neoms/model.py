@@ -177,7 +177,7 @@ def validate(params: SystemParams) -> list[Diagnostic]:
 
     cs = params.coulomb
     if cs.is_geometric:
-        for name in ("cap1", "cap2", "volt1", "volt2", "spacing"):
+        for name in CoulombSpec._fields[1:]:
             v = getattr(cs, name)
             if v is None or not math.isfinite(v):
                 err(f"coulomb.{name}", "geometric coupling needs a finite value")
@@ -188,7 +188,7 @@ def validate(params: SystemParams) -> list[Diagnostic]:
     else:
         if not math.isfinite(cs.gc) or cs.gc < 0.0:
             err("coulomb.gc", f"must be finite and >= 0, got {cs.gc!r}")
-        for name in ("cap1", "cap2", "volt1", "volt2", "spacing"):
+        for name in CoulombSpec._fields[1:]:
             if getattr(cs, name) is not None:
                 err(f"coulomb.{name}", "conflicts with a direct gc value")
 
@@ -248,13 +248,6 @@ class DerivedParams(NamedTuple):
         return 0.5 * self.kappa
 
 
-def drive_amplitude(kappa: float, power: float, omega: float) -> float:
-    """Input drive amplitude sqrt(2 kappa P / (hbar omega)) in 1/s."""
-    if power == 0.0:
-        return 0.0
-    return math.sqrt(2.0 * kappa * power / (CODATA.hbar * omega))
-
-
 def derive(params: SystemParams, drives: DriveSpec | None = None,
            convention: LinewidthConvention = LinewidthConvention.HALF_KAPPA,
            ) -> DerivedParams:
@@ -298,12 +291,17 @@ def derive(params: SystemParams, drives: DriveSpec | None = None,
 
 
 def eps_for_power(derived: DerivedParams, power: float) -> float:
-    """Drive amplitude at an arbitrary input power, same laser frequency."""
+    """Input drive amplitude sqrt(2 kappa P / (hbar omega_l)) in 1/s at an
+    arbitrary input power, same laser frequency."""
     if not math.isfinite(power):
         raise ParameterError("power", f"must be finite, got {power!r}")
     if power < 0.0:
         raise ParameterError("power", f"must be >= 0, got {power!r}")
-    return drive_amplitude(derived.kappa, power, derived.omega_l)
+    if power == 0.0:
+        # -0.0 W gives +0.0, where sqrt(-0.0) would give -0.0
+        return 0.0
+    return math.sqrt(2.0 * derived.kappa * power
+                     / (CODATA.hbar * derived.omega_l))
 
 
 def power_for_eps_sq(derived: DerivedParams, eps_sq: float) -> float:

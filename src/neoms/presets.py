@@ -34,7 +34,6 @@ _PI_4 = "0.7853981633974483"
 
 class Preset(NamedTuple):
     name: str
-    description: str
     text: str
     assumptions: tuple[str, ...] = ()
 
@@ -51,34 +50,29 @@ _COMMON_ASSUMPTIONS = (
 PRESETS: dict[str, Preset] = {}
 
 
-def _add(name: str, description: str, text: str,
-         assumptions: tuple[str, ...] = ()) -> None:
-    PRESETS[name] = Preset(name=name, description=description, text=text,
+def _add(name: str, text: str, assumptions: tuple[str, ...] = ()) -> None:
+    PRESETS[name] = Preset(name=name, text=text,
                            assumptions=_COMMON_ASSUMPTIONS + assumptions)
 
 
 _add(
     "fig2",
-    "single-curve optical bistability at the base operating point",
     _BASE + "g0 = 2pi*5 kHz\ngc = 0 rad/s\n",
     ("mirror-mirror coupling set to zero for the single-curve baseline",))
 
 _add(
     "fig3",
-    "optical bistability family over the optomechanical coupling",
     _BASE + "g0 = 2pi*5 kHz\ngc = 0 rad/s\n"
     "vary = g0\nvalues = 2pi*5 kHz, 2pi*6 kHz, 2pi*7 kHz\n",
     ("mirror-mirror coupling set to zero",))
 
 _add(
     "fig4",
-    "optical bistability family over the mirror-mirror coupling",
     _BASE + "g0 = 2pi*5 kHz\ngc = 0 rad/s\n"
     "vary = gc\nvalues = 2pi*0.2 MHz, 2pi*0.4 MHz, 2pi*0.6 MHz\n")
 
 _add(
     "fig5",
-    "optical bistability family over the detuning",
     _BASE + "g0 = 2pi*5 kHz\ngc = 0 rad/s\n"
     "vary = delta_c\n"
     "values = 2pi*387 kHz, 2pi*580.5 kHz, 2pi*774 kHz, 2pi*924.5 kHz\n",
@@ -88,7 +82,6 @@ _add(
 
 _add(
     "fig6a",
-    "lower-branch shift versus mirror-1 tone phase",
     _BASE + "g0 = 2pi*5 kHz\ngc = 2pi*0.2 MHz\n"
     "eps1_over_omega1 = 2\n"
     f"vary = phi1\nvalues = {_PI_4} rad, {_PI_2} rad, {_PI} rad\n",
@@ -97,7 +90,6 @@ _add(
 
 _add(
     "fig6b",
-    "lower-branch shift versus mirror-2 tone phase",
     _BASE + "g0 = 2pi*5 kHz\ngc = 2pi*0.2 MHz\n"
     "eps2_over_omega2 = 2.4\n"
     f"vary = phi2\nvalues = {_PI_4} rad, {_PI_2} rad, {_PI} rad\n",
@@ -106,7 +98,6 @@ _add(
 
 _add(
     "fig6c",
-    "curve family over the mirror-1 tone amplitude",
     _BASE + "g0 = 2pi*5 kHz\ngc = 2pi*0.2 MHz\nphi1 = 0 rad\n"
     "vary = eps1\nvalues = 2pi*1894 kHz, 2pi*3219.8 kHz, 2pi*4545.6 kHz\n",
     ("amplitude values are 2, 3.4 and 4.8 times omega1 with a zero phase",
@@ -114,7 +105,6 @@ _add(
 
 _add(
     "fig6d",
-    "curve family over the mirror-2 tone amplitude",
     _BASE + "g0 = 2pi*5 kHz\ngc = 2pi*0.2 MHz\nphi2 = 0 rad\n"
     "vary = eps2\nvalues = 2pi*2272.8 kHz, 2pi*2841 kHz, 2pi*3598.6 kHz\n",
     ("amplitude values are 2.4, 3.0 and 3.8 times omega2 with a zero phase",
@@ -122,15 +112,12 @@ _add(
 
 _add(
     "fig7",
-    "mirror-displacement bistability family over the optomechanical "
-    "coupling",
     _BASE + "g0 = 2pi*4 kHz\ngc = 0 rad/s\n"
     "vary = g0\nvalues = 2pi*4 kHz, 2pi*6 kHz, 2pi*8 kHz\n",
     ("mirror-mirror coupling set to zero",))
 
 _add(
     "fig8a",
-    "mirror-1 displacement bistability at the coupled operating point",
     _BASE + "g0 = 2pi*6 kHz\ngc = 2pi*0.2 MHz\n",
     ("optomechanical coupling fixed at 2pi*6 kHz",
      "mirror-mirror coupling fixed at 2pi*0.2 MHz so the second mirror "
@@ -138,7 +125,6 @@ _add(
 
 _add(
     "fig8b",
-    "mirror-1 displacement family over the mirror-1 tone amplitude",
     _BASE + "g0 = 2pi*6 kHz\ngc = 2pi*0.2 MHz\nphi1 = 0 rad\n"
     "vary = eps1\nvalues = 2pi*1894 kHz, 2pi*3219.8 kHz, 2pi*4545.6 kHz\n",
     ("amplitude values are 2, 3.4 and 4.8 times omega1 with a zero phase",
@@ -147,7 +133,6 @@ _add(
 
 _add(
     "fig8c",
-    "mirror-2 displacement bistability at the coupled operating point",
     PRESETS["fig8a"].text,
     ("same operating point as fig8a; read the q2_m column",
      "optomechanical coupling fixed at 2pi*6 kHz",
@@ -155,7 +140,6 @@ _add(
 
 _add(
     "fig8d",
-    "mirror-2 displacement family over the mirror-2 tone amplitude",
     _BASE + "g0 = 2pi*6 kHz\ngc = 2pi*0.2 MHz\nphi2 = 0 rad\n"
     "vary = eps2\nvalues = 2pi*2272.8 kHz, 2pi*2841 kHz, 2pi*3598.6 kHz\n",
     ("amplitude values are 2.4, 3.0 and 3.8 times omega2 with a zero phase",

@@ -36,7 +36,7 @@ import mpmath as mp
 import numpy as np
 
 from neoms.bifurcation import BranchSolution, CurvePoint
-from neoms.dynamics import (_A, _B, _C, _E3, _E5, RTOL, SETTLE_TOL,
+from neoms.dynamics import (_A, _B, _E3, _E5, RTOL, SETTLE_TOL,
                             SETTLED_CHECKPOINTS, _make_system, solve_ivp)
 from neoms.errors import ConsistencyError, EigenvalueError, ResidualError
 from neoms.model import LinewidthConvention, eps_for_power
@@ -366,14 +366,15 @@ def _combine(coeffs, stages):
 
 def dop853_step_reference(fun, t, h, y, f):
     """A system's fused DOP853 step (`dynamics._system_factory`) as a
-    running sum over every tableau entry, zeros included, calling fun at
-    each stage's time."""
+    running sum over every tableau entry, zeros included, calling fun(t, ...)
+    at every stage: a system's equations are autonomous, so no stage reads
+    its own time."""
     stages = [f]
-    for c, a in zip(_C[1:], _A):
-        stages.append(fun(t + c * h, [v + d * h for v, d in
-                                      zip(y, _combine(a, stages))]))
+    for a in _A:
+        stages.append(fun(t, [v + d * h for v, d in
+                              zip(y, _combine(a, stages))]))
     y_new = [v + h * d for v, d in zip(y, _combine(_B, stages))]
-    f_new = fun(t + h, y_new)
+    f_new = fun(t, y_new)
     stages.append(f_new)
     return y_new, f_new, _combine(_E5, stages), _combine(_E3, stages)
 

@@ -459,8 +459,7 @@ def test_algebraic_paths_do_not_import_scipy(subprocess_env):
                                 "dynamics": False}
     from neoms import relax_to_steady
     assert relax_to_steady is neoms.dynamics.relax_to_steady
-    for name in ("ORIGIN", "MeanFieldState", "hysteresis_loop",
-                 "time_derivative"):
+    for name in ("ORIGIN", "MeanFieldState", "hysteresis_loop"):
         assert getattr(neoms, name) is getattr(neoms.dynamics, name)
     with pytest.raises(AttributeError):
         neoms.no_such_name

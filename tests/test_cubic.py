@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neoms.steady_state import (CubicCoefficients, critical_points,
-                                solve_photon_roots)
+                                photon_roots, solve_photon_roots)
 from oracles import cubic_roots_extended, cubic_slope, cubic_value
 
 
@@ -62,6 +62,12 @@ def test_linear_case_without_nonlinearity():
     roots = solve_photon_roots(c)
     assert len(roots) == 1
     assert math.isclose(roots.roots[0], 9.0 / (0.25 + 4.0), rel_tol=1e-12)
+
+
+def test_triple_root():
+    # (x - 1)^3: p = q = 0, so the Cardano form has w = 0 and no cube root
+    # to divide by
+    assert photon_roots(1.0, -3.0, 3.0, -1.0) == (1.0,)
 
 
 def test_near_fold_pair_meets_residual_contract():

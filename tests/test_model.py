@@ -15,8 +15,8 @@ from neoms.bifurcation import family_sweep
 from neoms.errors import ParameterError
 from neoms.model import (CODATA, CoulombSpec, DriveSpec, LinewidthConvention,
                          SystemParams, _coulomb_rate_per_area, canonical_phase,
-                         derive, drive_amplitude, eps_for_power,
-                         power_for_eps_sq, validate, zero_point_length)
+                         derive, eps_for_power, power_for_eps_sq, validate,
+                         zero_point_length)
 from neoms.presets import get_preset
 from draws import REFERENCE, TWO_PI
 
@@ -74,7 +74,9 @@ def test_drive_amplitude_extended_precision():
     d = derive(REFERENCE)
     assert math.isclose(eps_for_power(d, REFERENCE.drive_power),
                         360892507055.2617, rel_tol=1e-13)
-    assert drive_amplitude(REFERENCE.kappa, 0.0, d.omega_l) == 0.0
+    assert eps_for_power(d, 0.0) == 0.0
+    # sqrt(-0.0) is -0.0, but no drive is +0.0 whatever the zero's sign
+    assert math.copysign(1.0, eps_for_power(d, -0.0)) == 1.0
 
 
 def test_power_amplitude_round_trip():

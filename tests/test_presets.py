@@ -19,7 +19,6 @@ def test_catalog_names():
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_every_preset_parses_and_derives(name):
     preset = get_preset(name)
-    assert preset.description
     assert preset.assumptions
     cfg = preset.config()
     derived = derive(cfg.params, cfg.drives)

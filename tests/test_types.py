@@ -57,7 +57,7 @@ BUILD = {
     "HysteresisTrace": lambda: hysteresis_from_curve(_fig2()[6]),
     "FamilyResult": _family,
     "FamilyMember": lambda: _family().members[0],
-    "MeanFieldState": lambda: neoms.MeanFieldState(0.5j, 1.0, 2j, 3.0),
+    "MeanFieldState": lambda: neoms.MeanFieldState(0.5j, 1.0, 2j),
 }
 
 
