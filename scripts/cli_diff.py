@@ -114,9 +114,31 @@ g0 = 1e-90 rad/s
 gc = 0 rad/s
 """
 
+# fig2 with a geometric Coulomb coupling: 100 pF at 200 V on both mirrors,
+# 1 mm apart, which gives gc = 2.08e6 rad/s.
+GEOMETRIC_CONF = """\
+cavity_length = 0.25 m
+wavelength = 1064 nm
+mass1 = 145 ng
+mass2 = 145 ng
+omega1 = 2pi*947 kHz
+omega2 = 2pi*947 kHz
+gamma1 = 2pi*140 kHz
+gamma2 = 2pi*140 kHz
+kappa = 2pi*215 kHz
+delta_c_over_kappa = 3.6
+drive_power = 9 mW
+g0 = 2pi*5 kHz
+cap1 = 100e-12 F
+cap2 = 100e-12 F
+volt1 = 200 V
+volt2 = 200 V
+spacing = 1e-3 m
+"""
+
 CONFIGS = {"clean": CLEAN_CONF, "sub": SUB_THRESHOLD_CONF, "vary": VARY_CONF,
            "reversed": REVERSED_CONF, "wrong_side": WRONG_SIDE_CONF,
-           "tiny_g0": TINY_G0_CONF}
+           "tiny_g0": TINY_G0_CONF, "geometric": GEOMETRIC_CONF}
 TIMEOUT_S = 120
 PANELS = ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c",
           "fig6d", "fig7", "fig8a", "fig8b", "fig8c", "fig8d")
@@ -129,8 +151,8 @@ USAGE_ERRORS = [
     ["no-such-command"],
 ]
 
-# {clean}, {sub}, {vary}, {reversed}, {wrong_side} and {tiny_g0} stand for
-# the paths of the configs above.  A relative path is taken from the
+# {clean}, {sub}, {vary}, {reversed}, {wrong_side}, {tiny_g0} and
+# {geometric} stand for the paths of the configs above.  A relative path is taken from the
 # temporary directory, which has no `missing` subdirectory.
 INVOCATIONS = (
     [["fig", p, *f] for p in PANELS for f in FORMATS]
@@ -141,6 +163,14 @@ INVOCATIONS = (
        for p in ("fig5", "fig6c") for f in FORMATS]
     + [["dynamics", "--preset", "fig2", "--power", "2e-9", *f]
        for f in FORMATS]
+    # the slope rule in every command that classifies
+    + [[cmd, "--preset", p, "--method", "slope", *f]
+       for cmd, p in (("curve", "fig2"), ("hysteresis", "fig8a"),
+                      ("family", "fig5")) for f in FORMATS]
+    # eigen verdicts on a dense grid across fig2's lower Hopf power
+    + [["curve", "--preset", "fig2", "--pmin", "1.2e-9", "--pmax", "1.3e-9",
+        "--points", "2001", "--format", "json"]]
+    + [[cmd, "--config", "{geometric}"] for cmd in ("window", "curve")]
     # the fused step on a Coulomb-coupled preset and on one driven by a
     # mirror tone, both inside their windows, each settling in under 1 s
     + [["dynamics", "--preset", p, "--power", "1e-9"]

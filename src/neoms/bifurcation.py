@@ -255,8 +255,7 @@ def power_sweep(derived: DerivedParams, drives: DriveSpec,
         eps_of += [eps] * len(roots)
     c_s, b_1s, b_2s, q_1s, q_2s, det = steady_columns(xs, eps_of, derived,
                                                       susc)
-    stable = stability_column(xs, det, c_s, branch_rows, derived, shape,
-                              method)
+    stable = stability_column(xs, branch_rows, derived, shape, method)
     return BistabilityCurve(
         power=tuple(power), eps_sq=tuple(eps_sq), error=tuple(error),
         branch_rows=tuple(branch_rows), photon_number=tuple(xs),

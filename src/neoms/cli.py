@@ -145,11 +145,10 @@ def _cmd_threshold(args, cfg: RunConfig) -> _Result:
 
 
 def _cmd_hysteresis(args, cfg: RunConfig) -> _Result:
-    factor = args.dwell_factor
-    if factor is None:
-        factor = cfg.dwell_factor if cfg.dwell_factor is not None else 10.0
+    factor = (args.dwell_factor if args.dwell_factor is not None
+              else cfg.dwell_factor)
     # a bad option is a usage error (exit 2) in both modes, grid or none
-    if not (math.isfinite(factor) and factor > 0):
+    if factor is not None and not (math.isfinite(factor) and factor > 0):
         raise ParameterError("dwell_factor", f"must be finite and > 0, "
                                              f"got {factor!r}")
     derived, grid = _grid(cfg, args)
@@ -159,8 +158,8 @@ def _cmd_hysteresis(args, cfg: RunConfig) -> _Result:
     else:
         from .dynamics import hysteresis_loop
         slow = min(derived.kappa, derived.gamma1, derived.gamma2)
-        trace = hysteresis_loop(derived, cfg.drives, grid,
-                                dwell=factor / slow)
+        trace = hysteresis_loop(derived, cfg.drives, grid, dwell=(
+            None if factor is None else factor / slow))
     return _Result(cfg, (trace,), output.trace_to_csv, output.trace_to_dict)
 
 
@@ -300,7 +299,3 @@ def main(argv=None) -> int:
         _err(result.refusal)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

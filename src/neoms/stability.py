@@ -2,10 +2,10 @@
 
 A state is stable when every eigenvalue of the Jacobian in (Re c, Im c,
 Re b1, Im b1, Re b2, Im b2) has real part below -EIGEN_TOL_KAPPA * kappa.
-The eigen method reads that off intervals in the photon number x, and runs
-eigvals only for states at an interval's bound and for the margins.  The
-slope rule (middle root of three is unstable) is blind to the dynamical
-(Hopf) instabilities of the upper branch at unresolved-sideband linewidths.
+The eigen method reads that off intervals in the photon number x, whose
+bounds come from exact signs; eigvals runs only for the margins.  The slope
+rule (middle root of three is unstable) is blind to the dynamical (Hopf)
+instabilities of the upper branch at unresolved-sideband linewidths.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ class Method(str, Enum):
 
 #: classification threshold on max Re(eigenvalue), in units of kappa
 EIGEN_TOL_KAPPA = 1e-9
-#: a state this close to an interval's bound, relative, is left to eigvals
-BOUNDARY_GUARD = 1e-9
 
 
 def jacobians(detuning, c_s, derived: DerivedParams):
@@ -87,11 +85,11 @@ def margins(detuning, c_s, derived: DerivedParams) -> list[float]:
     return (-eig.real.max(axis=1)).tolist()
 
 
-# A polynomial is a list of its float coefficients, lowest degree first.
+# A polynomial is a list of its integer coefficients, lowest degree first.
 
 def _comb(*terms):
     """The sum of c * p over the (c, p) pairs."""
-    out = [0.0] * max(len(p) for _, p in terms)
+    out = [0] * max(len(p) for _, p in terms)
     for c, p in terms:
         for i, v in enumerate(p):
             out[i] += c * v
@@ -99,108 +97,166 @@ def _comb(*terms):
 
 
 def _mul(p, q):
-    out = [0.0] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
 
 
-def _at(p, t: float) -> tuple[float, float]:
-    """p(t) and p'(t), by Horner."""
+def _poly(values):
+    """(c, f, k) of numbers: the integers c proportional to them, by one
+    power of two, and f = c / 2**k, each rounded once, with |f| < 1."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    c = [n * (den // d) for n, d in ratios]
+    k = max(map(abs, c)).bit_length()
+    return c, [v / (1 << k) for v in c], k
+
+
+def _shift(p):
+    """p(x + 1)."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p
+
+
+def _value(p, t: float) -> tuple[float, float]:
+    """(v, d) for p = (c, f, k) at 0 <= t <= 1: v has the sign of c(t), by
+    Horner on f where that clears its rounding bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, eq. 5.3, times 4), else exactly,
+    rounded to a float but not to zero; d is Horner's derivative on f."""
+    c, f, k = p
     v = d = 0.0
-    for c in reversed(p):
+    for a in reversed(f):
         d = d * t + v
-        v = v * t + c
+        v = v * t + a
+    if abs(v) > len(f) * 2.0 ** -49 * sum(map(abs, f)) + 1e-300:
+        return v, d
+    m, q = t.as_integer_ratio()
+    j, acc, s = q.bit_length() - 1, 0, 0
+    for a in reversed(c):
+        acc, s = acc * m + (a << s), s + j
+    v = acc / (1 << (s - j + k))
+    if not v and acc:               # below the smallest float
+        v = 5e-324 if acc > 0 else -5e-324
     return v, d
 
 
+def _crossing(p, lo: float, hi: float, up: bool) -> float:
+    """The float in (lo, hi] from which on c > 0 is `up`, given one change:
+    Newton steps on f in a bracket narrowed by exact signs.  A step out goes
+    one float in, or halves the bracket if the step before went out too."""
+    t, out = 0.5 * (lo + hi), False
+    while True:
+        v, d = _value(p, t)
+        lo, hi = (lo, t) if (v > 0.0) == up else (t, hi)
+        first, last = math.nextafter(lo, hi), math.nextafter(hi, lo)
+        if first == hi:
+            return hi
+        t = t - v / d if d else lo
+        inside = first <= t <= last
+        t = (t if inside else 0.5 * (lo + hi) if out
+             else min(max(t, first), last))
+        out = not (inside or out)
+
+
+def _isolate(p, local, a: float, b: float) -> list[float]:
+    """The floats in (a, b] at which c > 0 differs from the float below,
+    for p = (c, f, k) and `local` proportional to c(a + (b - a) s).  Below
+    two, the sign changes of local's Bernstein coefficients count c's roots
+    in (a, b) (Descartes' rule; Collins and Akritas, SYMSAC 1976); from
+    two on, (a, b) is halved.  A root at a is divided out."""
+    bern = _shift(local[::-1])      # times binomials, the end at b first
+    signs = [v > 0 for v in bern if v]
+    if not signs:                   # c = 0
+        return []
+    if not local[0]:                # c(a) = 0: c / (t - a) has c's signs
+        out, first = _isolate(p, local[1:], a, b), math.nextafter(a, b)
+        rest = [t for t in out if t != first]
+        # c(a) > 0 is false: c turns at the float above a if c / (t - a)
+        # is positive there
+        return [first, *rest] if (local[1] > 0) != (rest != out) else rest
+    turns = sum(x != y for x, y in zip(signs, signs[1:]))
+    if bern[0] and turns < 2:
+        return [_crossing(p, a, b, bern[0] > 0)] if turns else []
+    m, n = 0.5 * (a + b), len(local) - 1
+    if m == a or m == b:
+        return [b] if (local[0] > 0) != (bern[0] > 0) else []
+    left = [v << (n - i) for i, v in enumerate(local)]
+    return _isolate(p, left, a, m) + _isolate(p, _shift(left), m, b)
+
+
 def _sign_changes(p) -> list[float]:
-    """Where p changes sign in [0, 1]: the roots of p' bracket monotone
-    pieces, and safeguarded Newton finds each piece's root."""
-    dp = [i * c for i, c in enumerate(p)][1:]
-    ends = [0.0, *(_sign_changes(dp) if any(dp[1:]) else ()), 1.0]
-    out = []
-    for a, b in zip(ends, ends[1:]):
-        positive = _at(p, a)[0] > 0.0
-        if (_at(p, b)[0] > 0.0) == positive:
-            continue
-        t = 0.5 * (a + b)
-        for _ in range(100):
-            f, d = _at(p, t)
-            a, b = (t, b) if (f > 0.0) == positive else (a, t)
-            step = t - f / d if d else a
-            step = step if a < step < b else 0.5 * (a + b)
-            if step == t or not a < step < b:
-                break
-            t = step
-        out.append(t)
-    return out
+    """The floats t in (0, 1] at which p(t) > 0 differs from its value at
+    the float below, for the numbers p, lowest degree first, taken exactly."""
+    p = _poly(p)
+    return _isolate(p, p[0], 0.0, 1.0)
 
 
 def stability_intervals(derived: DerivedParams, shape: CubicCoefficients,
                         x_max: float) -> tuple[list[float], list[bool]]:
     """(bounds, stable) over photon numbers 0..x_max of the sweep whose
-    cubic has `shape`: the sorted x where stability may change, and whether
-    the states between consecutive ones, with 0 and x_max at the ends, are.
+    cubic has `shape`: the sorted floats x at which stability may change,
+    and whether the states from each one (and from 0) up to the next are.
 
-    In kappa units, with rates shifted by tol = EIGEN_TOL_KAPPA, det(mu -
-    tol - J) = mu^6 + a1 mu^5 + ... + a6 = ((mu + kh)^2 + Delta^2) Q4 - 4
-    g0^2 Delta x R3, where Q4 = |A|^2, R3 = -Im((mu + d2) conj(A)), A =
-    (mu + d1)(mu + d2) + gc^2 and d_k = gamma_k/2 + i omega_k.  Delta is
-    affine in x, so each a_i and each Lienard-Chipart condition (a2, a4,
-    a6 and the Hurwitz determinants D1 = a1, D3, D5 positive; Gantmacher,
-    The Theory of Matrices, vol. 2, ch. XV) is a polynomial in x.  A root
-    crosses Re mu = 0 only where a6 (at mu = 0) or D5 (at mu = +-i w)
-    vanishes, so only their sign changes bound the intervals.
+    With rates shifted by tol = EIGEN_TOL_KAPPA * kappa, det(mu - tol - J)
+    = mu^6 + a1 mu^5 + ... + a6 = ((mu + kh)^2 + Delta^2) Q4 - 4 g0^2
+    Delta x R3, where Q4 = |A|^2, R3 = -Im((mu + d2) conj(A)), A = (mu +
+    d1)(mu + d2) + gc^2 and d_k = gamma_k/2 + i omega_k.  Delta is affine
+    in x, so each a_i and each Lienard-Chipart condition (a2, a4, a6 and the
+    Hurwitz determinants D1 = a1, D3, D5 positive; Gantmacher, The Theory
+    of Matrices, vol. 2, ch. XV) is a polynomial in x.  A root crosses Re mu
+    = 0 only where a6 (at mu = 0) or D5 (at mu = +-i w) vanishes, so only
+    their sign changes bound the intervals.  The polynomials are built in
+    integers from the float rates, tol and Delta's coefficients, in t = x
+    over a power of two, so every sign is exact: each bound is a float at
+    which a6 or D5 changes sign, and each verdict is the float model's.
     """
-    scale = x_max if x_max > 0.0 else 1.0
-    k, s = derived.kappa, EIGEN_TOL_KAPPA
-    kh = derived.kh / k - s
-    d1 = complex(0.5 * derived.gamma1 / k - s, derived.omega1 / k)
-    d2 = complex(0.5 * derived.gamma2 / k - s, derived.omega2 / k)
-    m = [(d1 * d2 + (derived.gc / k) ** 2).conjugate(),
-         (d1 + d2).conjugate(), 1.0]
-    q4 = [z.real for z in _mul(m, [z.conjugate() for z in m])]
-    r3 = [-z.imag for z in _mul(m, [d2, 1.0])]
-    # Delta = u + v t, so kh^2 + Delta^2 = e(t) and 4 g0^2 x Delta = f(t)
-    u, v = shape.delta_tilde / k, -shape.kerr_slope / k * scale
-    g = 4.0 * (derived.g0 / k) ** 2 * scale
-    e, f = [kh * kh + u * u, 2.0 * u * v, v * v], [0.0, g * u, g * v]
+    scale = math.ldexp(1.0, max(0, math.frexp(x_max)[1]))
+    kh, h1, h2, w1, w2, gc, g0, tol, u, v = _poly([
+        derived.kh, 0.5 * derived.gamma1, 0.5 * derived.gamma2,
+        derived.omega1, derived.omega2, derived.gc, derived.g0,
+        EIGEN_TOL_KAPPA * derived.kappa, shape.delta_tilde,
+        -shape.kerr_slope * scale])[0]
+    kh, h1, h2 = kh - tol, h1 - tol, h2 - tol
+    # A = ar + i ai for real mu, so Q4 = ar^2 + ai^2, R3 = (mu + h2) ai -
+    # w2 ar; Delta = u + v t, so kh^2 + Delta^2 = e(t), 4 g0^2 x Delta = f(t)
+    ar, ai = [h1 * h2 - w1 * w2 + gc * gc, h1 + h2, 1], [h1 * w2 + h2 * w1,
+                                                        w1 + w2]
+    q4 = _comb((1, _mul(ar, ar)), (1, _mul(ai, ai)))
+    r3 = _comb((1, _mul([h2, 1], ai)), (-w2, ar))
+    g = 4 * g0 * g0 * int(scale)
+    e, f = [kh * kh + u * u, 2 * u * v, v * v], [0, g * u, g * v]
     # a_i, of mu^(6 - i), from (mu^2 + 2 kh mu) Q4 + e Q4 - f R3
-    a = [_comb((c, [1.0]), (q, e), (-r, f)) for c, q, r in zip(
-        _mul([0.0, 2.0 * kh, 1.0], q4)[::-1], (q4 + [0.0] * 2)[::-1],
-        (r3 + [0.0] * 3)[::-1])]
-    # with a0 = 1: D1 = a1, D3, and D5 grouped over its factors a6 and a5
+    a = [_comb((c, [1]), (q, e), (-r, f)) for c, q, r in zip(
+        _mul([0, 2 * kh, 1], q4)[::-1], (q4 + [0] * 2)[::-1],
+        (r3 + [0] * 4)[::-1])]
+    # with a0 = 1, Routh's third row starting b, c: D1 = a1, D3, D4, D5
     a1, a2, a3, a4, a5, a6 = a[1][0], *a[2:]
-    a33, a25, a34 = _mul(a3, a3), _mul(a2, a5), _mul(a3, a4)
-    d3 = _comb((a1, _mul(a2, a3)), (-a1 * a1, a4), (a1, a5), (-1.0, a33))
-    by_a6 = _comb((-a1 ** 3, a6), (2.0 * a1 * a1, a25), (a1 * a1, a34),
-                  (-a1, _mul(a2, a33)), (-3.0 * a1, _mul(a3, a5)),
-                  (1.0, _mul(a3, a33)))
-    by_a5 = _comb((-a1 * a1, _mul(a4, a4)), (-a1, _mul(a2, a25)),
-                  (a1, _mul(a2, a34)), (2.0 * a1, _mul(a4, a5)),
-                  (1.0, _mul(a3, a25)), (-1.0, _mul(a33, a4)),
-                  (-1.0, _mul(a5, a5)))
-    d5 = _comb((1.0, _mul(a6, by_a6)), (1.0, _mul(a5, by_a5)))
-    conds = [a2, a4, a6, [a1], d3, d5]
+    b, c = _comb((a1, a2), (-1, a3)), _comb((a1, a4), (-1, a5))
+    d3 = _comb((1, _mul(a3, b)), (-a1, c))
+    d4 = _comb((1, _mul(a4, d3)), (a1, _mul(a6, b)),
+               (-1, _mul(a5, _comb((1, _mul(a2, b)), (-1, c)))))
+    d5 = _comb((1, _mul(a5, d4)), (-1, _mul(a6, _comb(
+        (1, _mul(a3, d3)), (a1 * a1 * a1, a6), (-a1, _mul(a5, b))))))
+    conds = [_poly(p) for p in (a2, a4, a6, [a1], d3, d5)]
     ends = sorted(t for p in (a6, d5) for t in _sign_changes(p))
     return ([t * scale for t in ends],
-            [all(_at(p, 0.5 * (lo + hi))[0] > 0.0 for p in conds)
-             for lo, hi in zip([0.0, *ends], [*ends, 1.0])])
+            [all(_value(p, t)[0] > 0.0 for p in conds) for t in [0.0, *ends]])
 
 
-def stability_column(xs, detuning, c_s, branch_rows, derived: DerivedParams,
+def stability_column(xs, branch_rows, derived: DerivedParams,
                      shape: CubicCoefficients,
                      method: Method = Method.EIGEN) -> list[bool]:
-    """Whether each of n steady states, given as columns, is stable.
+    """Whether each of n steady states, given by photon numbers, is stable.
 
     `branch_rows` are the ranges of the states that share one cubic, each
     in ascending photon number.  The slope rule reads only those: the
     middle state of three is unstable.  The eigen method looks each photon
-    number up in the sweep's stability intervals; a state within
-    BOUNDARY_GUARD of a bound, relative, is decided by eigvals on its own
-    Jacobian.
+    number up in the sweep's stability intervals.
     """
     if method == Method.SLOPE_RULE:
         stable = [True] * len(xs)
@@ -209,15 +265,4 @@ def stability_column(xs, detuning, c_s, branch_rows, derived: DerivedParams,
                 stable[r[1]] = False
         return stable
     bounds, flags = stability_intervals(derived, shape, max(xs, default=0.0))
-    # an odd place among the edges is within the guard band of a bound
-    edges = [b * (1.0 + g) for b in bounds
-             for g in (-BOUNDARY_GUARD, BOUNDARY_GUARD)]
-    places = [bisect(edges, x) for x in xs]
-    stable = [flags[k // 2] for k in places]
-    near = [i for i, k in enumerate(places) if k % 2]
-    if near:
-        tol = EIGEN_TOL_KAPPA * derived.kappa
-        for i, m in zip(near, margins([detuning[i] for i in near],
-                                      [c_s[i] for i in near], derived)):
-            stable[i] = m > tol
-    return stable
+    return [flags[bisect(bounds, x)] for x in xs]

@@ -6,7 +6,8 @@ bits, not the package's double-precision forms, refined by
 extended-precision Newton steps, fold powers from a dense scan with
 parabolic refinement, steady fields from a direct complex 2x2 solve of
 the zero-derivative conditions, and stability from the Routh array of the
-Jacobian's characteristic polynomial.  The cubic and its slope are
+Jacobian's characteristic polynomial or from 50-digit eigenvalues
+(`eigen_stable_mp`).  The cubic and its slope are
 evaluated here by Horner (`cubic_value`, `cubic_slope`,
 `relative_residual`), not by the package.
 
@@ -222,6 +223,34 @@ def routh_hurwitz_stable(jac: np.ndarray, rel_tol: float = 1e-12) -> bool:
         first_col.append(nxt[0])
         scale = max(scale, float(np.max(np.abs(nxt))))
     return all(v > 0.0 for v in first_col)
+
+
+def eigen_stable_mp(derived, shape, x: float) -> bool:
+    """Whether the steady state at photon number x of the sweep whose cubic
+    has `shape` is stable, from mpmath's eigenvalues at 50 digits: the
+    Jacobian of `neoms.stability.jacobians` with the effective detuning
+    delta_tilde - kerr_slope * x and the cavity field taken exactly from
+    the floats, max Re(eig) below -EIGEN_TOL_KAPPA * kappa.  Near a
+    stability bound, where double precision eigvals cannot tell the sign,
+    this is the verdict of the float model."""
+    with mp.workdps(50):
+        x = mp.mpf(x)
+        det = mp.mpf(shape.delta_tilde) - mp.mpf(shape.kerr_slope) * x
+        kh, g2 = mp.mpf(derived.kh), 2 * mp.mpf(derived.g0)
+        c = mp.sqrt(x) * mp.mpc(kh, -det) / mp.sqrt(kh * kh + det * det)
+        w1, w2, gc = (mp.mpf(v) for v in (derived.omega1, derived.omega2,
+                                           derived.gc))
+        h1, h2 = mp.mpf(derived.gamma1) / 2, mp.mpf(derived.gamma2) / 2
+        cr, ci = c.real, c.imag
+        jac = mp.matrix([
+            [-kh, det, -g2 * ci, 0, 0, 0],
+            [-det, -kh, g2 * cr, 0, 0, 0],
+            [0, 0, -h1, w1, 0, gc],
+            [g2 * cr, g2 * ci, -w1, -h1, -gc, 0],
+            [0, 0, 0, gc, -h2, w2],
+            [0, 0, -gc, 0, -w2, -h2]])
+        top = max(mp.re(e) for e in mp.eig(jac, left=False, right=False))
+        return bool(top < -mp.mpf(EIGEN_TOL_KAPPA * derived.kappa))
 
 
 def math_isclose_rel(a: float, b: float, rel: float) -> bool:

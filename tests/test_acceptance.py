@@ -235,8 +235,8 @@ def test_criterion_06_stability_methods_agree():
         detuning = [f.effective_detuning for f in fields]
         c_s = [f.c_s for f in fields]
         shape = cubic_coefficients(derived, susc, eps)
-        eig, slope = (stability_column(roots.roots, detuning, c_s,
-                                       (range(3),), derived, shape, method)
+        eig, slope = (stability_column(roots.roots, (range(3),), derived,
+                                       shape, method)
                       for method in (Method.EIGEN, Method.SLOPE_RULE))
         assert eig == slope
         for jac in jacobians(detuning, c_s, derived):

@@ -101,6 +101,7 @@ def test_geometric_coulomb_block():
     ("kappa = 2pi*215 furlongs", 10, "not valid"),
     ("kappa = 2pi*abc kHz", 10, "bad number"),
     ("kappa = 215", 10, "needs a unit"),
+    ("kappa = 2pi*215 kHz extra", 10, "cannot parse value"),
 ])
 def test_line_numbered_errors(mutation, line, fragment):
     text = BASE.replace("kappa = 2pi*215 kHz", mutation)

@@ -6,6 +6,8 @@ of operating point.
 """
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,14 +19,15 @@ from neoms.errors import EigenvalueError
 from neoms.model import (CoulombSpec, DriveSpec, LinewidthConvention, derive,
                          eps_for_power)
 from neoms.presets import PRESETS, get_preset
-from neoms.stability import (BOUNDARY_GUARD, EIGEN_TOL_KAPPA, Method,
-                             _sign_changes, jacobians, margins,
-                             stability_column, stability_intervals)
+from neoms.stability import (EIGEN_TOL_KAPPA, Method, _sign_changes,
+                             jacobians, margins, stability_column,
+                             stability_intervals)
 from neoms.steady_state import (critical_points, cubic_coefficients,
                                 steady_fields, susceptibilities,
                                 threshold_detuning)
 from draws import REFERENCE, clean_point, clean_system
-from oracles import routh_hurwitz_stable, stability_columns_reference
+from oracles import (eigen_stable_mp, routh_hurwitz_stable,
+                     stability_columns_reference)
 
 
 def _fields_at(derived, drives, eps_sq, x):
@@ -47,8 +50,8 @@ def _columns(fields, derived, drives, method=Method.EIGEN, rows=None):
                                0.0)
     det = [f.effective_detuning for f in fields]
     c_s = [f.c_s for f in fields]
-    stable = stability_column([f.photon_number for f in fields], det, c_s,
-                              rows, derived, shape, method)
+    stable = stability_column([f.photon_number for f in fields], rows,
+                              derived, shape, method)
     if method == Method.SLOPE_RULE:
         return stable, [math.nan] * len(fields)
     return stable, margins(det, c_s, derived)
@@ -311,12 +314,50 @@ def _with_roots(*roots):
     return p
 
 
+def _fraction_crossings(p):
+    """The floats t in (0, 1] at which the quadratic p, its float
+    coefficients taken exactly, has p(t) > 0 unlike at the float below t:
+    bisection over floats with Fraction signs, on each side of the exact
+    vertex, where p is monotone."""
+    c0, c1, c2 = map(Fraction, p)
+
+    def up(t):
+        return c0 + (c1 + c2 * Fraction(t)) * Fraction(t) > 0
+
+    vertex = min(max(-c1 / (2 * c2), Fraction(0)), Fraction(1))
+    below = float(vertex)
+    if Fraction(below) > vertex:
+        below = math.nextafter(below, 0.0)
+    out, prev = [], None
+    for lo, hi in ((0.0, below), (math.nextafter(below, 1.0), 1.0)):
+        if lo > hi:
+            continue
+        if prev is not None and up(prev) != up(lo):
+            out.append(lo)
+        if up(lo) != up(hi):
+            start, end = lo, hi
+            while math.nextafter(start, end) != end:
+                mid = 0.5 * (start + end)
+                start, end = (start, mid) if up(mid) == up(hi) else (mid, end)
+            out.append(end)
+        prev = hi
+    return out
+
+
 def test_sign_changes_finds_every_crossing_in_the_unit_interval():
     """No crossing of a one-signed polynomial, simple roots to rounding,
-    and both roots of a pair 1e-6 apart, where the polynomial dips below
-    zero by 2.5e-13 between them, to 1e-12."""
+    both roots of a pair 1e-6 apart, where the polynomial dips below zero
+    by 2.5e-13 between them, to 1e-12; and for (t - 0.5)(t - 0.5 - delta),
+    delta = 10^-k with k = 6..15 and 2^-j with j = 20, 30, 40, 50,
+    exactly the floats at which its sign changes, from an exact Fraction
+    search on the same float coefficients."""
     assert _sign_changes([1.0, 0.0, 1.0]) == []
     assert _sign_changes([-1.0, 0.5, -2.0, 0.25]) == []
+    # zero is not positive: a root at 0 turns at the first float above it,
+    # and the zero polynomial never turns
+    assert _sign_changes([0.0, 1.0]) == _sign_changes([0.0, 0.0, 2.0]) == [
+        math.nextafter(0.0, 1.0)]
+    assert _sign_changes([0.0, -1.0]) == _sign_changes([0.0, 0.0]) == []
     # roots outside [0, 1] are not crossings in it
     assert _sign_changes(_with_roots(-0.5, 1.5, 2.0)) == []
     for roots in ((0.25, 0.75), (0.2, 0.5, 0.9), (0.1, 0.3, 0.6, 0.8)):
@@ -328,6 +369,20 @@ def test_sign_changes_finds_every_crossing_in_the_unit_interval():
         got = [t for t in _sign_changes(p) if t < 0.5]
         assert len(got) == 2
         assert all(abs(t - r) <= 1e-12 for t, r in zip(got, pair))
+    for k in range(6, 16):
+        p = _with_roots(0.5, 0.5 + 10.0 ** -k)
+        assert _sign_changes(p) == _fraction_crossings(p)
+    # rounding the coefficients can take both roots away, as at k = 8, 13
+    # and 15; with delta = 2^-j they are exact, and both are found, down to
+    # delta = 8.9e-16
+    for j in (20, 30, 40, 50):
+        delta = 2.0 ** -j
+        p = [0.25 + 0.5 * delta, -1.0 - delta, 1.0]
+        want = [0.5, math.nextafter(0.5 + delta, 1.0)]
+        assert _fraction_crossings(p) == _sign_changes(p) == want
+    # roots near 1e-300, whose values there are below the smallest float
+    for p in (_with_roots(1e-300, 2e-300), [0.0, -3.0 * 2.0 ** -1000, 1.0]):
+        assert _sign_changes(p) == _fraction_crossings(p)
 
 
 def test_intervals_equal_eigvals_everywhere():
@@ -336,8 +391,7 @@ def test_intervals_equal_eigvals_everywhere():
     under both conventions; on the 2,001-point grids of fig2, fig8a and
     fig8c; on fig2 at detunings 1 + 10^-k times its threshold, k = 2..12,
     where the two folds merge into a cusp; and on 100 `clean_system` draws.
-    States within BOUNDARY_GUARD of a bound are decided by eigvals, and are
-    counted."""
+    No state is excused."""
     curves = []
     for name in sorted(PRESETS):
         cfg = get_preset(name).config()
@@ -379,19 +433,13 @@ def test_intervals_equal_eigvals_everywhere():
         derived = derive(params, drives)
         grid = auto_power_grid(bistability_window(derived, drives), 201)
         curves.append((derived, drives, power_sweep(derived, drives, grid)))
-    states = guarded = 0
+    states = 0
     for derived, drives, curve in curves:
         want, _ = stability_columns_reference(
             curve.effective_detuning, curve.c_s, curve.branch_rows, derived)
         assert list(curve.stable) == want
-        shape = cubic_coefficients(derived,
-                                   susceptibilities(derived, drives), 0.0)
-        bounds, _ = stability_intervals(derived, shape,
-                                        max(curve.photon_number))
-        guarded += sum(any(abs(x - b) <= BOUNDARY_GUARD * x for b in bounds)
-                       for x in curve.photon_number)
         states += len(want)
-    print(f"\n{states} states, {guarded} within the guard band")
+    print(f"\n{states} states")
     assert states > 50_000
 
 
@@ -457,31 +505,57 @@ def test_upper_branch_lives_and_dies_as_the_intervals_predict(
                             rel_tol=1e-6)
 
 
-def test_states_at_a_bound_are_left_to_eigvals(fig2_cfg, fig2_derived,
-                                               monkeypatch):
-    """A state within BOUNDARY_GUARD of an interval's bound is classified
-    by eigvals on its own Jacobian; the states between bounds are not."""
+def test_states_at_a_bound_get_the_exact_verdict_without_numpy(monkeypatch):
+    """States at every bound of fig2 and fig8a up to x = 1e5, one and two
+    floats either side of it, and 5e-10 relative either side, and the
+    default eigen sweeps of both presets, are classified with numpy blocked
+    and `margins` raising.  Every verdict equals eigvals', computed
+    beforehand, where eigvals' margin clears 1e-13 of the Jacobian's
+    largest entry.  At the bound and within two floats of it the margin is
+    about 1e-15 kappa, below eigvals' own error; there the verdict equals
+    that of 50-digit mpmath eigenvalues of the same Jacobian."""
     from neoms import stability
 
-    shape = cubic_coefficients(
-        fig2_derived, susceptibilities(fig2_derived, fig2_cfg.drives), 0.0)
-    bounds, _ = stability_intervals(fig2_derived, shape, 1e5)
-    xs = [0.5 * (a + b) for a, b in zip([0.0, *bounds], [*bounds, 1e5])]
-    xs += [b * (1.0 + 0.5 * BOUNDARY_GUARD) for b in bounds]
-    det = [shape.delta_tilde - shape.kerr_slope * x for x in xs]
-    c_s = [math.sqrt(x) * complex(fig2_derived.kh, -d)
-           / abs(complex(fig2_derived.kh, d)) for x, d in zip(xs, det)]
-    asked = []
+    cases = []
+    for name in ("fig2", "fig8a"):
+        cfg = get_preset(name).config()
+        derived = cfg.derive()
+        shape = cubic_coefficients(
+            derived, susceptibilities(derived, cfg.drives), 0.0)
+        bounds, _ = stability_intervals(derived, shape, 1e5)
+        assert len(bounds) >= 4
+        xs = []
+        for b in bounds:
+            near = [b]
+            for _ in range(2):
+                near = [math.nextafter(near[0], 0.0), *near,
+                        math.nextafter(near[-1], math.inf)]
+            xs += [*near, b * (1.0 - 5e-10), b * (1.0 + 5e-10)]
+        det = [shape.delta_tilde - shape.kerr_slope * x for x in xs]
+        c_s = [math.sqrt(x) * complex(derived.kh, -d)
+               / abs(complex(derived.kh, d)) for x, d in zip(xs, det)]
+        jacs = jacobians(det, c_s, derived)
+        top = np.linalg.eigvals(jacs).real.max(1)
+        tol = EIGEN_TOL_KAPPA * derived.kappa
+        clear = np.abs(top + tol) > 1e-13 * np.abs(jacs).max((1, 2))
+        want = [bool(t < -tol) if ok else eigen_stable_mp(derived, shape, x)
+                for x, t, ok in zip(xs, top, clear)]
+        # the five states at and within two floats of each bound
+        assert (~clear).sum() == 5 * len(bounds)
+        grid = auto_power_grid(bistability_window(derived, cfg.drives))
+        curve = power_sweep(derived, cfg.drives, grid)
+        sweep, _ = stability_columns_reference(
+            curve.effective_detuning, curve.c_s, curve.branch_rows, derived)
+        cases.append((derived, cfg.drives, shape, grid, xs, want, sweep))
 
-    def recorded(detuning, fields, derived):
-        asked.extend(detuning)
-        return margins(detuning, fields, derived)
+    def no_margins(*args):
+        raise AssertionError("classification called margins")
 
-    monkeypatch.setattr(stability, "margins", recorded)
-    stable = stability_column(xs, det, c_s, (), fig2_derived, shape)
-    assert asked == det[len(bounds) + 1:]
-    tops = np.linalg.eigvals(jacobians(det, c_s, fig2_derived)).real.max(1)
-    assert stable == (tops < -EIGEN_TOL_KAPPA * fig2_derived.kappa).tolist()
+    monkeypatch.setattr(stability, "margins", no_margins)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    for derived, drives, shape, grid, xs, want, sweep in cases:
+        assert stability_column(xs, (), derived, shape) == want
+        assert list(power_sweep(derived, drives, grid).stable) == sweep
 
 
 def test_a_state_only_d3_calls_unstable_is_unstable():
@@ -502,5 +576,4 @@ def test_a_state_only_d3_calls_unstable_is_unstable():
         complex(derived.kh, det))
     (top,) = np.linalg.eigvals(jacobians((det,), (c_s,), derived)).real.max(1)
     assert top > 0.1 * derived.kappa
-    assert stability_column((x,), (det,), (c_s,), (range(1),), derived,
-                            shape) == [False]
+    assert stability_column((x,), (range(1),), derived, shape) == [False]
