@@ -8,7 +8,8 @@ invocation in INVOCATIONS runs as `python -m neoms ...` with that tree's
 below.  For each invocation whose exit code, stdout or stderr differs, one
 line names it and one line per differing stream says how: the line counts
 and, when only numbers moved, how many and the largest relative gap between
-them.  An invocation still running after TIMEOUT_S seconds is stopped and
+them; two streams that parse as the same JSON document differ in layout
+only, and are still counted as differing.  An invocation still running after TIMEOUT_S seconds is stopped and
 its exit code reads "timeout".  The exit status is 0 when nothing differs
 and 1 otherwise.
 """
@@ -16,6 +17,7 @@ and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import re
@@ -257,11 +259,20 @@ def _relative_gap(a: str, b: str) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _same_json(before: str, after: str) -> bool:
+    try:
+        return json.loads(before) == json.loads(after)
+    except ValueError:
+        return False
+
+
 def compare(before: str, after: str) -> str | None:
     """None when equal, else how the two texts differ."""
     if before == after:
         return None
     lines = f"{before.count(NL)} -> {after.count(NL)} lines"
+    if _same_json(before, after):
+        return f"{lines}; same JSON document; layout differs"
     if _NUMBER.sub("#", before) != _NUMBER.sub("#", after):
         return f"{lines}; text differs"
     pairs = [(a, b) for a, b in zip(_NUMBER.findall(before),

@@ -19,6 +19,8 @@ from .errors import ConfigError
 from .model import (CoulombSpec, DerivedParams, DriveSpec,
                     LinewidthConvention, SystemParams, derive)
 
+#: each dimension's units and their factors; the first, with factor 1.0, is
+#: the canonical unit that snapshots write
 _UNITS: dict[str, dict[str, float]] = {
     "length": {"m": 1.0, "nm": 1e-9},
     "mass": {"kg": 1.0, "ng": 1e-12},
@@ -28,10 +30,6 @@ _UNITS: dict[str, dict[str, float]] = {
     "capacitance": {"F": 1.0},
     "angle": {"rad": 1.0, "deg": math.pi / 180.0},
 }
-
-_CANONICAL_UNIT = {"length": "m", "mass": "kg", "frequency": "rad/s",
-                   "power": "W", "voltage": "V", "capacitance": "F",
-                   "angle": "rad"}
 
 KEY_DIMENSIONS: dict[str, str] = {
     "cavity_length": "length",
@@ -113,8 +111,8 @@ def _parse_quantity(text: str, dimension: str, key: str,
 
 def _quantity(key: str, value) -> str:
     """`value` written in the canonical unit of `key`, if it has one."""
-    unit = _CANONICAL_UNIT.get(KEY_DIMENSIONS[key])
-    return f"{value!r} {unit}" if unit else repr(value)
+    units = _UNITS.get(KEY_DIMENSIONS[key])
+    return f"{value!r} {next(iter(units))}" if units else repr(value)
 
 
 def parse_scalar_for_key(key: str, text: str) -> float:

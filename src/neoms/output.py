@@ -8,10 +8,8 @@ Neither format embeds timestamps, so equal inputs give equal bytes.
 
 from __future__ import annotations
 
+import json
 import math
-from itertools import chain, filterfalse, islice
-from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 from .bifurcation import (BistabilityCurve, BistabilityWindow, FamilyResult,
                           HysteresisTrace)
@@ -22,7 +20,6 @@ CURVE_HEADER = "power_W,branch_index,photon_number,stable,q1_m,q2_m"
 FAMILY_HEADER = "value," + CURVE_HEADER
 HYSTERESIS_HEADER = "direction,power_W,photon_number"
 KEYVALUE_HEADER = "key,value"
-_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _f(x: float) -> str:
@@ -55,75 +52,9 @@ def _none_if_nan(x: float | None) -> float | None:
 
 
 def dumps_json(obj) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` plus a
-    newline, refusing what json refuses and any key that is not a str.
-    Built a column at a time: a key's values across a list's records, or
-    the items of all lists at one depth, are checked and rendered together,
-    and each record is one `%` of its keys' template."""
-    spec, (text,) = _render([obj], "\n")
-    return (spec + "\n") % (text,)
-
-
-def _render(col: list, pad: str) -> tuple[str, list]:
-    """(spec, items): `spec % item` is the text of each value of `col`, and
-    `pad` starts its nested lines.  A failing column is retried value by
-    value, so the error raised is json's: that of the first bad value."""
-    try:
-        return _column(col, pad)
-    except (TypeError, ValueError):
-        for value in col:
-            _column([value], pad)
-        raise
-
-
-def _column(col: list, pad: str) -> tuple[str, list]:
-    types = set(map(type, col))
-    if len(types) != 1:
-        return _split(col, map(type, col), pad)
-    (t,) = types
-    if issubclass(t, str):      # json's order of tests: bool before int
-        return "%s", list(map(_quote, col))
-    if t is bool or t is type(None):
-        return "%s", list(map(_LITERALS.__getitem__, col))
-    if issubclass(t, int):
-        return "%s", list(map(int.__repr__, col))
-    if issubclass(t, float):
-        for bad in filterfalse(math.isfinite, col):
-            raise ValueError(f"float {bad!r} is not JSON compliant")
-        if t is float:      # only for exact floats is %r float.__repr__
-            return "%r", col
-        return "%s", list(map(float.__repr__, col))
-    inner, comma = pad + "  ", "," + pad + "  "
-    if issubclass(t, (list, tuple)):
-        spec, items = _render([*chain.from_iterable(col)], inner)
-        forms = {n: f"[{inner}{comma.join([spec] * n)}{pad}]" if n else "[]"
-                 for n in set(map(len, col))}
-        rest = iter(items)
-        return "%s", [forms[n] % tuple(islice(rest, n)) for n in map(len, col)]
-    if not issubclass(t, dict):
-        raise TypeError(f"{t.__name__} is not JSON serializable")
-    if len(set(map(tuple, col))) > 1:
-        return _split(col, map(tuple, col), pad)
-    specs, cols = [], []
-    for key in sorted(col[0]):      # a key that is not a str: TypeError
-        spec, items = _render([*map(itemgetter(key), col)], inner)
-        specs.append(_quote(key).replace("%", "%%") + ": " + spec)
-        cols.append(items)
-    form = f"{{{inner}{comma.join(specs)}{pad}}}" if specs else "{}"
-    return "%s", [*map(form.__mod__, zip(*cols))] or [form] * len(col)
-
-
-def _split(col: list, kinds, pad: str) -> tuple[str, list]:
-    """Render `col` in groups of one kind (type or key set), each a column."""
-    groups: dict = {}
-    for i, kind in enumerate(kinds):
-        groups.setdefault(kind, []).append(i)
-    out = [""] * len(col)
-    for rows in groups.values():
-        spec, items = _render([col[i] for i in rows], pad)
-        for i, item in zip(rows, items):
-            out[i] = spec % (item,)
-    return "%s", out
+    """`obj` as compact JSON with sorted keys and a trailing newline;
+    NaN and +-inf raise ValueError, as json refuses them."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------- curves

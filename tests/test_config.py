@@ -277,9 +277,10 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_key_dimension_table_is_total():
-    # every scalar key names a known dimension with a canonical unit
-    from neoms.config import _CANONICAL_UNIT, _UNITS
+    # every scalar key names a known dimension, whose first unit is the
+    # canonical one that snapshots write: factor 1.0
+    from neoms.config import _UNITS
     for key, dim in KEY_DIMENSIONS.items():
         assert dim == "dimensionless" or dim in _UNITS, key
-        if dim != "dimensionless":
-            assert _CANONICAL_UNIT[dim] in _UNITS[dim]
+    for dim, units in _UNITS.items():
+        assert next(iter(units.values())) == 1.0, dim

@@ -15,14 +15,15 @@ import pytest
 
 from neoms import dynamics
 from neoms.bifurcation import bistability_window
-from neoms.errors import ConvergenceError, StiffnessError
+from neoms.errors import ConsistencyError, ConvergenceError, StiffnessError
 from neoms.dynamics import (ORIGIN, MeanFieldState, _make_system,
                             hysteresis_loop, relax_to_steady)
 from neoms.model import (CoulombSpec, DriveSpec, LinewidthConvention, derive,
                          eps_for_power)
 from neoms.presets import get_preset
-from neoms.steady_state import (solve_photon_roots, steady_fields,
-                                susceptibilities, cubic_coefficients)
+from neoms.steady_state import (PhotonRoots, solve_photon_roots,
+                                steady_fields, susceptibilities,
+                                cubic_coefficients)
 from draws import REFERENCE, clean_point, clean_system
 from oracles import (dop853_step_reference, fields_hex,
                      relax_restarting_reference, rhs_reference)
@@ -179,6 +180,36 @@ def test_wide_linewidth_upper_branch_never_settles(fig2_cfg, fig2_derived):
     assert exc.value.last_state is not None
     assert exc.value.diagnostics["derivative_norm"] > \
         exc.value.diagnostics["threshold"]
+
+
+def test_settled_state_off_every_root_is_refused(fig2_cfg, fig2_derived,
+                                                monkeypatch):
+    """fig2 at 2 nW settles on x = 1476; with the cubic's roots doubled it
+    matches none of them, and relaxation raises instead of returning it."""
+    monkeypatch.setattr(dynamics, "solve_photon_roots", lambda coeffs:
+                        PhotonRoots(2.0 * r for r in
+                                    solve_photon_roots(coeffs)))
+    eps = eps_for_power(fig2_derived, 2e-9)
+    with pytest.raises(ConsistencyError,
+                       match="settled photon number matches no cubic root"
+                       ) as exc:
+        relax_to_steady(ORIGIN, fig2_derived, fig2_cfg.drives, eps)
+    assert math.isclose(exc.value.diagnostics["settled"], 1476.16858,
+                        rel_tol=1e-6)
+
+
+def test_ramp_step_that_never_settles_names_its_power(fig2_cfg,
+                                                      fig2_derived):
+    """Above fig2's upward fold only the limit-cycling upper branch is left:
+    the ramp's step at 3.8 nW raises ConvergenceError naming that power,
+    with the last state reached."""
+    slow = min(fig2_derived.kappa, fig2_derived.gamma1, fig2_derived.gamma2)
+    with pytest.raises(ConvergenceError) as exc:
+        hysteresis_loop(fig2_derived, fig2_cfg.drives, (2e-9, 3.8e-9),
+                        dwell=0.25 / slow)
+    assert "ramp step at 3.8e-09 W did not settle" in str(exc.value)
+    assert exc.value.diagnostics["power_W"] == 3.8e-9
+    assert isinstance(exc.value.last_state, MeanFieldState)
 
 
 def test_hysteresis_loop_validation(fig2_derived):

@@ -21,8 +21,8 @@ from neoms.stability import Method
 from neoms.steady_state import (_polish_root, _real_cubic_roots,
                                 critical_points, cubic_coefficients,
                                 fold_powers_eps_sq, solve_photon_roots,
-                                steady_fields, susceptibilities,
-                                threshold_detuning)
+                                steady_columns, steady_fields,
+                                susceptibilities, threshold_detuning)
 from draws import (REFERENCE, TWO_PI, clean_point, clean_system,
                    reference_draw)
 from oracles import (bistable_cubic_direct, cavity_field_direct,
@@ -423,3 +423,20 @@ def test_hoisted_steady_fields_equal_the_per_root_form():
                 outcome(steady_fields_reference, *args), (derived, x)
             checked += 1
     assert checked > 5000
+
+
+def test_steady_columns_refuse_an_x_that_is_not_a_root(fig2_cfg,
+                                                      fig2_derived):
+    """A photon number that does not solve the cubic at its drive raises
+    ConsistencyError: zero under a nonzero drive, or a root moved by 1e-6."""
+    susc = susceptibilities(fig2_derived, fig2_cfg.drives)
+    eps = eps_for_power(fig2_derived, 2e-9)
+    x = solve_photon_roots(cubic_coefficients(fig2_derived, susc, eps))[0]
+    with pytest.raises(ConsistencyError,
+                       match="nonzero field at zero photon number") as exc:
+        steady_columns((0.0,), (eps,), fig2_derived, susc)
+    assert exc.value.diagnostics["photon_number"] == 0.0
+    with pytest.raises(ConsistencyError,
+                       match="inconsistent with photon-number root") as exc:
+        steady_columns((x * (1.0 + 1e-6),), (eps,), fig2_derived, susc)
+    assert exc.value.diagnostics["relative"] > 1e-9
