@@ -7,11 +7,11 @@ invocation in INVOCATIONS runs as `python -m neoms ...` with that tree's
 `src` on PYTHONPATH, from a temporary directory that holds the config files
 below.  For each invocation whose exit code, stdout or stderr differs, one
 line names it and one line per differing stream says how: the line counts
-and, when only numbers moved, how many and the largest relative gap between
-them; two streams that parse as the same JSON document differ in layout
-only, and are still counted as differing.  An invocation still running after TIMEOUT_S seconds is stopped and
-its exit code reads "timeout".  The exit status is 0 when nothing differs
-and 1 otherwise.
+and, when the two parse as the same JSON document, that only the layout
+differs, or, when only numbers moved, how many and the largest relative gap
+between them.  Such an invocation still counts as differing.  An invocation
+still running after TIMEOUT_S seconds is stopped and its exit code reads
+"timeout".  The exit status is 0 when nothing differs and 1 otherwise.
 """
 
 from __future__ import annotations

@@ -617,13 +617,18 @@ def test_vanishing_kerr_slope_solves_like_zero_g0(tmp_path, capsys):
         capsys.readouterr()
 
 
-def test_cli_diff_list_names_only_existing_subcommands(capsys):
-    """scripts/cli_diff.py's invocations parse, except the usage errors it
-    lists on purpose, and together they reach every subcommand."""
+def _cli_diff():
     path = Path(__file__).resolve().parent.parent / "scripts" / "cli_diff.py"
     spec = importlib.util.spec_from_file_location("cli_diff", path)
     cli_diff = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_diff)
+    return cli_diff
+
+
+def test_cli_diff_list_names_only_existing_subcommands(capsys):
+    """scripts/cli_diff.py's invocations parse, except the usage errors it
+    lists on purpose, and together they reach every subcommand."""
+    cli_diff = _cli_diff()
     reached = set()
     for argv in cli_diff.INVOCATIONS:
         if argv in cli_diff.USAGE_ERRORS:
@@ -635,3 +640,19 @@ def test_cli_diff_list_names_only_existing_subcommands(capsys):
     capsys.readouterr()
     assert reached == {"curve", "mirror", "window", "threshold", "hysteresis",
                        "family", "dynamics", "fig"}
+
+
+def test_cli_diff_tells_a_new_json_layout_from_new_text():
+    """The same JSON document in another layout is reported as such; a
+    changed value or a changed CSV line is not."""
+    compare = _cli_diff().compare
+    doc = {"kind": "window", "power_up_W": 3.7e-09, "exists": True}
+    compact = json.dumps(doc, sort_keys=True) + "\n"
+    indented = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert compare(indented, compact) == \
+        "5 -> 1 lines; same JSON document; layout differs"
+    moved = compact.replace("true", "false")
+    assert compare(indented, moved) == "5 -> 1 lines; text differs"
+    assert compare("key,value\nexists,true\n", "key,value\nexists,false\n") \
+        == "2 -> 2 lines; text differs"
+    assert compare(compact, compact) is None
